@@ -259,9 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Rc2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

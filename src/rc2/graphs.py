@@ -52,17 +52,20 @@ class Graph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge(u, v) in self.edges
-
     def adjacency(self) -> dict[int, list[int]]:
-        """Adjacency lists, sorted ascending for deterministic traversal."""
-        adj: dict[int, list[int]] = {v: [] for v in range(self.vertex_count)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for nbrs in adj.values():
-            nbrs.sort()
+        """Adjacency lists, sorted ascending for deterministic traversal.
+
+        Built once and kept on the graph; callers must not mutate them.
+        """
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            adj = {v: [] for v in range(self.vertex_count)}
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            for nbrs in adj.values():
+                nbrs.sort()
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def degree(self, v: int) -> int:
@@ -74,10 +77,6 @@ class Graph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def covered_vertices(self) -> VertexSet:
-        """Vertices incident to at least one edge."""
-        return frozenset(v for e in self.edges for v in e)
 
     def to_json_obj(self) -> dict:
         return {"n": self.vertex_count, "edges": [list(e) for e in sorted(self.edges)]}
@@ -129,7 +128,8 @@ def parse_edge_list(text: str) -> Graph:
     the vertex count is one past the largest id.  Otherwise the whole file is
     treated as named vertices: ids are assigned by first appearance and the
     names are kept in ``Graph.labels``.  Self-loops and duplicate edges are
-    rejected with the offending line number.
+    rejected with the offending line number, and numeric ids that leave a
+    vertex without edges are rejected before any per-vertex work.
     """
     rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -141,7 +141,7 @@ def parse_edge_list(text: str) -> Graph:
             raise InvalidInput(f"expected two vertex tokens, got {len(tokens)}", line=lineno)
         rows.append((lineno, tokens[0], tokens[1]))
 
-    numeric = all(t.isdigit() for _, a, b in rows for t in (a, b))
+    numeric = all(t.isdecimal() for _, a, b in rows for t in (a, b))
     labels: tuple[str, ...] | None = None
     pairs: list[tuple[int, int, int]] = []
     if numeric:
@@ -166,6 +166,7 @@ def parse_edge_list(text: str) -> Graph:
         if e in seen:
             raise InvalidInput(f"duplicate edge {e}", line=lineno)
         seen.add(e)
+    _reject_isolated(n, seen)
     return Graph(n, frozenset(seen), labels)
 
 
@@ -178,6 +179,18 @@ def graph_to_json(g: Graph) -> str:
     return canonical_json(g.to_json_obj())
 
 
+def _reject_isolated(n: int, edges: Iterable[Edge]) -> None:
+    """Refuse a vertex count larger than the number of edge endpoints.
+
+    Every command works on 2-connected graphs, which have no vertex without
+    edges.  The check is O(m), so a huge ``n`` is refused before anything
+    builds per-vertex structures.
+    """
+    touched = len({x for e in edges for x in e})
+    if n > touched:
+        raise InvalidInput(f"isolated vertices: n={n} but the edges touch only {touched}")
+
+
 def graph_from_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
@@ -187,11 +200,12 @@ def graph_from_json(text: str) -> Graph:
         raise InvalidInput('graph JSON needs keys "n" and "edges"')
     n = obj["n"]
     raw = obj["edges"]
-    if not isinstance(n, int) or n < 0 or not isinstance(raw, list):
+    # type() and not isinstance(): JSON true/false are bools, and bool is an int.
+    if type(n) is not int or n < 0 or not isinstance(raw, list):
         raise InvalidInput("graph JSON has malformed fields")
     seen: set[Edge] = set()
     for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
             raise InvalidInput(f"bad edge entry {item!r}")
         u, v = item
         if u == v:
@@ -200,6 +214,7 @@ def graph_from_json(text: str) -> Graph:
         if e in seen:
             raise InvalidInput(f"duplicate edge {e}")
         seen.add(e)
+    _reject_isolated(n, seen)
     return Graph.from_edges(n, seen)
 
 
@@ -287,8 +302,21 @@ def is_two_connected_sub(vertices: Iterable[int], edges: Iterable[Edge]) -> bool
 
 
 def is_two_connected(g: Graph) -> bool:
-    """True when g has at least 3 vertices, is connected, and has no cut vertex."""
-    return is_two_connected_sub(range(g.vertex_count), g.edges)
+    """True when g has at least 3 vertices, is connected, and has no cut vertex.
+
+    The verdict is kept on the graph, so the pipeline's layers can each
+    check their precondition without repeating the scan.
+    """
+    verdict = g.__dict__.get("_two_connected")
+    if verdict is None:
+        verdict = is_two_connected_sub(range(g.vertex_count), g.edges)
+        record_two_connected(g, verdict)
+    return verdict
+
+
+def record_two_connected(g: Graph, verdict: bool) -> None:
+    """Keep a verdict already computed for g, as is_two_connected would."""
+    object.__setattr__(g, "_two_connected", verdict)
 
 
 def articulation_points(g: Graph) -> set[int]:

@@ -4,16 +4,107 @@ Given a 2-connected graph and a vertex v0 outside an anchor set, a "fan"
 is a pair of paths from v0 to two distinct anchor vertices that share only
 v0 and touch the anchor set only at their endpoints.  In a 2-connected
 graph such a fan always exists when the anchor set has at least two
-vertices; we find one with a small max-flow computation so that the whole
-construction stays deterministic.
+vertices.  One private routine, ``_two_unit_flows``, finds it for both
+callers: the ear fans here and the removability test of ``minimalize``.
+
+The routine runs two unit augmentations in the vertex-split network, where
+vertex v becomes an in-node and an out-node joined by a unit arc, each edge
+xy gives the arcs out(x) -> in(y) and out(y) -> in(x), and every anchor's
+in-node feeds a shared sink.  The network is never built: its arcs are read
+off the adjacency lists and the flow is kept as one map.  Anchors have no
+out-arcs, so a search never gets past the anchor set; when the anchors are
+the vertices already covered by an ear decomposition, the search stays on
+v0's bridge (the component of the uncovered part that contains v0).  Each
+breadth-first search stops as soon as it reaches the sink.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from typing import Container, Mapping, Sequence
 
 from .errors import NoFan, PreconditionViolated
 from .graphs import Graph, Path, VertexSet
+
+_SINK = -1
+
+
+def _augment(
+    adj: Mapping[int, Sequence[int]], anchors: Container[int], v0: int, into: dict[int, int]
+) -> bool:
+    """One shortest augmenting path from out(v0) to the sink, applied to
+    ``into``; False when there is none.
+
+    ``into[y] = x`` records a unit on the arc out(x) -> in(y).  Every in-node
+    takes at most one unit, so this map is the whole flow.  Node ids are
+    ``2v`` for in(v) and ``2v + 1`` for out(v).  Neighbours are scanned in
+    ascending node id, which fixes which shortest path is found.
+    """
+    source = 2 * v0 + 1
+    prev = {source: source}
+    queue = deque((source,))
+    push = queue.append
+    carried = into.get
+    while queue:
+        a = queue.popleft()
+        x = a >> 1
+        if a & 1:
+            # out(x): arcs to in(y) that carry no unit, and back to in(x) when
+            # x carries one; in(x) takes its place among the in(y) by id.
+            nbrs = adj[x]
+            if x in into:
+                nbrs = sorted((*nbrs, x))
+            for y in nbrs:
+                b = 2 * y
+                if b not in prev and (y == x or (y != v0 and carried(y) != x)):
+                    prev[b] = a
+                    push(b)
+            continue
+        # in(x) has exactly one residual arc: back along the unit it carries,
+        # else on to out(x), or to the sink for an anchor.
+        w = carried(x)
+        if w is not None:
+            b = 2 * w + 1
+        elif x in anchors:
+            prev[_SINK] = a
+            break
+        else:
+            b = a + 1
+        if b not in prev:
+            prev[b] = a
+            push(b)
+    else:
+        return False
+
+    # Apply from the sink back: cancelling the unit on out(y) -> in(x) comes
+    # before giving in(x) its new unit, which sits earlier on the path.
+    b = prev[_SINK]
+    while b != source:
+        a = prev[b]
+        x, y = a >> 1, b >> 1
+        if x != y:
+            if a & 1:
+                into[y] = x
+            else:
+                del into[x]
+        b = a
+    return True
+
+
+def _two_unit_flows(
+    adj: Mapping[int, Sequence[int]], anchors: Container[int], v0: int
+) -> dict[int, int] | None:
+    """Two vertex-disjoint flow paths from v0 into ``anchors``, or None.
+
+    ``adj`` gives ascending adjacency lists and v0 must lie outside
+    ``anchors``.  The result maps each vertex on the two paths, other than
+    v0, to its predecessor; the two anchors among its keys are the paths'
+    ends.
+    """
+    into: dict[int, int] = {}
+    if _augment(adj, anchors, v0, into) and _augment(adj, anchors, v0, into):
+        return into
+    return None
 
 
 def two_fan_to_subgraph(g: Graph, anchors: VertexSet, v0: int) -> tuple[Path, Path]:
@@ -30,83 +121,13 @@ def two_fan_to_subgraph(g: Graph, anchors: VertexSet, v0: int) -> tuple[Path, Pa
     if not (0 <= v0 < g.vertex_count):
         raise PreconditionViolated(f"vertex {v0} out of range")
 
-    # Vertex-split flow network: vertex v becomes nodes 2v (in) and 2v+1
-    # (out), with a unit-capacity arc between them so each vertex is used by
-    # at most one path.  Anchor in-nodes feed a shared sink; anchors have no
-    # out-arcs, so paths stop on first contact with the anchor set.
-    n = g.vertex_count
-    sink = 2 * n
-    source = 2 * v0 + 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: dict[int, set[int]] = {}
-    forward: list[tuple[int, int]] = []
-
-    def add_arc(a: int, b: int) -> None:
-        cap[(a, b)] = cap.get((a, b), 0) + 1
-        cap.setdefault((b, a), 0)
-        forward.append((a, b))
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for v in range(n):
-        if v in anchors:
-            add_arc(2 * v, sink)
-        elif v != v0:
-            add_arc(2 * v, 2 * v + 1)
-    for u, v in sorted(g.edges):
-        for x, y in ((u, v), (v, u)):
-            if x in anchors or y == v0:
-                continue
-            add_arc(2 * x + 1, 2 * y)
-
-    sorted_adj = {a: sorted(bs) for a, bs in adj.items()}
-
-    def augment() -> bool:
-        prev: dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue:
-            a = queue.popleft()
-            if a == sink:
-                break
-            for b in sorted_adj.get(a, ()):
-                if b not in prev and cap.get((a, b), 0) > 0:
-                    prev[b] = a
-                    queue.append(b)
-        if sink not in prev:
-            return False
-        b = sink
-        while b != source:
-            a = prev[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        return True
-
-    flow = 0
-    while flow < 2 and augment():
-        flow += 1
-    if flow < 2:
+    into = _two_unit_flows(g.adjacency(), anchors, v0)
+    if into is None:
         raise NoFan(f"no two disjoint paths from {v0} into the anchor set")
-
-    # Trace the two unit flows.  An original arc carries flow equal to its
-    # reverse residual capacity; following the smallest usable successor
-    # keeps the output deterministic.
-    used: dict[tuple[int, int], int] = {
-        (a, b): cap[(b, a)] for (a, b) in forward if cap[(b, a)] > 0
-    }
-
-    def trace() -> Path:
-        verts = [v0]
-        node = source
-        while True:
-            nxt = min(b for b in sorted_adj.get(node, ()) if used.get((node, b), 0) > 0)
-            used[(node, nxt)] -= 1
-            if nxt == sink:
-                return Path(tuple(verts))
-            if nxt % 2 == 0:
-                verts.append(nxt // 2)
-            node = nxt
-
-    paths = [trace(), trace()]
-    paths.sort(key=lambda p: p.last)
+    paths = []
+    for end in sorted(y for y in into if y in anchors):
+        verts = [end]
+        while verts[-1] != v0:
+            verts.append(into[verts[-1]])
+        paths.append(Path(tuple(reversed(verts))))
     return paths[0], paths[1]

@@ -4,38 +4,82 @@ A graph is minimally 2-connected when deleting any single edge destroys
 2-connectivity.  The reduction below only deletes edges, so the result spans
 the same vertex set; rainbow path pairs found in the reduced graph remain
 valid in the original.
+
+Edges are tried in ascending order, and each test is local.  Let H be
+2-connected and uv an edge of H.  If u or v has degree 2, H - uv has a
+vertex of degree 1 and uv stays.  Otherwise H - uv is 2-connected exactly
+when it still has two internally disjoint u-v paths (Menger), which holds
+exactly when H - uv has a 2-fan from u into N(v) - {u}: the fan's two ends
+are distinct neighbours of v, and v itself is never entered because all of
+its remaining neighbours are anchors.  The fan search is the shared routine
+of ``menger``.  Each of its two searches stops at the first anchor it
+reaches, so only an essential edge pays for a search of everything u can
+still reach.  The sweep keeps H 2-connected, so the lemma applies at every
+step.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .errors import NotTwoConnected, PreconditionViolated
-from .graphs import Edge, Graph, degree_two_set, is_cycle_graph, is_two_connected, is_two_connected_sub
+from .graphs import (
+    Graph,
+    degree_two_set,
+    is_cycle_graph,
+    is_two_connected,
+    is_two_connected_sub,
+    record_two_connected,
+)
+from .menger import _two_unit_flows
 from .reports import Violation, VerificationReport, failing, passing
 
 
-def _removable(g_vertices: int, edges: set[Edge], e: Edge) -> bool:
-    return is_two_connected_sub(range(g_vertices), edges - {e})
+def _removable(adj: dict[int, list[int]], u: int, v: int) -> bool:
+    """Whether the 2-connected graph with adjacency ``adj`` stays 2-connected
+    without the edge uv.  ``adj`` is left as it was found."""
+    if len(adj[u]) == 2 or len(adj[v]) == 2:
+        return False
+    if len(adj[u]) > len(adj[v]):
+        # Either end works; from the smaller degree the search meets one of
+        # the many anchors sooner.
+        u, v = v, u
+    adj[u].remove(v)
+    adj[v].remove(u)
+    try:
+        return _two_unit_flows(adj, frozenset(adj[v]), u) is not None
+    finally:
+        insort(adj[u], v)
+        insort(adj[v], u)
 
 
 def spanning_minimally_two_connected(g: Graph) -> Graph:
     """Delete removable edges (smallest first) until none remain."""
     if not is_two_connected(g):
         raise NotTwoConnected("input must be 2-connected")
-    edges = set(g.edges)
+    adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
     # A single ascending sweep reaches a fixpoint: deleting edges never makes
     # a previously essential edge removable.  The trailing sweep asserts that.
-    for e in sorted(g.edges):
-        if e in edges and _removable(g.vertex_count, edges, e):
-            edges.remove(e)
-    assert not any(_removable(g.vertex_count, edges, e) for e in sorted(edges))
-    return Graph(g.vertex_count, frozenset(edges), g.labels)
+    for u, v in sorted(g.edges):
+        if _removable(adj, u, v):
+            adj[u].remove(v)
+            adj[v].remove(u)
+    edges = frozenset((u, v) for u in adj for v in adj[u] if u < v)
+    assert not any(_removable(adj, u, v) for u, v in edges)
+    # Every deletion above rests on the Menger lemma; a lowpoint scan of the
+    # result checks them all by a different algorithm.
+    verdict = is_two_connected_sub(range(g.vertex_count), edges)
+    assert verdict, "minimalizer output is not 2-connected"
+    h = Graph(g.vertex_count, edges, g.labels)
+    record_two_connected(h, verdict)
+    return h
 
 
 def is_minimally_two_connected(g: Graph) -> bool:
     if not is_two_connected(g):
         return False
-    edges = set(g.edges)
-    return not any(_removable(g.vertex_count, edges, e) for e in g.edges)
+    adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
+    return not any(_removable(adj, u, v) for u, v in g.edges)
 
 
 def branch_forest_components(g: Graph) -> list[frozenset[int]]:

@@ -225,6 +225,14 @@ def test_verify_guard_skip_exits_2(capsys, tmp_path):
     assert out.splitlines()[0].startswith("A1: skipped (")
 
 
+def test_verify_graph_with_isolated_vertex_exits_2(capsys, tmp_path):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}')
+    cpath = coloring_file(tmp_path, {(0, 1): 0, (1, 2): 1, (0, 2): 2})
+    code, out, err = run(capsys, ["verify", "--graph", str(gpath), "--coloring", cpath])
+    assert code == 2 and out == "" and "isolated" in err
+
+
 def test_verify_bad_coloring_json_exits_2(capsys, tmp_path):
     gpath = graph_file(tmp_path, cycle(4))
     bad = tmp_path / "broken.json"

@@ -224,6 +224,28 @@ class TestDispatch:
         with pytest.raises(NotTwoConnected):
             color_rc2(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
+    def test_inner_layers_reject_non_two_connected_input(self):
+        bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        for layer in (color_minimally_two_connected, build_ear_decomposition):
+            with pytest.raises(NotTwoConnected):
+                layer(bowtie)
+
+    def test_scans_for_cut_vertices_only_on_input_and_minimalized_graph(self, monkeypatch):
+        """Every layer checks 2-connectivity, but the verdict is kept on the
+        graph, so the lowpoint scan runs once on the input and once as the
+        minimalizer's own check of its output."""
+        import rc2.graphs
+
+        scans = []
+        real = rc2.graphs._articulation_points
+        monkeypatch.setattr(rc2.graphs, "_articulation_points", lambda *a: scans.append(1) or real(*a))
+        assert color_rc2(theta_grid()).strategy == "hamiltonian_chord"
+        assert color_rc2(wheel(9)).strategy == "hamiltonian_chord"
+        assert len(scans) == 4
+        scans.clear()
+        assert color_rc2(k24()).strategy == "ear_induction"
+        assert len(scans) == 2
+
     @given(two_connected_graphs(max_n=11))
     @settings(max_examples=60)
     def test_color_budget(self, g):

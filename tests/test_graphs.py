@@ -43,6 +43,11 @@ class TestGraphBasics:
         assert g.adjacency()[0] == [2, 3, 4]
         assert g.adjacency()[2] == [0, 1]
 
+    def test_adjacency_is_built_once(self):
+        g = k23()
+        assert g.adjacency() is g.adjacency()
+        assert g == k23() and hash(g) == hash(k23())
+
     def test_degrees(self):
         g = k23()
         assert g.degrees() == [3, 3, 2, 2, 2]
@@ -93,6 +98,18 @@ class TestParseEdgeList:
         with pytest.raises(InvalidInput, match="line 2"):
             parse_edge_list("0 1\n1 0\n")
 
+    def test_rejects_isolated_vertices(self):
+        with pytest.raises(InvalidInput, match="isolated"):
+            parse_edge_list("1 2\n2 3\n1 3\n")
+
+    def test_rejects_a_huge_id_without_per_vertex_work(self):
+        with pytest.raises(InvalidInput, match="isolated"):
+            parse_edge_list("0 1000000000\n")
+
+    def test_non_ascii_digits_are_names(self):
+        g = parse_edge_list("\u00b2 1\n1 2\n2 \u00b2\n")
+        assert g.labels == ("\u00b2", "1", "2")
+
     def test_round_trip_through_text(self):
         g = c6_with_chord()
         assert parse_edge_list(edge_list_text(g)).edges == g.edges
@@ -116,6 +133,29 @@ class TestJson:
     def test_rejects_duplicate_edges(self):
         with pytest.raises(InvalidInput):
             graph_from_json('{"n": 3, "edges": [[0, 1], [1, 0]]}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "edges": [[0, true], [1, 2], [0, 2]]}',
+            '{"n": 3, "edges": [[false, 1], [1, 2], [0, 2]]}',
+            '{"n": true, "edges": [[0, 1]]}',
+        ],
+    )
+    def test_rejects_bool_ids_and_count(self, text):
+        with pytest.raises(InvalidInput, match="malformed|bad edge"):
+            graph_from_json(text)
+
+    def test_rejects_isolated_vertices(self):
+        with pytest.raises(InvalidInput, match="isolated"):
+            graph_from_json('{"n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+    def test_rejects_a_huge_n_without_per_vertex_work(self):
+        with pytest.raises(InvalidInput, match="isolated"):
+            graph_from_json('{"n": 1000000000, "edges": [[0, 1], [1, 2], [0, 2]]}')
+
+    def test_empty_graph_is_accepted(self):
+        assert graph_from_json('{"n": 0, "edges": []}').vertex_count == 0
 
     def test_canonical_json_is_compact_and_sorted(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'

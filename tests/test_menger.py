@@ -19,7 +19,7 @@ def assert_valid_fan(g, anchors, v0, p, q):
     assert not (set(p.vertices[1:-1]) & anchors)
     assert not (set(q.vertices[1:-1]) & anchors)
     for e in list(p.edges()) + list(q.edges()):
-        assert g.has_edge(*e)
+        assert e in g.edges
 
 
 class TestTwoFan:

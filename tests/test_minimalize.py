@@ -3,8 +3,10 @@ from hypothesis import given, settings
 
 from rc2 import Graph, spanning_minimally_two_connected
 from rc2.errors import NotTwoConnected, PreconditionViolated
-from rc2.graphs import cycle_order, is_cycle_graph, is_two_connected
+from rc2.generators import complete_graph, wheel_graph
+from rc2.graphs import cycle_order, is_cycle_graph, is_two_connected, is_two_connected_sub
 from rc2.minimalize import (
+    _removable,
     bollobas_structure_check,
     branch_forest_components,
     is_minimally_two_connected,
@@ -53,6 +55,37 @@ class TestSpanningMinimal:
         assert h.edges <= g.edges
         assert is_two_connected(h)
         assert is_minimally_two_connected(h)
+
+
+class TestRemovable:
+    """The local Menger test against its definition: a lowpoint scan of the
+    whole graph without the edge."""
+
+    @staticmethod
+    def assert_matches_definition(g):
+        adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
+        for u, v in sorted(g.edges):
+            expected = is_two_connected_sub(range(g.vertex_count), g.edges - {(u, v)})
+            assert _removable(adj, u, v) == expected, (u, v)
+            assert adj == g.adjacency()
+
+    @given(two_connected_graphs(max_n=12))
+    @settings(max_examples=80)
+    def test_matches_definition_on_random_graphs(self, g):
+        self.assert_matches_definition(g)
+
+    def test_matches_definition_on_dense_graphs(self):
+        for g in (k4(), diamond(), prism(), theta_grid(), complete_graph(7), wheel_graph(8)):
+            self.assert_matches_definition(g)
+
+    def test_matches_definition_midway_through_the_sweep(self):
+        """The sweep tests edges of a graph it has already thinned."""
+        g = complete_graph(8)
+        edges = set(g.edges)
+        for e in sorted(g.edges)[:12]:
+            if is_two_connected_sub(range(8), edges - {e}):
+                edges.remove(e)
+        self.assert_matches_definition(Graph.from_edges(8, edges))
 
 
 class TestIsMinimal:

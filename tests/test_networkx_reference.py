@@ -1,0 +1,52 @@
+"""Connectivity and minimality checked against networkx, an independent
+implementation.  Skipped where networkx is not installed."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rc2 import Graph, spanning_minimally_two_connected
+from rc2.graphs import is_two_connected
+
+from .strategies import two_connected_graphs
+
+nx = pytest.importorskip("networkx")
+
+
+def to_nx(g: Graph):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    return h
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=150)
+def test_is_two_connected_matches_networkx(seed):
+    rng = random.Random(seed)
+    n = rng.randint(3, 9)
+    p = rng.uniform(0.2, 0.9)
+    g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+    assert is_two_connected(g) == nx.is_biconnected(to_nx(g))
+
+
+def assert_minimally_two_connected(g: Graph):
+    h = to_nx(g)
+    assert nx.is_biconnected(h)
+    for e in g.edges:
+        assert not nx.is_biconnected(nx.restricted_view(h, [], [e])), e
+
+
+@given(two_connected_graphs(max_n=12))
+@settings(max_examples=80)
+def test_minimalizer_output_is_minimal_by_networkx(g):
+    assert_minimally_two_connected(spanning_minimally_two_connected(g))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_minimalized_complete_graph_is_minimal_by_networkx(n):
+    g = Graph.from_edges(n, itertools.combinations(range(n), 2))
+    assert_minimally_two_connected(spanning_minimally_two_connected(g))
