@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .minimalize import spanning_minimally_two_connected
 from .oracle import DEFAULT_BUDGET, brute_force_rc2, census_csv, census_small_graphs
-from .reports import SizeGuard
+from .reports import DEFAULT_GUARD, SizeGuard
 from .verify import is_rainbow_two_connected
 
 _FAMILIES = {
@@ -224,8 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--max-vertices", type=int, default=12, help="size guard (default 12)")
-    p.add_argument("--max-edges", type=int, default=24, help="size guard (default 24)")
+    guard_help = "size guard (default %(default)s)"
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_GUARD.max_vertices, help=guard_help)
+    p.add_argument("--max-edges", type=int, default=DEFAULT_GUARD.max_edges, help=guard_help)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("minimalize", help="spanning minimally 2-connected subgraph")

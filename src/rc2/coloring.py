@@ -12,7 +12,7 @@ verified pairs survive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ChordInvalid,
@@ -68,10 +68,6 @@ class EdgeColoring:
     def used_colors(self) -> set[int]:
         return set(self.assignment.values())
 
-    def restricted_to(self, edges: Iterable[Edge]) -> "EdgeColoring":
-        sub = {e: self.assignment[e] for e in edges}
-        return EdgeColoring(sub, self.color_count)
-
 
 @dataclass
 class UniqueColorMap:
@@ -95,12 +91,6 @@ class UniqueColorMap:
 
     def __contains__(self, v: int) -> bool:
         return v in self.mapping
-
-    def items(self) -> list[tuple[int, int]]:
-        return sorted(self.mapping.items())
-
-    def colors(self) -> set[int]:
-        return set(self.mapping.values())
 
     def to_json_obj(self) -> dict:
         return {str(v): c for v, c in sorted(self.mapping.items())}

@@ -56,26 +56,11 @@ class EarDecomposition:
             "ears": [list(e.vertices) for e in self.ears],
         }
 
-    def covered_vertices(self) -> VertexSet:
-        out = set(self.base_cycle.vertices)
-        for ear in self.ears:
-            out |= set(ear.vertices)
-        return frozenset(out)
-
     def covered_edges(self) -> frozenset:
         out = set(cycle_edges(self.base_cycle.vertices))
         for ear in self.ears:
             out |= set(ear.edges())
         return frozenset(out)
-
-
-def decomposition_from_json_obj(obj: dict) -> EarDecomposition:
-    if not isinstance(obj, dict) or "base" not in obj or "ears" not in obj:
-        raise MalformedDecomposition('decomposition JSON needs keys "base" and "ears"')
-    return EarDecomposition(
-        Path(tuple(obj["base"])),
-        tuple(Path(tuple(e)) for e in obj["ears"]),
-    )
 
 
 def ear_through_vertex(g: Graph, anchors: VertexSet, v0: int) -> Path:
@@ -253,9 +238,6 @@ class BaseLabeling:
     def vertex_at(self, pos: int) -> int:
         """1-based lookup into the working order."""
         return self.order[pos - 1]
-
-    def position_of(self, v: int) -> int:
-        return self.order.index(v) + 1
 
 
 def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:

@@ -109,9 +109,6 @@ class Path:
     def edges(self) -> list[Edge]:
         return [edge(a, b) for a, b in zip(self.vertices, self.vertices[1:])]
 
-    def reversed_(self) -> "Path":
-        return Path(tuple(reversed(self.vertices)))
-
     def __len__(self) -> int:
         return len(self.vertices)
 

@@ -15,7 +15,7 @@ level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .coloring import ColoringResult, EdgeColoring, UniqueColorMap
 from .errors import InvalidInput, InvalidSpec, TraceMissing
@@ -43,49 +43,93 @@ def enumerate_rainbow_paths(
 
     Edges missing from the coloring are unusable.  ``forbidden_vertices``
     bans vertices outright (do not ban the endpoints), ``forbidden_colors``
-    bans colors.
+    bans colors.  The search keeps an explicit stack of neighbour
+    iterators, so path length is not bounded by the recursion limit.
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
     adj = g.adjacency()
     assign = coloring.assignment
+    # Banned vertices and colors are never on the path, so popping a path
+    # vertex or color never lifts a ban.
+    blocked = {u, *forbidden_vertices}
+    spent = set(forbidden_colors)
     path = [u]
-    visited = {u}
-    used_colors: set[int] = set()
-
-    def walk(cur: int) -> Iterator[tuple[int, ...]]:
-        for nxt in adj[cur]:
-            if nxt in forbidden_vertices or nxt in visited:
+    colors: list[int] = []
+    stack = [iter(adj[u])]
+    while stack:
+        cur = path[-1]
+        for nxt in stack[-1]:
+            if nxt in blocked:
                 continue
             color = assign.get(edge(cur, nxt))
-            if color is None or color in used_colors or color in forbidden_colors:
+            if color is None or color in spent:
                 continue
             if nxt == v:
-                yield tuple(path) + (v,)
+                yield (*path, v)
                 continue
-            visited.add(nxt)
+            blocked.add(nxt)
+            spent.add(color)
             path.append(nxt)
-            used_colors.add(color)
-            yield from walk(nxt)
-            used_colors.discard(color)
-            path.pop()
-            visited.discard(nxt)
+            colors.append(color)
+            stack.append(iter(adj[nxt]))
+            break
+        else:
+            stack.pop()
+            if colors:
+                blocked.discard(path.pop())
+                spent.discard(colors.pop())
 
-    yield from walk(u)
+
+# A path travels with its vertex set; the three predicates below read the
+# sets and return the first witness in the order the paths are given.
+PathEntry = tuple[tuple[int, ...], frozenset[int]]
+
+
+def _with_sets(paths: Iterable[tuple[int, ...]]) -> Iterator[PathEntry]:
+    return ((p, frozenset(p)) for p in paths)
+
+
+def _a1_pair(entries: Iterable[PathEntry], ends: frozenset[int]):
+    """A1: the first (earlier, later) pair of paths meeting only at ``ends``."""
+    seen: list[PathEntry] = []
+    for p, pset in entries:
+        for q, qset in seen:
+            if pset & qset == ends:
+                return q, p
+        seen.append((p, pset))
+    return None
+
+
+def _a2_fan(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], center: int):
+    """A2: the first pair across two lists meeting only at ``center``."""
+    only = frozenset((center,))
+    for p, pset in entries1:
+        for q, qset in entries2:
+            if pset & qset == only:
+                return p, q
+    return None
+
+
+def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad: Sequence[int]):
+    """A3: the first of the three pairings of a sorted quadruple, with the
+    first vertex-disjoint pair of paths joining it."""
+    a, b, c, d = quad
+    for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+        entries2 = paths_of(pair2)
+        for p, pset in paths_of(pair1):
+            for q, qset in entries2:
+                if pset.isdisjoint(qset):
+                    return pair1, pair2, p, q
+    return None
 
 
 def has_two_internally_disjoint_rainbow_paths(
     g: Graph, coloring: EdgeColoring, u: int, v: int
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
     """First pair of rainbow u-v paths that share only their endpoints."""
-    seen: list[tuple[int, ...]] = []
-    for p in enumerate_rainbow_paths(g, coloring, u, v):
-        interior = set(p[1:-1])
-        for q in seen:
-            if not (interior & set(q[1:-1])):
-                return True, (q, p)
-        seen.append(p)
-    return False, None
+    found = _a1_pair(_with_sets(enumerate_rainbow_paths(g, coloring, u, v)), frozenset((u, v)))
+    return found is not None, found
 
 
 def is_rainbow_two_connected(
@@ -118,12 +162,12 @@ def check_fan(
     """Two rainbow paths from ``center`` to t1 and t2 sharing only the center."""
     if len({center, t1, t2}) != 3:
         raise InvalidInput("fan check needs three distinct vertices")
-    for p in enumerate_rainbow_paths(g, coloring, center, t1):
-        pset = set(p)
-        for q in enumerate_rainbow_paths(g, coloring, center, t2):
-            if pset & set(q) == {center}:
-                return True, (p, q)
-    return False, None
+    found = _a2_fan(
+        _with_sets(enumerate_rainbow_paths(g, coloring, center, t1)),
+        list(_with_sets(enumerate_rainbow_paths(g, coloring, center, t2))),
+        center,
+    )
+    return found is not None, found
 
 
 def check_linkage(
@@ -137,13 +181,10 @@ def check_linkage(
     a, b, c, d = sorted(quad)
     if len({a, b, c, d}) != 4:
         raise InvalidInput("linkage check needs four distinct vertices")
-    for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        for p in enumerate_rainbow_paths(g, coloring, *pair1):
-            pset = set(p)
-            for q in enumerate_rainbow_paths(g, coloring, *pair2):
-                if not (pset & set(q)):
-                    return True, (pair1, pair2, p, q)
-    return False, None
+    found = _a3_linkage(
+        lambda pair: list(_with_sets(enumerate_rainbow_paths(g, coloring, *pair))), (a, b, c, d)
+    )
+    return found is not None, found
 
 
 def _color_map_violations(
@@ -189,20 +230,14 @@ def check_unique_color_map(
 # induction replay
 
 
-def _pair_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _all_pair_paths(sub: Graph, coloring: EdgeColoring, verts: list[int]):
-    """All rainbow paths per vertex pair: (vertex set, color set, path)."""
-    cache: dict[tuple[int, int], list[tuple[frozenset, frozenset, tuple]]] = {}
+def _all_pair_paths(
+    sub: Graph, coloring: EdgeColoring, verts: list[int]
+) -> dict[tuple[int, int], list[PathEntry]]:
+    """All rainbow paths per vertex pair with their vertex sets, shortest first."""
+    cache = {}
     for u, v in combinations(verts, 2):
-        entries = []
-        for p in enumerate_rainbow_paths(sub, coloring, u, v):
-            colors = frozenset(coloring.color_of(a, b) for a, b in zip(p, p[1:]))
-            entries.append((frozenset(p), colors, p))
-        entries.sort(key=lambda t: (len(t[2]), t[2]))
-        cache[(u, v)] = entries
+        paths = sorted(enumerate_rainbow_paths(sub, coloring, u, v), key=lambda p: (len(p), p))
+        cache[(u, v)] = list(_with_sets(paths))
     return cache
 
 
@@ -227,8 +262,10 @@ def check_induction_invariants(
             f"exceeds the size guard ({guard.max_vertices}, {guard.max_edges})",
         )
 
-    prev_cache = None
-    prev_step = None
+    def fail(kind: str, subject: tuple, reason: str) -> VerificationReport:
+        return failing("induction", [Violation(kind, subject, reason)])
+
+    prev_sub = prev_step = None
     levels_checked = 0
     for idx, step in enumerate(result.trace):
         sub = Graph(g.vertex_count, step.edges)
@@ -237,86 +274,45 @@ def check_induction_invariants(
 
         if idx > 0:
             ear = step.ear
-            assert ear is not None and prev_cache is not None and prev_step is not None
-            v1, vq = (ear.first, ear.last) if ear.first < ear.last else (ear.last, ear.first)
+            assert ear is not None and prev_step is not None
+            v1, vq = edge(ear.first, ear.last)
             recycled = step.recycled_color
-            entries = prev_cache.get(_pair_key(v1, vq), [])
-            if not any(recycled not in colors for _, colors, _ in entries):
-                return failing(
-                    "induction",
-                    [
-                        Violation(
-                            "B1",
-                            (idx, v1, vq, recycled),
-                            "no prior-level rainbow path between ear endpoints avoids the recycled color",
-                        )
-                    ],
+            avoiding = enumerate_rainbow_paths(
+                prev_sub, prev_step.coloring, v1, vq, forbidden_colors=frozenset((recycled,))
+            )
+            if next(avoiding, None) is None:
+                return fail(
+                    "B1",
+                    (idx, v1, vq, recycled),
+                    "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
             hits = [e for e in sorted(prev_step.edges) if prev_step.coloring.assignment[e] == recycled]
             if len(hits) != 1 or v1 not in hits[0]:
-                return failing(
-                    "induction",
-                    [
-                        Violation(
-                            "B2",
-                            (idx, v1, recycled),
-                            f"recycled color {recycled} sits on {hits}, expected one edge at {v1}",
-                        )
-                    ],
+                return fail(
+                    "B2",
+                    (idx, v1, recycled),
+                    f"recycled color {recycled} sits on {hits}, expected one edge at {v1}",
                 )
 
-        for (u, v), entries in sorted(cache.items()):
-            both = frozenset((u, v))
-            ok = any(
-                entries[i][0] & entries[j][0] == both
-                for i in range(len(entries))
-                for j in range(i + 1, len(entries))
-            )
-            if not ok:
-                return failing(
-                    "induction",
-                    [Violation("A1", (idx, u, v), "no two internally disjoint rainbow paths")],
-                )
+        for (u, v), entries in cache.items():
+            if _a1_pair(entries, frozenset((u, v))) is None:
+                return fail("A1", (idx, u, v), "no two internally disjoint rainbow paths")
 
         for center in verts:
             others = [x for x in verts if x != center]
             for t1, t2 in combinations(others, 2):
-                e1 = cache[_pair_key(center, t1)]
-                e2 = cache[_pair_key(center, t2)]
-                ok = any(
-                    p1 & p2 == frozenset((center,))
-                    for p1, _, _ in e1
-                    for p2, _, _ in e2
-                )
-                if not ok:
-                    return failing(
-                        "induction",
-                        [Violation("A2", (idx, center, t1, t2), "no rainbow fan")],
-                    )
+                if _a2_fan(cache[edge(center, t1)], cache[edge(center, t2)], center) is None:
+                    return fail("A2", (idx, center, t1, t2), "no rainbow fan")
 
         for quad in combinations(verts, 4):
-            a, b, c, d = quad
-            ok = False
-            for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-                if any(
-                    not (p1 & p2)
-                    for p1, _, _ in cache[pair1]
-                    for p2, _, _ in cache[pair2]
-                ):
-                    ok = True
-                    break
-            if not ok:
-                return failing(
-                    "induction",
-                    [Violation("A3", (idx,) + quad, "no pairing with disjoint rainbow paths")],
-                )
+            if _a3_linkage(cache.__getitem__, quad) is None:
+                return fail("A3", (idx,) + quad, "no pairing with disjoint rainbow paths")
 
         map_violations = _color_map_violations(step.coloring, step.color_map.mapping, (idx,))
         if map_violations:
             return failing("induction", map_violations[:1])
 
-        prev_cache = cache
-        prev_step = step
+        prev_sub, prev_step = sub, step
         levels_checked += 1
 
     return passing("induction", [("levels_checked", levels_checked)])

@@ -373,3 +373,22 @@ def test_entry_point_output_is_byte_deterministic(tmp_path):
     second = run_subprocess(["color", "--input", str(gpath)])
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_verify_long_cycle_fails_without_a_traceback(tmp_path):
+    """A failing verification on a 1500-cycle exits 1 with a report; the
+    path search is not bounded by the interpreter's recursion limit."""
+    n = 1500
+    g = cycle(n)
+    gpath = graph_file(tmp_path, g)
+    # (0, 1) and (1, 2) share color 0; every other edge has its own color
+    ring = [(0, 1)] + [(i, i + 1) for i in range(1, n - 1)] + [(0, n - 1)]
+    cpath = coloring_file(tmp_path, {e: max(i - 1, 0) for i, e in enumerate(ring)})
+    done = run_subprocess(
+        ["verify", "--graph", gpath, "--coloring", cpath, "--max-vertices", "5000", "--max-edges", "5000"]
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr + done.stdout
+    lines = done.stdout.splitlines()
+    assert lines[0] == "A1: fail"
+    assert lines[1].startswith("  - A1 (0, 2):")

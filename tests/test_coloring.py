@@ -55,11 +55,6 @@ class TestEdgeColoring:
         with pytest.raises(InvalidInput):
             EdgeColoring.from_assignment({(0, 1): 0, (1, 2): 2})
 
-    def test_restricted_to(self):
-        c = EdgeColoring.from_assignment(K23_COLORING)
-        sub = c.restricted_to([(0, 2), (1, 2)])
-        assert sub.assignment == {(0, 2): 0, (1, 2): 1}
-
     def test_used_colors(self):
         c = EdgeColoring.from_assignment(K23_COLORING)
         assert c.used_colors() == {0, 1, 2, 3}

@@ -65,9 +65,6 @@ class TestPath:
         assert p.interior() == (0, 1)
         assert p.edges() == [(0, 2), (0, 1), (1, 3)]
 
-    def test_reversed(self):
-        assert Path((2, 0, 1)).reversed_().vertices == (1, 0, 2)
-
 
 class TestParseEdgeList:
     def test_digit_mode(self):

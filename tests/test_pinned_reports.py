@@ -1,0 +1,81 @@
+"""Pinned verification reports: the verifier's verdicts, byte for byte.
+
+Each digest is the sha256 of the canonical report JSON, one line per
+report, recorded before the rainbow-path search became iterative and the
+A1/A2/A3 predicates were shared by the pair checks and the induction
+replay.  ``PINNED_DIGEST`` covers passing reports: ``is_rainbow_two_connected``
+on every corpus coloring, then ``check_induction_invariants`` on every
+traced corpus coloring.  ``BROKEN_DIGEST`` covers mostly failing ones: the
+same two checks after the last two color classes are merged (in the replay,
+at the last level), and the replay with the last level's recycled color
+shifted by one where that level attached an ear.  So the violation each
+check reports first is pinned too.
+"""
+
+import dataclasses
+import hashlib
+
+from rc2.coloring import EdgeColoring, color_rc2
+from rc2.corpus import standard_corpus
+from rc2.graphs import canonical_json
+from rc2.reports import SizeGuard
+from rc2.verify import check_induction_invariants, is_rainbow_two_connected
+
+PINNED_DIGEST = "ac32210ecc0b39daa0e08a7df36e68f8943bab35acbcb3ce667d14105c15b78d"
+BROKEN_DIGEST = "b63819478a8f27e9bfacc37640e2a07ca639f80193de88a2d8704d7301c66d1c"
+GUARD = SizeGuard(12, 28)
+
+
+def merge_last_two_classes(coloring: EdgeColoring) -> EdgeColoring:
+    top = coloring.color_count - 1
+    return EdgeColoring.from_assignment(
+        {e: top - 1 if c == top else c for e, c in coloring.assignment.items()}
+    )
+
+
+def with_last_step(result, step):
+    return dataclasses.replace(result, trace=result.trace[:-1] + (step,))
+
+
+def reports(broken: bool):
+    corpus = [g for _, g in standard_corpus()]
+    out = []
+    for g in corpus:
+        coloring = color_rc2(g).coloring
+        if broken:
+            coloring = merge_last_two_classes(coloring)
+        out.append(is_rainbow_two_connected(g, coloring, GUARD))
+    traced = [(color_rc2(g, with_trace=True), g) for g in corpus]
+    traced = [(result, g) for result, g in traced if result.trace is not None]
+    assert len(traced) == 97
+    for result, g in traced:
+        if not broken:
+            out.append(check_induction_invariants(result, g, GUARD))
+            continue
+        last = result.trace[-1]
+        merged = dataclasses.replace(last, coloring=merge_last_two_classes(last.coloring))
+        out.append(check_induction_invariants(with_last_step(result, merged), g, GUARD))
+        if last.recycled_color is not None:
+            shifted = dataclasses.replace(last, recycled_color=last.recycled_color + 1)
+            out.append(check_induction_invariants(with_last_step(result, shifted), g, GUARD))
+    return out
+
+
+def reports_digest(reps) -> str:
+    h = hashlib.sha256()
+    for report in reps:
+        h.update(canonical_json(report.to_json_obj()).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_reports_match_the_pinned_digest():
+    reps = reports(broken=False)
+    assert all(r.passed for r in reps)
+    assert reports_digest(reps) == PINNED_DIGEST
+
+
+def test_broken_coloring_reports_match_the_pinned_digest():
+    reps = reports(broken=True)
+    assert not any(r.skipped for r in reps)
+    assert reports_digest(reps) == BROKEN_DIGEST

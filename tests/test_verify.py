@@ -1,9 +1,15 @@
+import dataclasses
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rc2 import (
     EdgeColoring,
     Graph,
+    Path,
     RainbowIndex,
     SizeGuard,
     UniqueColorMap,
@@ -39,6 +45,41 @@ def rainbow_c4():
     return g, coloring
 
 
+def simple_paths(g, u, v):
+    """Every simple u-v path, sorted, by a plain recursive walk."""
+    adj = g.adjacency()
+    out, path = [], [u]
+
+    def walk(cur):
+        for nxt in adj[cur]:
+            if nxt == v:
+                out.append(tuple(path) + (v,))
+            elif nxt not in path:
+                path.append(nxt)
+                walk(nxt)
+                path.pop()
+
+    walk(u)
+    return sorted(out)
+
+
+def is_rainbow(coloring, p):
+    cs = [coloring.color_of(a, b) for a, b in zip(p, p[1:])]
+    return len(set(cs)) == len(cs)
+
+
+def rainbow_simple_paths(g, coloring, u, v):
+    return [p for p in simple_paths(g, u, v) if is_rainbow(coloring, p)]
+
+
+def dense_coloring(edges, values):
+    """Renumber ``values`` to 0..k-1 in order of first use."""
+    dense = {}
+    for value in values:
+        dense.setdefault(value, len(dense))
+    return EdgeColoring.from_assignment({e: dense[x] for e, x in zip(edges, values)})
+
+
 class TestEnumerateRainbowPaths:
     def test_monochromatic_opposite_pair_has_none(self):
         g, coloring = mono_c4()
@@ -72,34 +113,19 @@ class TestEnumerateRainbowPaths:
     @settings(max_examples=30)
     def test_agrees_with_filtered_simple_paths(self, g):
         """Cross-check the enumerator against all simple paths filtered by
-        the rainbow predicate."""
-        res = color_rc2(g)
-        coloring = res.coloring
-        adj = g.adjacency()
-
-        def all_simple_paths(u, v):
-            out, path = [], [u]
-
-            def walk(cur):
-                for nxt in adj[cur]:
-                    if nxt == v:
-                        out.append(tuple(path) + (v,))
-                    elif nxt not in path:
-                        path.append(nxt)
-                        walk(nxt)
-                        path.pop()
-
-            walk(u)
-            return out
-
-        def rainbow(p):
-            cs = [coloring.color_of(a, b) for a, b in zip(p, p[1:])]
-            return len(set(cs)) == len(cs)
-
+        the rainbow predicate, order included."""
+        coloring = color_rc2(g).coloring
         for u, v in [(0, 1), (0, g.vertex_count - 1)]:
-            expect = sorted(p for p in all_simple_paths(u, v) if rainbow(p))
-            got = sorted(enumerate_rainbow_paths(g, coloring, u, v))
-            assert got == expect
+            expect = rainbow_simple_paths(g, coloring, u, v)
+            assert list(enumerate_rainbow_paths(g, coloring, u, v)) == expect
+
+    def test_long_rainbow_cycle_has_two_paths(self):
+        """Path length is not bounded by the interpreter's recursion limit."""
+        n = 1500
+        g = cycle(n)
+        coloring = EdgeColoring.from_assignment({e: i for i, e in enumerate(sorted(g.edges))})
+        long_way = (0,) + tuple(range(n - 1, 0, -1))
+        assert list(enumerate_rainbow_paths(g, coloring, 0, 1)) == [(0, 1), long_way]
 
 
 class TestDisjointPairs:
@@ -168,20 +194,21 @@ class TestRainbowIndexOracle:
     @settings(max_examples=40)
     def test_index_and_verifier_agree_on_arbitrary_colorings(self, g):
         """The two independent implementations of the same predicate must
-        agree on every coloring, feasible or not."""
-        import random
-
+        agree on every coloring, feasible or not: random 3-colorings, and
+        near-passing ones made by merging two color classes of a
+        constructed coloring."""
         index = RainbowIndex(g)
         rng = random.Random(g.edge_count * 1000 + g.vertex_count)
-        for _ in range(5):
-            values = [rng.randrange(3) for _ in index.edge_list]
-            dense = {}
-            for v in values:
-                dense.setdefault(v, len(dense))
-            assignment = {e: dense[v] for e, v in zip(index.edge_list, values)}
-            coloring = EdgeColoring.from_assignment(assignment)
+        candidates = [[rng.randrange(3) for _ in index.edge_list] for _ in range(5)]
+        built = color_rc2(g).coloring
+        base = [built.assignment[e] for e in index.edge_list]
+        for a, b in combinations(range(built.color_count), 2):
+            candidates.append([a if c == b else c for c in base])
+        for values in candidates:
+            coloring = dense_coloring(index.edge_list, values)
+            vec = [coloring.assignment[e] for e in index.edge_list]
             report = is_rainbow_two_connected(g, coloring)
-            assert report.passed == index.feasible([dense[v] for v in values])
+            assert report.passed == index.feasible(vec)
 
 
 class TestFanAndLinkage:
@@ -209,6 +236,53 @@ class TestFanAndLinkage:
         assert ok
         assert (pair1, pair2) == ((0, 1), (2, 3))
         assert p == (0, 1) and q == (2, 3)
+
+    @given(two_connected_graphs(max_n=6), st.data())
+    @settings(max_examples=40)
+    def test_pair_fan_and_linkage_agree_with_brute_force(self, g, data):
+        """Witnesses match a search over all simple paths, in lexicographic
+        order: for a pair, the first path with an earlier partner; for a fan,
+        the first path to t1 with its first partner; for a linkage, the
+        first pairing in order."""
+        coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=4)))
+        verts = range(g.vertex_count)
+        for u, v in combinations(verts, 2):
+            paths = rainbow_simple_paths(g, coloring, u, v)
+            expect = next(
+                (
+                    (q, p)
+                    for j, p in enumerate(paths)
+                    for q in paths[:j]
+                    if set(p) & set(q) == {u, v}
+                ),
+                None,
+            )
+            got = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
+            assert got == (expect is not None, expect)
+        for center in verts:
+            for t1, t2 in combinations([x for x in verts if x != center], 2):
+                expect = next(
+                    (
+                        (p, q)
+                        for p in rainbow_simple_paths(g, coloring, center, t1)
+                        for q in rainbow_simple_paths(g, coloring, center, t2)
+                        if set(p) & set(q) == {center}
+                    ),
+                    None,
+                )
+                assert check_fan(g, coloring, center, t1, t2) == (expect is not None, expect)
+        for a, b, c, d in combinations(verts, 4):
+            expect = next(
+                (
+                    (pair1, pair2, p, q)
+                    for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+                    for p in rainbow_simple_paths(g, coloring, *pair1)
+                    for q in rainbow_simple_paths(g, coloring, *pair2)
+                    if not set(p) & set(q)
+                ),
+                None,
+            )
+            assert check_linkage(g, coloring, (d, b, c, a)) == (expect is not None, expect)
 
     def test_linkage_impossible_on_path_shaped_colors(self):
         # star K_{1,3} is not 2-connected, but linkage is a pure path
@@ -275,12 +349,33 @@ class TestInductionInvariants:
         step = res.trace[-1]
         broken_assignment = dict(step.coloring.assignment)
         broken_assignment[(0, 5)] = broken_assignment[(0, 2)]
-        import dataclasses
-
         broken_step = dataclasses.replace(
             step, coloring=EdgeColoring(broken_assignment, step.coloring.color_count)
         )
         broken = dataclasses.replace(res, trace=res.trace[:-1] + (broken_step,))
         report = check_induction_invariants(broken, g)
         assert not report.passed
-        assert report.violations
+        assert [(v.kind, v.subject) for v in report.violations] == [("A1", (1, 2, 5))]
+
+    @pytest.mark.parametrize("recycled", [2, 3])
+    def test_no_prior_path_avoiding_the_recycled_color_is_B1(self, recycled):
+        """In the K_{2,3} level, both rainbow 3-4 paths, 3-0-4 and 3-1-4,
+        use colors 2 and 3, so an ear from 3 to 4 cannot recycle either."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        moved = dataclasses.replace(res.trace[-1], ear=Path((3, 5, 4)), recycled_color=recycled)
+        broken = dataclasses.replace(res, trace=res.trace[:-1] + (moved,))
+        report = check_induction_invariants(broken, g)
+        assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 3, 4, recycled))]
+
+    @pytest.mark.parametrize("wrong", [1, 2])
+    def test_wrong_recycled_color_is_B2(self, wrong):
+        """The last ear recycles color 0, which sits on edge (0, 2) alone.
+        Color 1 sits on (1, 2) only, color 2 on (0, 4) and (1, 3)."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        assert res.trace[-1].recycled_color == 0
+        wrong_step = dataclasses.replace(res.trace[-1], recycled_color=wrong)
+        broken = dataclasses.replace(res, trace=res.trace[:-1] + (wrong_step,))
+        report = check_induction_invariants(broken, g)
+        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 0, wrong))]
