@@ -72,7 +72,7 @@ from .minimalize import (
     spanning_minimally_two_connected,
 )
 from .oracle import brute_force_rc2, census_csv, census_small_graphs
-from .reports import DEFAULT_GUARD, SizeGuard, VerificationReport, Violation
+from .reports import CORPUS_GUARD, DEFAULT_GUARD, SizeGuard, VerificationReport, Violation
 from .verify import (
     RainbowIndex,
     check_fan,

@@ -34,7 +34,6 @@ from .graphs import (
     arcs_between,
     cycle_edges,
     degree_two_set,
-    edge,
     find_cycle,
     is_cycle_graph,
     is_two_connected,

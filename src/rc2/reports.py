@@ -13,7 +13,8 @@ Report property tags used across the package:
   B1   before attaching an ear, its endpoints are joined by a rainbow path
        avoiding the color reserved for the attachment vertex
   B2   the reserved color sits on exactly one edge, incident to the
-       attachment vertex
+       attachment vertex, and the attached ear puts it on its edge at the
+       ear's other endpoint
   structure   shape facts (decomposition layout, forest structure)
 """
 
@@ -34,6 +35,8 @@ class SizeGuard:
 
 
 DEFAULT_GUARD = SizeGuard()
+# The standard corpus fits: K_{5,5}, its densest member, has 25 edges.
+CORPUS_GUARD = SizeGuard(12, 28)
 
 
 @dataclass(frozen=True)

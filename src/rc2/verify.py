@@ -81,24 +81,29 @@ def enumerate_rainbow_paths(
                 spent.discard(colors.pop())
 
 
-# A path travels with its vertex set; the three predicates below read the
-# sets and return the first witness in the order the paths are given.
+# A1 reads paths through a finder: ``find(u, v, banned)`` yields the rainbow
+# u-v paths avoiding the ``banned`` vertices, in a fixed order.
+Finder = Callable[[int, int, frozenset[int]], Iterable[tuple[int, ...]]]
+
+
+def _a1_pair(find: Finder, u: int, v: int):
+    """A1: the first u-v path that has a partner meeting it only at u and v,
+    with its first partner."""
+    for p in find(u, v, frozenset()):
+        for q in find(u, v, frozenset(p[1:-1])):
+            # The single edge uv avoids its own empty interior.
+            if q != p:
+                return p, q
+    return None
+
+
+# A2 and A3 read lists of paths, each with its vertex set, and return the
+# first witness in the order the paths are given.
 PathEntry = tuple[tuple[int, ...], frozenset[int]]
 
 
 def _with_sets(paths: Iterable[tuple[int, ...]]) -> Iterator[PathEntry]:
     return ((p, frozenset(p)) for p in paths)
-
-
-def _a1_pair(entries: Iterable[PathEntry], ends: frozenset[int]):
-    """A1: the first (earlier, later) pair of paths meeting only at ``ends``."""
-    seen: list[PathEntry] = []
-    for p, pset in entries:
-        for q, qset in seen:
-            if pset & qset == ends:
-                return q, p
-        seen.append((p, pset))
-    return None
 
 
 def _a2_fan(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], center: int):
@@ -127,15 +132,59 @@ def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad
 def has_two_internally_disjoint_rainbow_paths(
     g: Graph, coloring: EdgeColoring, u: int, v: int
 ) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """First pair of rainbow u-v paths that share only their endpoints."""
-    found = _a1_pair(_with_sets(enumerate_rainbow_paths(g, coloring, u, v)), frozenset((u, v)))
+    """Two rainbow u-v paths that share only their endpoints.
+
+    The witness is the first rainbow path, in lexicographic order, that has
+    such a partner, with its first partner.  Each path's partner is sought
+    by one search that bans the path's interior, so the paths are never
+    stored and compared.
+    """
+
+    def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
+        return enumerate_rainbow_paths(g, coloring, a, b, forbidden_vertices=banned)
+
+    found = _a1_pair(find, u, v)
     return found is not None, found
+
+
+def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str | None:
+    """Why ``witness`` does not certify A1 for u and v, or None if it does.
+
+    Independent of the path search: the witness must be two distinct u-v
+    paths of the colored graph, each simple and rainbow, that share only u
+    and v.  An uncolored step is a non-edge: :func:`is_rainbow_two_connected`
+    checks that the coloring covers exactly the graph's edges.
+    """
+    if not isinstance(witness, tuple) or len(witness) != 2:
+        return "the witness is not a pair of paths"
+    p, q = witness
+    assign = coloring.assignment
+    for path in (p, q):
+        if not isinstance(path, tuple) or len(path) < 2 or path[0] != u or path[-1] != v:
+            return f"{path} is not a path from {u} to {v}"
+        colors = {assign.get((a, b) if a < b else (b, a)) for a, b in zip(path, path[1:])}
+        if None in colors:
+            return f"{path} uses a non-edge"
+        if len(colors) != len(path) - 1:
+            return f"{path} is not rainbow"
+    # Both paths run from u to v, so they are simple and share only u and v
+    # exactly when u and v are their only repeated vertices.
+    if p == q or len(set(p + q)) != len(p) + len(q) - 2:
+        for path in (p, q):
+            if len(set(path)) != len(path):
+                return f"{path} is not simple"
+        return f"{p} and {q} share more than their endpoints"
+    return None
 
 
 def is_rainbow_two_connected(
     g: Graph, coloring: EdgeColoring, guard: SizeGuard = DEFAULT_GUARD
 ) -> VerificationReport:
-    """Exhaustively verify the headline property over all vertex pairs."""
+    """Exhaustively verify the headline property over all vertex pairs.
+
+    Each pair's witness is re-checked by :func:`pair_witness_error`, so a
+    fault in the path search cannot produce a pass.
+    """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")
     if not guard.allows(g.vertex_count, g.edge_count):
@@ -146,12 +195,15 @@ def is_rainbow_two_connected(
         )
     count = 0
     for u, v in combinations(range(g.vertex_count), 2):
-        ok, _ = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
+        ok, witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
         if not ok:
             return failing(
                 "A1",
                 [Violation("A1", (u, v), "no two internally disjoint rainbow paths")],
             )
+        error = pair_witness_error(coloring, u, v, witness)
+        if error is not None:
+            return failing("A1", [Violation("A1", (u, v), f"witness rejected: {error}")])
         count += 1
     return passing("A1", [("pairs_checked", count)])
 
@@ -250,8 +302,9 @@ def check_induction_invariants(
     (pairable quadruples), A4/A5 (the vertex color map contract).  For each
     attachment also B1 (a prior-level rainbow path between the ear's
     endpoints avoiding the recycled color) and B2 (the recycled color sat on
-    exactly one prior-level edge, at the ear's smaller endpoint).  Stops at
-    the first violation.
+    exactly one prior-level edge, at the ear's smaller endpoint, and now
+    sits on the ear's edge at its larger endpoint).  Stops at the first
+    violation.
     """
     if result.trace is None:
         raise TraceMissing("color the graph with tracing enabled first")
@@ -293,9 +346,20 @@ def check_induction_invariants(
                     (idx, v1, recycled),
                     f"recycled color {recycled} sits on {hits}, expected one edge at {v1}",
                 )
+            # extend_with_ear puts the recycled color on the ear edge at vq.
+            last = edge(vq, ear.vertices[-2] if ear.last == vq else ear.vertices[1])
+            if step.coloring.assignment.get(last) != recycled:
+                return fail(
+                    "B2",
+                    (idx, vq, recycled),
+                    f"recycled color {recycled} is not on the ear's last edge {last}",
+                )
 
-        for (u, v), entries in cache.items():
-            if _a1_pair(entries, frozenset((u, v))) is None:
+        def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
+            return (p for p, pset in cache[a, b] if pset.isdisjoint(banned))
+
+        for u, v in cache:
+            if _a1_pair(find, u, v) is None:
                 return fail("A1", (idx, u, v), "no two internally disjoint rainbow paths")
 
         for center in verts:

@@ -23,12 +23,8 @@ from rc2.minimalize import (
     spanning_minimally_two_connected,
 )
 from rc2.oracle import brute_force_rc2, census_small_graphs
-from rc2.reports import SizeGuard
+from rc2.reports import CORPUS_GUARD, SizeGuard
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
-
-# K_{5,5} has 25 edges, the densest corpus member, so the exhaustive
-# verifier needs a little more headroom than the CLI default guard.
-CORPUS_GUARD = SizeGuard(max_vertices=12, max_edges=28)
 
 
 @contextmanager

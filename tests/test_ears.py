@@ -19,7 +19,7 @@ from rc2.errors import (
     NotTwoConnected,
 )
 from rc2.generators import theta_graph
-from rc2.graphs import cycle_edges, degree_two_set, is_cycle_graph
+from rc2.graphs import degree_two_set
 
 from .common import cycle, diamond, four_hub, k23, prism, theta_grid
 from .strategies import minimal_noncycle_graphs

@@ -23,8 +23,11 @@ from rc2 import (
     has_two_internally_disjoint_rainbow_paths,
     is_rainbow_two_connected,
 )
+from rc2 import verify
+from rc2.corpus import standard_corpus
 from rc2.errors import InvalidInput, InvalidSpec, TraceMissing
-from rc2.graphs import edge
+from rc2.generators import complete_graph
+from rc2.reports import CORPUS_GUARD
 
 from .common import K23_COLORING, cycle, k23, k24
 from .strategies import colorings_of, two_connected_graphs
@@ -130,6 +133,8 @@ class TestEnumerateRainbowPaths:
 
 class TestDisjointPairs:
     def test_mono_c4_fails(self):
+        """The single edge 0-1 is the only rainbow 0-1 path; it avoids its
+        own empty interior but is not its own partner."""
         g, coloring = mono_c4()
         ok, witness = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1)
         assert not ok and witness is None
@@ -139,6 +144,22 @@ class TestDisjointPairs:
         ok, (p, q) = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 2)
         assert ok
         assert {p, q} == {(0, 1, 2), (0, 3, 2)}
+
+    def test_witness_is_the_first_path_with_a_partner(self):
+        """K5 with color 0 everywhere but (0, 2) = 1 and (1, 3) = 2.  The
+        rainbow 2-3 paths start (2, 0, 1, 3), (2, 0, 3), (2, 1, 3), (2, 3).
+        The first of them already has a partner, the single edge, so the
+        witness is not the earliest pair met in a scan of the list,
+        (2, 0, 3) with (2, 1, 3)."""
+        g = complete_graph(5)
+        coloring = EdgeColoring.from_assignment(
+            {e: {(0, 2): 1, (1, 3): 2}.get(e, 0) for e in g.edges}
+        )
+        assert list(enumerate_rainbow_paths(g, coloring, 2, 3))[:4] == [
+            (2, 0, 1, 3), (2, 0, 3), (2, 1, 3), (2, 3)
+        ]
+        got = has_two_internally_disjoint_rainbow_paths(g, coloring, 2, 3)
+        assert got == (True, ((2, 0, 1, 3), (2, 3)))
 
 
 class TestIsRainbowTwoConnected:
@@ -168,12 +189,83 @@ class TestIsRainbowTwoConnected:
         assert not report.passed
         assert report.violations[0].kind == "skipped"
 
+    @given(two_connected_graphs(max_n=8), st.data())
+    @settings(max_examples=60)
+    def test_verdict_matches_store_and_compare(self, g, data):
+        """The partner search reaches the verdict and the first failing pair
+        of storing every rainbow u-v path and comparing all pairs of them,
+        on random colorings and on constructed ones with two color classes
+        merged."""
+        if data.draw(st.booleans()):
+            coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=5)))
+        else:
+            built = color_rc2(g).coloring
+            classes = st.sets(st.integers(0, built.color_count - 1), min_size=2, max_size=2)
+            a, b = sorted(data.draw(classes))
+            edges = sorted(g.edges)
+            values = [built.assignment[e] for e in edges]
+            coloring = dense_coloring(edges, [a if c == b else c for c in values])
+        failing_pairs = (
+            (u, v)
+            for u, v in combinations(range(g.vertex_count), 2)
+            if not any(
+                set(p) & set(q) == {u, v}
+                for p, q in combinations(rainbow_simple_paths(g, coloring, u, v), 2)
+            )
+        )
+        first = next(failing_pairs, None)
+        report = is_rainbow_two_connected(g, coloring)
+        assert report.passed == (first is None)
+        assert [v.subject for v in report.violations] == ([] if first is None else [first])
+
     @given(two_connected_graphs(max_n=8))
     @settings(max_examples=40)
     def test_constructed_colorings_always_verify(self, g):
         res = color_rc2(g)
-        report = is_rainbow_two_connected(g, res.coloring, guard=SizeGuard(12, 28))
+        report = is_rainbow_two_connected(g, res.coloring, guard=CORPUS_GUARD)
         assert report.passed
+
+
+class TestPairWitnessCheck:
+    """Every pair's witness is re-checked independently of the search."""
+
+    @staticmethod
+    def k4():
+        """K4 where (0, 3) and (1, 3) share color 2, so 0-3-1 is not rainbow."""
+        g = complete_graph(4)
+        colors = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 2, (2, 3): 4}
+        return g, EdgeColoring.from_assignment(colors)
+
+    @pytest.mark.parametrize(
+        "witness, error",
+        [
+            (
+                ((0, 2, 1), (0, 2, 3, 1)),
+                "(0, 2, 1) and (0, 2, 3, 1) share more than their endpoints",
+            ),
+            (((0, 1), (0, 1)), "(0, 1) and (0, 1) share more than their endpoints"),
+            (((0, 2, 1), (0, 3, 1)), "(0, 3, 1) is not rainbow"),
+            (((0, 2, 3, 0, 1), (0, 1)), "(0, 2, 3, 0, 1) is not simple"),
+            (((0, 2, 1), (0, 3)), "(0, 3) is not a path from 0 to 1"),
+            (None, "the witness is not a pair of paths"),
+        ],
+    )
+    def test_a_bad_witness_fails_the_report(self, monkeypatch, witness, error):
+        g, coloring = self.k4()
+        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1)[0]
+        monkeypatch.setattr(
+            verify, "has_two_internally_disjoint_rainbow_paths", lambda *args: (True, witness)
+        )
+        report = is_rainbow_two_connected(g, coloring)
+        assert not report.passed and not report.skipped
+        assert [(v.kind, v.subject, v.reason) for v in report.violations] == [
+            ("A1", (0, 1), f"witness rejected: {error}")
+        ]
+
+    def test_a_non_edge_is_rejected(self):
+        _, coloring = rainbow_c4()
+        error = verify.pair_witness_error(coloring, 0, 2, ((0, 1, 2), (0, 2)))
+        assert error == "(0, 2) uses a non-edge"
 
 
 class TestRainbowIndexOracle:
@@ -241,20 +333,15 @@ class TestFanAndLinkage:
     @settings(max_examples=40)
     def test_pair_fan_and_linkage_agree_with_brute_force(self, g, data):
         """Witnesses match a search over all simple paths, in lexicographic
-        order: for a pair, the first path with an earlier partner; for a fan,
-        the first path to t1 with its first partner; for a linkage, the
-        first pairing in order."""
+        order: for a pair, the first path with a partner, and its first
+        partner; for a fan, the first path to t1 with its first partner;
+        for a linkage, the first pairing in order."""
         coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=4)))
         verts = range(g.vertex_count)
         for u, v in combinations(verts, 2):
             paths = rainbow_simple_paths(g, coloring, u, v)
             expect = next(
-                (
-                    (q, p)
-                    for j, p in enumerate(paths)
-                    for q in paths[:j]
-                    if set(p) & set(q) == {u, v}
-                ),
+                ((p, q) for p in paths for q in paths if p != q and set(p) & set(q) == {u, v}),
                 None,
             )
             got = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
@@ -367,6 +454,20 @@ class TestInductionInvariants:
         broken = dataclasses.replace(res, trace=res.trace[:-1] + (moved,))
         report = check_induction_invariants(broken, g)
         assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 3, 4, recycled))]
+
+    def test_recycled_color_off_the_ears_last_edge_is_B2(self):
+        """Corpus graph 107: the last ear (0, 9, 6) puts recycled color 4 on
+        its edge (6, 9).  Color 5 also sits on one prior edge at vertex 0,
+        (0, 3), so only the ear's own edge tells a claimed 5 from the 4."""
+        _, g = list(standard_corpus())[107]
+        res = color_rc2(g, with_trace=True)
+        first, last = res.trace
+        assert (last.ear.vertices, last.recycled_color) == ((0, 9, 6), 4)
+        assert [e for e, c in first.coloring.assignment.items() if c == 5] == [(0, 3)]
+        wrong = dataclasses.replace(last, recycled_color=5)
+        broken = dataclasses.replace(res, trace=(first, wrong))
+        report = check_induction_invariants(broken, g, CORPUS_GUARD)
+        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 6, 5))]
 
     @pytest.mark.parametrize("wrong", [1, 2])
     def test_wrong_recycled_color_is_B2(self, wrong):
