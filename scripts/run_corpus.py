@@ -4,9 +4,11 @@
 For every corpus member this colors the graph, checks the rainbow
 2-connection property exhaustively, and records colors used against the
 n-1 budget.  The per-family summary shows how much of the budget the
-construction actually spends.  The sha256 of the canonical coloring JSON,
-one line per corpus member, is printed beside the summary line, so two
-checkouts whose colorings are byte-identical print the same digest.
+construction actually spends.  Under the summary line it prints the sha256
+of the canonical coloring JSON, one line per corpus member, and the sha256
+of the traced coloring JSON (what ``rc2 color --trace`` writes), one line
+per corpus member, so two checkouts whose colorings and traces are
+byte-identical print the same digests.
 
 Usage:
     python3 scripts/run_corpus.py [--max-vertices 12] [--max-edges 28] [--csv out.csv]
@@ -21,7 +23,6 @@ from collections import defaultdict
 
 from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
-from rc2.graphs import canonical_json
 from rc2.reports import CORPUS_GUARD, SizeGuard
 from rc2.verify import is_rainbow_two_connected
 
@@ -37,10 +38,12 @@ def main(argv=None):
     rows = []
     by_family = defaultdict(lambda: {"graphs": 0, "colors": 0, "budget": 0, "failures": 0})
     digest = hashlib.sha256()
+    traces = hashlib.sha256()
     t0 = time.time()
     for spec, g in standard_corpus():
-        result = color_rc2(g)
-        digest.update(canonical_json(result.to_json_obj()).encode() + b"\n")
+        result = color_rc2(g, with_trace=True)
+        digest.update(result.to_json_text().encode() + b"\n")
+        traces.update(result.to_json_text(include_trace=True).encode() + b"\n")
         report = is_rainbow_two_connected(g, result.coloring, guard)
         ok = report.passed and not report.skipped
         used = result.coloring.color_count
@@ -77,6 +80,7 @@ def main(argv=None):
     failures = sum(agg["failures"] for agg in by_family.values())
     print(f"\n{len(rows)} graphs, {failures} failures, {elapsed:.2f}s")
     print(f"colorings sha256 {digest.hexdigest()}")
+    print(f"traces sha256 {traces.hexdigest()}")
 
     if args.csv is not None:
         with open(args.csv, "w", newline="") as fh:

@@ -12,6 +12,7 @@ construction honest on small graphs.
 from .coloring import (
     ColoringResult,
     EdgeColoring,
+    TraceLevel,
     TraceStep,
     UniqueColorMap,
     color_cycle,
@@ -20,6 +21,7 @@ from .coloring import (
     color_rc2,
     coloring_from_json_obj,
     to_dot,
+    trace_levels,
 )
 from .corpus import standard_corpus
 from .ears import (

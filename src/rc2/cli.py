@@ -13,7 +13,6 @@ a size-guard refusal).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -31,6 +30,7 @@ from .graphs import (
     graph_to_json,
     is_cycle_graph,
     parse_edge_list,
+    parse_json,
 )
 from .minimalize import spanning_minimally_two_connected
 from .oracle import DEFAULT_BUDGET, brute_force_rc2, census_csv, census_small_graphs
@@ -48,9 +48,12 @@ _FAMILIES = {
 
 
 def _read_text(path: str | None) -> str:
-    if path is None:
-        return sys.stdin.read()
-    return Path(path).read_text()
+    try:
+        if path is None:
+            return sys.stdin.read()
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path or 'stdin'} is not text: {exc}") from exc
 
 
 def _load_graph(path: str | None, fmt: str) -> Graph:
@@ -104,17 +107,13 @@ def _cmd_color(args) -> int:
     result = color_rc2(g, with_trace=args.trace)
     if args.dot is not None:
         Path(args.dot).write_text(to_dot(g, result.coloring))
-    _emit(canonical_json(result.to_json_obj(include_trace=args.trace)) + "\n", args.out)
+    _emit(result.to_json_text(include_trace=args.trace) + "\n", args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.format)
-    try:
-        coloring_obj = json.loads(_read_text(args.coloring))
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"bad coloring JSON: {exc}")
-    coloring = coloring_from_json_obj(coloring_obj)
+    coloring = coloring_from_json_obj(parse_json(_read_text(args.coloring), "coloring JSON"))
     guard = SizeGuard(args.max_vertices, args.max_edges)
     report = is_rainbow_two_connected(g, coloring, guard)
     allowed = g.vertex_count if is_cycle_graph(g) else g.vertex_count - 1
@@ -263,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     except Rc2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # A missing, unreadable or unwritable path, or a directory.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,8 +11,10 @@ verified pairs survive.
 
 from __future__ import annotations
 
+import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ChordInvalid,
@@ -92,32 +94,119 @@ class UniqueColorMap:
     def __contains__(self, v: int) -> bool:
         return v in self.mapping
 
-    def to_json_obj(self) -> dict:
-        return {str(v): c for v, c in sorted(self.mapping.items())}
-
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One level of the inductive construction, for invariant checking."""
+    """One level of the inductive construction, as its change to the level
+    before.
+
+    ``colored`` gives colors to edges, overriding any color an edge already
+    had; a level's subgraph is every edge colored so far, and its vertices
+    are their endpoints.  ``unmapped`` leaves the vertex color map before the
+    ``mapped`` entries are added.  :func:`trace_levels` folds the steps into
+    per-level snapshots.
+    """
+
+    ear: Path | None
+    recycled_color: int | None
+    colored: dict[Edge, int]
+    unmapped: int | None = None
+    mapped: dict[int, int] = field(default_factory=dict)
+    color_names: dict[int, str] = field(default_factory=dict)
+
+    def apply(self, assignment: dict[Edge, int], mapping: dict[int, int]) -> None:
+        """Fold this level into a coloring and a vertex color map, in place."""
+        assignment.update(self.colored)
+        if self.unmapped is not None:
+            mapping.pop(self.unmapped, None)
+        mapping.update(self.mapped)
+
+
+@dataclass(frozen=True)
+class TraceLevel:
+    """The colored subgraph after one level of a trace."""
 
     vertices: VertexSet
     edges: frozenset[Edge]
     coloring: EdgeColoring
-    color_map: UniqueColorMap
-    ear: Path | None
-    recycled_color: int | None
-    color_names: dict[int, str] = field(default_factory=dict)
+    color_map: dict[int, int]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": [list(e) for e in sorted(self.edges)],
-            "coloring": [[u, v, self.coloring.assignment[(u, v)]] for u, v in sorted(self.edges)],
-            "color_map": self.color_map.to_json_obj(),
-            "ear": list(self.ear.vertices) if self.ear else None,
-            "recycled_color": self.recycled_color,
-            "color_names": {str(i): s for i, s in sorted(self.color_names.items())},
-        }
+
+def trace_levels(trace: Iterable[TraceStep]) -> Iterator[TraceLevel]:
+    """The snapshot after each level, in order; each is a fresh copy."""
+    assignment: dict[Edge, int] = {}
+    mapping: dict[int, int] = {}
+    vertices: set[int] = set()
+    for step in trace:
+        step.apply(assignment, mapping)
+        vertices.update(x for e in step.colored for x in e)
+        yield TraceLevel(
+            frozenset(vertices),
+            frozenset(assignment),
+            EdgeColoring(dict(assignment), len(set(assignment.values()))),
+            dict(mapping),
+        )
+
+
+def _slot(keys: list, key) -> tuple[int, bool]:
+    """Where ``key`` sits in the sorted list ``keys``, and whether it is there."""
+    i = bisect_left(keys, key)
+    return i, i < len(keys) and keys[i] == key
+
+
+def _trace_texts(trace: Iterable[TraceStep]) -> Iterator[str]:
+    """Each level's canonical JSON object (see :meth:`ColoringResult.to_json_text`).
+
+    The snapshot's lists are kept sorted as fragments of JSON text, each
+    encoded once, when its level adds or recolors it; a level's text joins
+    them.  Color-map and color-name keys are strings, so they sort as
+    strings ("10" before "2"), as ``sort_keys`` orders them.
+    """
+    edge_keys: list[Edge] = []
+    edge_texts: list[str] = []
+    colored_texts: list[str] = []
+    vertex_keys: list[int] = []
+    vertex_texts: list[str] = []
+    map_keys: list[str] = []
+    map_texts: list[str] = []
+    for step in trace:
+        for e, c in step.colored.items():
+            u, v = e
+            i, present = _slot(edge_keys, e)
+            if present:
+                colored_texts[i] = f"[{u},{v},{c}]"
+                continue
+            edge_keys.insert(i, e)
+            edge_texts.insert(i, f"[{u},{v}]")
+            colored_texts.insert(i, f"[{u},{v},{c}]")
+            for x in e:
+                j, seen = _slot(vertex_keys, x)
+                if not seen:
+                    vertex_keys.insert(j, x)
+                    vertex_texts.insert(j, str(x))
+        if step.unmapped is not None:
+            i, present = _slot(map_keys, str(step.unmapped))
+            if present:
+                del map_keys[i], map_texts[i]
+        for x, c in step.mapped.items():
+            key = str(x)
+            i, present = _slot(map_keys, key)
+            if present:
+                map_texts[i] = f'"{key}":{c}'
+            else:
+                map_keys.insert(i, key)
+                map_texts.insert(i, f'"{key}":{c}')
+        names = ",".join(
+            f'"{key}":{json.dumps(name)}'
+            for key, name in sorted((str(i), name) for i, name in step.color_names.items())
+        )
+        ear = "null" if step.ear is None else "[" + ",".join(map(str, step.ear.vertices)) + "]"
+        recycled = "null" if step.recycled_color is None else str(step.recycled_color)
+        yield (
+            f'{{"color_map":{{{",".join(map_texts)}}},"color_names":{{{names}}},'
+            f'"coloring":[{",".join(colored_texts)}],"ear":{ear},"edges":[{",".join(edge_texts)}],'
+            f'"recycled_color":{recycled},"vertices":[{",".join(vertex_texts)}]}}'
+        )
 
 
 @dataclass
@@ -127,18 +216,27 @@ class ColoringResult:
     decomposition: EarDecomposition | None = None
     trace: tuple[TraceStep, ...] | None = None
 
-    def to_json_obj(self, include_trace: bool = False) -> dict:
-        out = {
-            "colors": self.coloring.color_count,
-            "strategy": self.strategy,
-            "edges": [
-                {"u": u, "v": v, "color": self.coloring.assignment[(u, v)]}
-                for u, v in sorted(self.coloring.assignment)
-            ],
-        }
+    def to_json_text(self, include_trace: bool = False) -> str:
+        """The result as canonical JSON text (sorted keys, no spaces).
+
+        The trace, when asked for and present, holds one full snapshot per
+        level: vertices, edges, coloring, color map, ear, recycled color and
+        the level's color names.
+        """
+        assign = self.coloring.assignment
+        edges = ",".join(
+            f'{{"color":{assign[e]},"u":{e[0]},"v":{e[1]}}}' for e in sorted(assign)
+        )
+        head = (
+            f'{{"colors":{self.coloring.color_count},"edges":[{edges}],'
+            f'"strategy":{json.dumps(self.strategy)}'
+        )
         if include_trace and self.trace is not None:
-            out["trace"] = [step.to_json_obj() for step in self.trace]
-        return out
+            return head + ',"trace":[' + ",".join(_trace_texts(self.trace)) + "]}"
+        return head + "}"
+
+    def to_json_obj(self, include_trace: bool = False) -> dict:
+        return json.loads(self.to_json_text(include_trace))
 
 
 def coloring_from_json_obj(obj) -> EdgeColoring:
@@ -151,7 +249,8 @@ def coloring_from_json_obj(obj) -> EdgeColoring:
         raise InvalidInput('coloring JSON needs an "edges" list')
     raw: dict[Edge, int] = {}
     for item in obj["edges"]:
-        if not (isinstance(item, dict) and all(isinstance(item.get(k), int) for k in ("u", "v", "color"))):
+        # type() and not isinstance(): JSON true/false are bools, and bool is an int.
+        if not (isinstance(item, dict) and all(type(item.get(k)) is int for k in ("u", "v", "color"))):
             raise InvalidInput(f"bad colored-edge entry {item!r}")
         e = edge(item["u"], item["v"])
         if e in raw:
@@ -278,14 +377,15 @@ def extend_with_ear(
     color_map: UniqueColorMap,
     ear: Path,
     host_degree_two: VertexSet,
-) -> tuple[EdgeColoring, UniqueColorMap, int]:
-    """Extend a colored subgraph by one ear.
+) -> TraceStep:
+    """The level that extends a colored subgraph by one ear.
 
     Consecutive ear edges get fresh colors except the last, which recycles
-    the mapped color of the ear's smaller endpoint; that color moves off the
-    vertex map, and interior vertices pick up the fresh colors with one
-    degree-2 position skipped so the map stays injective and single-use.
-    Returns the new coloring, the new map, and the recycled color.
+    the mapped color of the ear's smaller endpoint; that endpoint moves to
+    the first fresh color on the vertex map, and interior vertices pick up
+    the others with one degree-2 position skipped, so the map stays
+    injective and single-use.  The inputs are left as they are:
+    :meth:`TraceStep.apply` folds the returned level into them.
     """
     verts = ear.vertices if ear.first < ear.last else tuple(reversed(ear.vertices))
     q = len(verts)
@@ -300,25 +400,20 @@ def extend_with_ear(
         raise NoInteriorDegreeTwo(f"ear {verts} has no degree-2 interior vertex")
 
     base = coloring.color_count
-    assign = dict(coloring.assignment)
-    for j in range(1, q - 1):
-        e = edge(verts[j - 1], verts[j])
-        assert e not in assign
-        assign[e] = base + j - 1
+    colored = {edge(verts[j - 1], verts[j]): base + j - 1 for j in range(1, q - 1)}
     recycled = color_map[verts[0]]
-    last = edge(verts[-2], verts[-1])
-    assert last not in assign
-    assign[last] = recycled
+    colored[edge(verts[-2], verts[-1])] = recycled
+    assert not any(e in coloring.assignment for e in colored)
 
-    mapping = {v: c for v, c in color_map.mapping.items() if v != verts[0]}
+    mapped: dict[int, int] = {}
     for j in range(1, pivot):
         if verts[j - 1] not in host_degree_two:
-            mapping[verts[j - 1]] = base + j - 1
+            mapped[verts[j - 1]] = base + j - 1
     for j in range(pivot + 1, q):
         if verts[j - 1] not in host_degree_two:
-            mapping[verts[j - 1]] = base + j - 2
-    new_coloring = EdgeColoring(assign, base + q - 2)
-    return new_coloring, UniqueColorMap(mapping), recycled
+            mapped[verts[j - 1]] = base + j - 2
+    names = {base + j - 1: f"y{j}" for j in range(1, q - 1)}
+    return TraceStep(ear, recycled, colored, verts[0], mapped, names)
 
 
 def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> ColoringResult:
@@ -339,38 +434,22 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
     coloring, fmap = color_base_subgraph(labeling, g)
 
     steps: list[TraceStep] = []
-    vertices = set(labeling.order)
-    edges = set(coloring.assignment)
     if with_trace:
         steps.append(
             TraceStep(
-                vertices=frozenset(vertices),
-                edges=frozenset(edges),
-                coloring=EdgeColoring(dict(coloring.assignment), coloring.color_count),
-                color_map=UniqueColorMap(dict(fmap.mapping)),
                 ear=dec.ears[0],
                 recycled_color=None,
+                colored=dict(coloring.assignment),
+                mapped=dict(fmap.mapping),
                 color_names={i: f"x{i + 1}" for i in range(coloring.color_count)},
             )
         )
     for ear in dec.ears[1:]:
-        before = coloring.color_count
-        coloring, fmap, recycled = extend_with_ear(coloring, fmap, ear, d)
-        vertices |= set(ear.vertices)
-        edges |= set(ear.edges())
+        step = extend_with_ear(coloring, fmap, ear, d)
+        step.apply(coloring.assignment, fmap.mapping)
+        coloring.color_count += len(ear) - 2
         if with_trace:
-            names = {before + j - 1: f"y{j}" for j in range(1, len(ear) - 1)}
-            steps.append(
-                TraceStep(
-                    vertices=frozenset(vertices),
-                    edges=frozenset(edges),
-                    coloring=EdgeColoring(dict(coloring.assignment), coloring.color_count),
-                    color_map=UniqueColorMap(dict(fmap.mapping)),
-                    ear=ear,
-                    recycled_color=recycled,
-                    color_names=names,
-                )
-            )
+            steps.append(step)
 
     assert coloring.color_count == g.vertex_count - 1
     assert len(coloring.assignment) == g.edge_count

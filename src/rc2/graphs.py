@@ -188,11 +188,18 @@ def _reject_isolated(n: int, edges: Iterable[Edge]) -> None:
         raise InvalidInput(f"isolated vertices: n={n} but the edges touch only {touched}")
 
 
-def graph_from_json(text: str) -> Graph:
+def parse_json(text: str, what: str):
+    """``json.loads``, with every malformed input reported as InvalidInput."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"bad JSON: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past Python's digit
+        # limit; RecursionError, arrays or objects nested too deep.
+        raise InvalidInput(f"bad {what}: {exc}") from exc
+
+
+def graph_from_json(text: str) -> Graph:
+    obj = parse_json(text, "JSON")
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs keys "n" and "edges"')
     n = obj["n"]

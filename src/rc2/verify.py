@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .coloring import ColoringResult, EdgeColoring, UniqueColorMap
+from .coloring import ColoringResult, EdgeColoring, UniqueColorMap, trace_levels
 from .errors import InvalidInput, InvalidSpec, TraceMissing
 from .graphs import Graph, VertexSet, edge
 from .reports import (
@@ -318,20 +318,20 @@ def check_induction_invariants(
     def fail(kind: str, subject: tuple, reason: str) -> VerificationReport:
         return failing("induction", [Violation(kind, subject, reason)])
 
-    prev_sub = prev_step = None
+    prev_sub = prev_level = None
     levels_checked = 0
-    for idx, step in enumerate(result.trace):
-        sub = Graph(g.vertex_count, step.edges)
-        verts = sorted(step.vertices)
-        cache = _all_pair_paths(sub, step.coloring, verts)
+    for idx, (step, level) in enumerate(zip(result.trace, trace_levels(result.trace))):
+        sub = Graph(g.vertex_count, level.edges)
+        verts = sorted(level.vertices)
+        cache = _all_pair_paths(sub, level.coloring, verts)
 
         if idx > 0:
             ear = step.ear
-            assert ear is not None and prev_step is not None
+            assert ear is not None and prev_level is not None
             v1, vq = edge(ear.first, ear.last)
             recycled = step.recycled_color
             avoiding = enumerate_rainbow_paths(
-                prev_sub, prev_step.coloring, v1, vq, forbidden_colors=frozenset((recycled,))
+                prev_sub, prev_level.coloring, v1, vq, forbidden_colors=frozenset((recycled,))
             )
             if next(avoiding, None) is None:
                 return fail(
@@ -339,7 +339,7 @@ def check_induction_invariants(
                     (idx, v1, vq, recycled),
                     "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
-            hits = [e for e in sorted(prev_step.edges) if prev_step.coloring.assignment[e] == recycled]
+            hits = [e for e in sorted(prev_level.edges) if prev_level.coloring.assignment[e] == recycled]
             if len(hits) != 1 or v1 not in hits[0]:
                 return fail(
                     "B2",
@@ -348,7 +348,7 @@ def check_induction_invariants(
                 )
             # extend_with_ear puts the recycled color on the ear edge at vq.
             last = edge(vq, ear.vertices[-2] if ear.last == vq else ear.vertices[1])
-            if step.coloring.assignment.get(last) != recycled:
+            if level.coloring.assignment.get(last) != recycled:
                 return fail(
                     "B2",
                     (idx, vq, recycled),
@@ -372,11 +372,11 @@ def check_induction_invariants(
             if _a3_linkage(cache.__getitem__, quad) is None:
                 return fail("A3", (idx,) + quad, "no pairing with disjoint rainbow paths")
 
-        map_violations = _color_map_violations(step.coloring, step.color_map.mapping, (idx,))
+        map_violations = _color_map_violations(level.coloring, level.color_map, (idx,))
         if map_violations:
             return failing("induction", map_violations[:1])
 
-        prev_sub, prev_step = sub, step
+        prev_sub, prev_level = sub, level
         levels_checked += 1
 
     return passing("induction", [("levels_checked", levels_checked)])

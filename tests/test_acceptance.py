@@ -16,7 +16,7 @@ from rc2.coloring import color_minimally_two_connected, color_rc2
 from rc2.corpus import standard_corpus
 from rc2.ears import build_ear_decomposition, check_ear_conditions
 from rc2.generators import cycle_graph
-from rc2.graphs import canonical_json, degree_two_set, graph_to_json, is_cycle_graph, is_two_connected
+from rc2.graphs import degree_two_set, graph_to_json, is_cycle_graph, is_two_connected
 from rc2.minimalize import (
     bollobas_structure_check,
     is_minimally_two_connected,
@@ -134,8 +134,8 @@ def test_ear_decompositions_satisfy_conditions(minimalized, capsys):
 def test_coloring_output_is_deterministic(corpus, tmp_path, capsys):
     with criterion(capsys, "determinism"):
         for spec, g in corpus:
-            first = canonical_json(color_rc2(g, with_trace=True).to_json_obj(include_trace=True))
-            second = canonical_json(color_rc2(g, with_trace=True).to_json_obj(include_trace=True))
+            first = color_rc2(g, with_trace=True).to_json_text(include_trace=True)
+            second = color_rc2(g, with_trace=True).to_json_text(include_trace=True)
             assert first == second, spec.describe()
         # Process-level spot check through the installed entry point.
         gpath = tmp_path / "g.json"

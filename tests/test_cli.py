@@ -241,6 +241,50 @@ def test_verify_bad_coloring_json_exits_2(capsys, tmp_path):
     assert code == 2 and "bad coloring JSON" in err
 
 
+@pytest.mark.parametrize("key", ["u", "v", "color"])
+def test_verify_rejects_bool_coloring_fields(capsys, tmp_path, key):
+    """JSON true is a bool, and bool is an int: read as 1 it would turn
+    {"u": true, "v": 0} into the edge (0, 1)."""
+    g = cycle(4)
+    entries = [{"u": u, "v": v, "color": i} for i, (u, v) in enumerate(sorted(g.edges))]
+    entries[0][key] = True if key != "color" else False
+    cpath = tmp_path / "col.json"
+    cpath.write_text(json.dumps({"edges": entries}))
+    code, out, err = run(capsys, ["verify", "--graph", graph_file(tmp_path, g), "--coloring", str(cpath)])
+    assert code == 2 and out == "" and "bad colored-edge entry" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"n": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}", "bad JSON"),
+        ('{"n": ' + "9" * 5000 + ', "edges": []}', "bad JSON"),
+        (b"\xff\xfe0 1\n", "not text"),
+    ],
+    ids=["deep-nesting", "5000-digit-int", "not-utf8"],
+)
+def test_unreadable_graph_input_exits_2(capsys, tmp_path, text, reason):
+    path = tmp_path / "g.in"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    code, _, err = run(capsys, ["color", "--input", str(path)])
+    assert code == 2 and err.startswith("error:") and reason in err
+
+
+def test_deeply_nested_coloring_json_exits_2(capsys, tmp_path):
+    cpath = tmp_path / "col.json"
+    cpath.write_text('{"edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, _, err = run(capsys, ["verify", "--graph", graph_file(tmp_path, cycle(4)), "--coloring", str(cpath)])
+    assert code == 2 and "bad coloring JSON" in err
+
+
+def test_directory_as_input_exits_2(capsys, tmp_path):
+    code, _, err = run(capsys, ["color", "--input", str(tmp_path)])
+    assert code == 2 and err.startswith("error:")
+
+
 def test_verify_accepts_edgelist_graphs(capsys, tmp_path):
     g = cycle(4)
     gpath = tmp_path / "g.edges"

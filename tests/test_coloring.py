@@ -12,6 +12,7 @@ from rc2 import (
     color_rc2,
     select_base_labeling,
     to_dot,
+    trace_levels,
 )
 from rc2.coloring import color_base_subgraph, coloring_from_json_obj, extend_with_ear
 from rc2.errors import (
@@ -132,12 +133,14 @@ class TestExtendWithEar:
         base_coloring, base_map = color_base_subgraph(lab, g)
         from rc2 import Path
 
-        coloring, cmap, recycled = extend_with_ear(
-            base_coloring, base_map, Path((0, 5, 1)), d
-        )
-        assert coloring.assignment == K24_COLORING
-        assert cmap.mapping == K24_COLOR_MAP
-        assert recycled == K24_RECYCLED
+        step = extend_with_ear(base_coloring, base_map, Path((0, 5, 1)), d)
+        assert step.colored == {(0, 5): 4, (1, 5): K24_RECYCLED}
+        assert (step.unmapped, step.mapped) == (0, {0: 4})
+        assert base_coloring.assignment == K23_COLORING
+        step.apply(base_coloring.assignment, base_map.mapping)
+        assert base_coloring.assignment == K24_COLORING
+        assert base_map.mapping == K24_COLOR_MAP
+        assert step.recycled_color == K24_RECYCLED
 
     def test_endpoint_must_be_mapped(self):
         coloring = EdgeColoring.from_assignment(K23_COLORING)
@@ -166,7 +169,9 @@ class TestInductiveColoring:
         step = res.trace[0]
         assert step.ear.vertices == (0, 4, 1)
         assert step.recycled_color is None
-        assert step.color_map.mapping == K23_COLOR_MAP
+        (level,) = trace_levels(res.trace)
+        assert level.coloring.assignment == K23_COLORING
+        assert level.color_map == K23_COLOR_MAP
 
     def test_k24_frozen(self):
         res = color_minimally_two_connected(k24(), with_trace=True)
@@ -176,7 +181,10 @@ class TestInductiveColoring:
         last = res.trace[-1]
         assert last.ear.vertices == (0, 5, 1)
         assert last.recycled_color == K24_RECYCLED
-        assert last.color_map.mapping == K24_COLOR_MAP
+        first, level = trace_levels(res.trace)
+        assert first.coloring.assignment == K23_COLORING
+        assert level.coloring.assignment == K24_COLORING
+        assert level.color_map == K24_COLOR_MAP
 
     def test_trace_color_names(self):
         res = color_minimally_two_connected(k24(), with_trace=True)

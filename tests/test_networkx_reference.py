@@ -1,5 +1,5 @@
-"""Connectivity and minimality checked against networkx, an independent
-implementation.  Skipped where networkx is not installed."""
+"""Connectivity, cut vertices and minimality checked against networkx, an
+independent implementation.  Skipped where networkx is not installed."""
 
 import itertools
 import random
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rc2 import Graph, spanning_minimally_two_connected
-from rc2.graphs import is_two_connected
+from rc2.graphs import articulation_points, is_two_connected
 
 from .strategies import two_connected_graphs
 
@@ -31,6 +31,20 @@ def test_is_two_connected_matches_networkx(seed):
     p = rng.uniform(0.2, 0.9)
     g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
     assert is_two_connected(g) == nx.is_biconnected(to_nx(g))
+
+
+@st.composite
+def arbitrary_graphs(draw, max_n: int = 14):
+    """Any simple graph: disconnected, trees and isolated vertices included."""
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else [])
+
+
+@given(st.one_of(arbitrary_graphs(), two_connected_graphs(max_n=12)))
+@settings(max_examples=200)
+def test_articulation_points_match_networkx(g):
+    assert articulation_points(g) == set(nx.articulation_points(to_nx(g)))
 
 
 def assert_minimally_two_connected(g: Graph):

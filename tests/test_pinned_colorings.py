@@ -2,7 +2,10 @@
 
 The digest below is the sha256 of the canonical traced ``color_rc2`` JSON
 over the corpus and a few larger graphs, recorded before the minimalizer
-and the ear fans moved onto the shared Menger routine.  Any change to which
+and the ear fans moved onto the shared Menger routine.  It is computed from
+``ColoringResult.to_json_text``, the text ``rc2 color`` writes; the digest
+did not change when that renderer replaced ``canonical_json`` of a dict
+rebuilt per level.  Any change to which
 subgraph, ears or colors the construction picks changes the digest; a PR
 that means to change them records the new digest and says why.
 """
@@ -12,7 +15,6 @@ import hashlib
 from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
 from rc2.generators import complete_bipartite_graph, complete_graph, random_two_connected, wheel_graph
-from rc2.graphs import canonical_json
 
 PINNED_DIGEST = "770162c452529370cbd63b64c3b287b9ec56d4ecfbfc76f8dc777159b83efad7"
 
@@ -27,7 +29,7 @@ def pinned_graphs():
 def colorings_digest(graphs) -> str:
     h = hashlib.sha256()
     for g in graphs:
-        h.update(canonical_json(color_rc2(g, with_trace=True).to_json_obj(include_trace=True)).encode())
+        h.update(color_rc2(g, with_trace=True).to_json_text(include_trace=True).encode())
         h.update(b"\n")
     return h.hexdigest()
 

@@ -12,15 +12,17 @@ shifted by one where that level attached an ear.  So the violation each
 check reports first is pinned too.  ``BROKEN_DIGEST`` was recorded again
 when the replay's B2 check began to require the recycled color on the
 ear's last edge: four shifted traces (corpus graphs 107, 131, 133 and 148)
-fail B2 there, where they used to pass.  A1 witnesses are not part of the
-reports, so the order in which the pair search finds them affects
-neither digest.
+fail B2 there, where they used to pass.  Since the trace became per-level
+deltas, the merged coloring is applied as the last level's delta, which
+recolors every edge and gives the same snapshot.  A1 witnesses are not
+part of the reports, so the order in which the pair search finds them
+affects neither digest.
 """
 
 import dataclasses
 import hashlib
 
-from rc2.coloring import EdgeColoring, color_rc2
+from rc2.coloring import EdgeColoring, color_rc2, trace_levels
 from rc2.corpus import standard_corpus
 from rc2.graphs import canonical_json
 from rc2.reports import CORPUS_GUARD
@@ -57,7 +59,9 @@ def reports(broken: bool):
             out.append(check_induction_invariants(result, g, CORPUS_GUARD))
             continue
         last = result.trace[-1]
-        merged = dataclasses.replace(last, coloring=merge_last_two_classes(last.coloring))
+        last_level = list(trace_levels(result.trace))[-1]
+        # The merged coloring, given as the last level's delta, overrides every edge.
+        merged = dataclasses.replace(last, colored=merge_last_two_classes(last_level.coloring).assignment)
         out.append(check_induction_invariants(with_last_step(result, merged), g, CORPUS_GUARD))
         if last.recycled_color is not None:
             shifted = dataclasses.replace(last, recycled_color=last.recycled_color + 1)

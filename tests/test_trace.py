@@ -1,0 +1,121 @@
+"""The construction trace: per-level deltas, their snapshots, their text.
+
+``ColoringResult.to_json_text`` renders each level from fragments it keeps
+sorted as the deltas arrive.  Here it is compared with ``canonical_json`` of
+snapshot objects built directly from ``trace_levels``, and the deltas are
+checked to color each edge of the minimalized subgraph once.
+"""
+
+import dataclasses
+import json
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rc2.coloring import color_rc2, trace_levels
+from rc2.corpus import standard_corpus
+from rc2.generators import complete_bipartite_graph, random_two_connected
+from rc2.graphs import canonical_json
+from rc2.minimalize import spanning_minimally_two_connected
+from rc2.reports import CORPUS_GUARD
+from rc2.verify import check_induction_invariants
+
+
+def snapshot_obj(step, level) -> dict:
+    assign = level.coloring.assignment
+    return {
+        "vertices": sorted(level.vertices),
+        "edges": [list(e) for e in sorted(level.edges)],
+        "coloring": [[u, v, assign[u, v]] for u, v in sorted(level.edges)],
+        "color_map": {str(v): c for v, c in level.color_map.items()},
+        "ear": list(step.ear.vertices) if step.ear else None,
+        "recycled_color": step.recycled_color,
+        "color_names": {str(i): name for i, name in step.color_names.items()},
+    }
+
+
+def reference_obj(result, include_trace: bool) -> dict:
+    obj = {
+        "colors": result.coloring.color_count,
+        "strategy": result.strategy,
+        "edges": [{"u": u, "v": v, "color": c} for (u, v), c in sorted(result.coloring.assignment.items())],
+    }
+    if include_trace and result.trace is not None:
+        obj["trace"] = [snapshot_obj(s, lv) for s, lv in zip(result.trace, trace_levels(result.trace))]
+    return obj
+
+
+def assert_renders_like_the_reference(result):
+    for include_trace in (False, True):
+        expected = reference_obj(result, include_trace)
+        assert result.to_json_text(include_trace) == canonical_json(expected)
+        assert result.to_json_obj(include_trace) == expected
+
+
+def string_order_differs(result) -> bool:
+    """Some level's color map sorts differently as strings than as numbers."""
+    return any(
+        sorted(level.color_map, key=str) != sorted(level.color_map)
+        for level in trace_levels(result.trace or ())
+    )
+
+
+@given(st.integers(12, 40), st.integers(1, 6), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_trace_text_matches_snapshot_objects_on_random_graphs(n, ears, seed):
+    assert_renders_like_the_reference(color_rc2(random_two_connected(n, ears, seed), with_trace=True))
+
+
+def test_trace_text_matches_snapshot_objects_on_the_corpus():
+    results = [color_rc2(g, with_trace=True) for _, g in standard_corpus()]
+    for result in results:
+        assert_renders_like_the_reference(result)
+    assert any(string_order_differs(r) for r in results)
+
+
+def test_damaged_last_level_renders_like_its_snapshot():
+    """The last level recolors an edge an older level colored, drops a
+    vertex from the color map that it does not map again, and overrides
+    another vertex's mapped color without dropping it first."""
+    for _, g in standard_corpus():
+        result = color_rc2(g, with_trace=True)
+        if result.trace is not None and len(result.trace) > 1 and string_order_differs(result):
+            break
+    first, *_, last = result.trace
+    before = list(trace_levels(result.trace))[-2]
+    older = min(first.colored)
+    dropped, kept = [x for x in sorted(before.color_map) if x not in last.mapped and x != last.unmapped][:2]
+    assert older not in last.colored
+    damaged = dataclasses.replace(
+        last,
+        colored={**last.colored, older: 99},
+        unmapped=dropped,
+        mapped={**last.mapped, kept: 98},
+    )
+    broken = dataclasses.replace(result, trace=result.trace[:-1] + (damaged,))
+    level = list(trace_levels(broken.trace))[-1]
+    assert level.coloring.assignment[older] == 99
+    assert dropped not in level.color_map and level.color_map[kept] == 98
+    assert_renders_like_the_reference(broken)
+    text = json.loads(broken.to_json_text(include_trace=True))
+    assert [*older, 99] in text["trace"][-1]["coloring"]
+    assert [*older, first.colored[older]] in text["trace"][-2]["coloring"]
+
+
+def test_each_minimal_edge_is_colored_at_exactly_one_level():
+    replayed = 0
+    graphs = [g for _, g in standard_corpus()] + [complete_bipartite_graph(2, 80)]
+    for g in graphs:
+        result = color_rc2(g, with_trace=True)
+        if result.trace is None:
+            continue
+        h = spanning_minimally_two_connected(g)
+        counts = Counter(e for step in result.trace for e in step.colored)
+        assert counts == Counter(h.edges)
+        assert sum(len(step.colored) for step in result.trace) == h.edge_count
+        if CORPUS_GUARD.allows(g.vertex_count, g.edge_count):
+            report = check_induction_invariants(result, g, CORPUS_GUARD)
+            assert dict(report.witnesses)["levels_checked"] == len(result.trace)
+            replayed += 1
+    assert replayed == 97

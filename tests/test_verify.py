@@ -22,6 +22,7 @@ from rc2 import (
     enumerate_rainbow_paths,
     has_two_internally_disjoint_rainbow_paths,
     is_rainbow_two_connected,
+    trace_levels,
 )
 from rc2 import verify
 from rc2.corpus import standard_corpus
@@ -434,11 +435,8 @@ class TestInductionInvariants:
         g = k24()
         res = color_minimally_two_connected(g, with_trace=True)
         step = res.trace[-1]
-        broken_assignment = dict(step.coloring.assignment)
-        broken_assignment[(0, 5)] = broken_assignment[(0, 2)]
-        broken_step = dataclasses.replace(
-            step, coloring=EdgeColoring(broken_assignment, step.coloring.color_count)
-        )
+        color_02 = list(trace_levels(res.trace))[-1].coloring.assignment[(0, 2)]
+        broken_step = dataclasses.replace(step, colored={**step.colored, (0, 5): color_02})
         broken = dataclasses.replace(res, trace=res.trace[:-1] + (broken_step,))
         report = check_induction_invariants(broken, g)
         assert not report.passed
@@ -463,7 +461,8 @@ class TestInductionInvariants:
         res = color_rc2(g, with_trace=True)
         first, last = res.trace
         assert (last.ear.vertices, last.recycled_color) == ((0, 9, 6), 4)
-        assert [e for e, c in first.coloring.assignment.items() if c == 5] == [(0, 3)]
+        base = next(trace_levels(res.trace))
+        assert [e for e, c in base.coloring.assignment.items() if c == 5] == [(0, 3)]
         wrong = dataclasses.replace(last, recycled_color=5)
         broken = dataclasses.replace(res, trace=(first, wrong))
         report = check_induction_invariants(broken, g, CORPUS_GUARD)
