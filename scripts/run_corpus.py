@@ -23,14 +23,14 @@ from collections import defaultdict
 
 from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
-from rc2.reports import CORPUS_GUARD, SizeGuard
+from rc2.reports import DEFAULT_GUARD, SizeGuard
 from rc2.verify import is_rainbow_two_connected
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--max-vertices", type=int, default=CORPUS_GUARD.max_vertices)
-    parser.add_argument("--max-edges", type=int, default=CORPUS_GUARD.max_edges)
+    parser.add_argument("--max-vertices", type=int, default=DEFAULT_GUARD.max_vertices)
+    parser.add_argument("--max-edges", type=int, default=DEFAULT_GUARD.max_edges)
     parser.add_argument("--csv", default=None, help="also write per-graph rows here")
     args = parser.parse_args(argv)
 

@@ -33,26 +33,7 @@ from .ears import (
     exchange_bad_arc,
     select_base_labeling,
 )
-from .errors import (
-    BudgetExceeded,
-    ChordInvalid,
-    EndpointNotEligible,
-    InvalidInput,
-    InvalidSpec,
-    LabelingImpossible,
-    LabelingInvalid,
-    MalformedDecomposition,
-    NoFan,
-    NoInteriorDegreeTwo,
-    NotACycle,
-    NotApplicable,
-    NotHamiltonianCycle,
-    NotMinimal,
-    NotTwoConnected,
-    PreconditionViolated,
-    Rc2Error,
-    TraceMissing,
-)
+from .errors import BudgetExceeded, InvalidInput, PreconditionViolated, Rc2Error
 from .generators import FamilySpec, generate_family
 from .graphs import (
     Graph,
@@ -74,7 +55,7 @@ from .minimalize import (
     spanning_minimally_two_connected,
 )
 from .oracle import brute_force_rc2, census_csv, census_small_graphs
-from .reports import CORPUS_GUARD, DEFAULT_GUARD, SizeGuard, VerificationReport, Violation
+from .reports import DEFAULT_GUARD, SizeGuard, VerificationReport, Violation
 from .verify import (
     RainbowIndex,
     check_fan,

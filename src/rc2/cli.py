@@ -6,8 +6,9 @@ Subcommands: ``gen`` (family generators), ``color`` (produce a coloring),
 
 Graphs come from ``--input`` or stdin, as JSON (``{"n": ..., "edges": ...}``)
 or whitespace edge lists.  Exit codes: 0 success, 1 a verification failed or
-a color bound was exceeded, 2 bad input or an unmet precondition (including
-a size-guard refusal).
+a color bound was exceeded, 2 a refusal: ``InvalidInput`` (malformed input),
+``PreconditionViolated`` (well-formed input the command does not apply to),
+an unreadable path, or a graph over the verifier's size guard.
 """
 
 from __future__ import annotations

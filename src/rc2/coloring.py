@@ -16,18 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import (
-    ChordInvalid,
-    EndpointNotEligible,
-    InvalidInput,
-    LabelingImpossible,
-    LabelingInvalid,
-    NoInteriorDegreeTwo,
-    NotACycle,
-    NotApplicable,
-    NotHamiltonianCycle,
-    NotTwoConnected,
-)
+from .errors import InvalidInput, PreconditionViolated
 from .ears import (
     BaseLabeling,
     EarDecomposition,
@@ -63,12 +52,6 @@ class EdgeColoring:
         if colors and colors != set(range(max(colors) + 1)):
             raise InvalidInput("color ids must be contiguous from 0")
         return EdgeColoring(dict(assignment), len(colors))
-
-    def color_of(self, u: int, v: int) -> int:
-        return self.assignment[edge(u, v)]
-
-    def used_colors(self) -> set[int]:
-        return set(self.assignment.values())
 
 
 @dataclass
@@ -268,7 +251,7 @@ def color_cycle(g: Graph) -> ColoringResult:
     """Every edge its own color.  For a cycle nothing smaller works: the two
     paths between a vertex pair jointly use all n edges, so all n colors."""
     if not is_cycle_graph(g):
-        raise NotACycle("color_cycle needs a cycle graph")
+        raise PreconditionViolated("color_cycle needs a cycle graph")
     order = cycle_order(g)
     n = g.vertex_count
     assignment = {edge(order[i], order[(i + 1) % n]): i for i in range(n)}
@@ -285,15 +268,15 @@ def color_hamiltonian_with_chord(g: Graph, cycle: Sequence[int], chord: Edge) ->
     n = g.vertex_count
     cyc = tuple(cycle)
     if len(cyc) != n or set(cyc) != set(range(n)):
-        raise NotHamiltonianCycle("cycle must visit every vertex exactly once")
+        raise PreconditionViolated("cycle must visit every vertex exactly once")
     c_edges = cycle_edges(cyc)
     if any(e not in g.edges for e in c_edges):
-        raise NotHamiltonianCycle("cycle uses an edge not in the graph")
+        raise PreconditionViolated("cycle uses an edge not in the graph")
     chord = edge(*chord)
     if chord not in g.edges:
-        raise ChordInvalid(f"chord {chord} is not an edge")
+        raise PreconditionViolated(f"chord {chord} is not an edge")
     if chord in c_edges:
-        raise ChordInvalid(f"chord {chord} lies on the cycle")
+        raise PreconditionViolated(f"chord {chord} lies on the cycle")
 
     v1 = chord[0]
     i = cyc.index(v1)
@@ -344,7 +327,7 @@ def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring,
     def put(assign: dict, a: int, b: int, color: int) -> None:
         e = edge(a, b)
         if e not in g.edges:
-            raise LabelingInvalid(f"labeling implies missing edge {e}")
+            raise PreconditionViolated(f"labeling implies missing edge {e}")
         assign[e] = color
 
     assign: dict[Edge, int] = {}
@@ -391,13 +374,13 @@ def extend_with_ear(
     q = len(verts)
     for endpoint in (verts[0], verts[-1]):
         if endpoint not in color_map:
-            raise EndpointNotEligible(f"ear endpoint {endpoint} has no mapped color")
+            raise PreconditionViolated(f"ear endpoint {endpoint} has no mapped color")
     pivot = next(
         (j for j in range(2, q) if verts[j - 1] in host_degree_two),
         None,
     )
     if pivot is None:
-        raise NoInteriorDegreeTwo(f"ear {verts} has no degree-2 interior vertex")
+        raise PreconditionViolated(f"ear {verts} has no degree-2 interior vertex")
 
     base = coloring.color_count
     colored = {edge(verts[j - 1], verts[j]): base + j - 1 for j in range(1, q - 1)}
@@ -418,16 +401,13 @@ def extend_with_ear(
 
 def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> ColoringResult:
     """Color a minimally 2-connected non-cycle graph with n-1 colors by
-    folding its ear decomposition."""
-    if not is_two_connected(g):
-        raise NotTwoConnected("need a 2-connected input")
-    if is_cycle_graph(g):
-        raise NotApplicable("cycles are colored directly, not by ears")
-    d = degree_two_set(g)
+    folding its ear decomposition.  :func:`build_ear_decomposition` refuses
+    any other input."""
     dec = build_ear_decomposition(g)
+    d = degree_two_set(g)
     report = check_ear_conditions(dec, g)
     if not report.passed:
-        raise LabelingImpossible(
+        raise PreconditionViolated(
             "; ".join(v.reason for v in report.violations)
         )
     labeling = select_base_labeling(dec, d)
@@ -467,7 +447,7 @@ def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
     Cycles use n colors (optimal); everything else at most n-1.
     """
     if not is_two_connected(g):
-        raise NotTwoConnected("rainbow 2-connection needs a 2-connected graph")
+        raise PreconditionViolated("rainbow 2-connection needs a 2-connected graph")
     if is_cycle_graph(g):
         return color_cycle(g)
     h = spanning_minimally_two_connected(g)

@@ -19,14 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (
-    LabelingImpossible,
-    MalformedDecomposition,
-    NotApplicable,
-    NotMinimal,
-    NotTwoConnected,
-    PreconditionViolated,
-)
+from .errors import PreconditionViolated
 from .graphs import (
     Graph,
     Path,
@@ -104,13 +97,13 @@ def _initial_cycle_and_first_ear(g: Graph, d: VertexSet) -> tuple[tuple[int, ...
     while True:
         uncovered = sorted(d - set(cycle))
         if not uncovered:
-            raise NotMinimal("one cycle carries every degree-2 vertex")
+            raise PreconditionViolated("one cycle carries every degree-2 vertex")
         ear = ear_through_vertex(g, frozenset(cycle), uncovered[0])
         repaired = exchange_bad_arc(cycle, ear, d)
         if repaired is None:
             return cycle, ear, exchanges
         if exchanges > len(d):
-            raise NotMinimal("arc repair failed to converge")
+            raise PreconditionViolated("arc repair failed to converge")
         cycle = repaired
         exchanges += 1
 
@@ -124,12 +117,12 @@ def build_ear_decomposition(g: Graph) -> EarDecomposition:
     are rejected as not minimally 2-connected.
     """
     if not is_two_connected(g):
-        raise NotTwoConnected("need a 2-connected input")
+        raise PreconditionViolated("need a 2-connected input")
     if is_cycle_graph(g):
-        raise NotApplicable("a cycle decomposes into just itself")
+        raise PreconditionViolated("a cycle decomposes into just itself")
     d = degree_two_set(g)
     if not d:
-        raise NotMinimal("a minimally 2-connected non-cycle has degree-2 vertices")
+        raise PreconditionViolated("a minimally 2-connected non-cycle has degree-2 vertices")
 
     cycle, first_ear, exchanges = _initial_cycle_and_first_ear(g, d)
     covered = set(cycle) | set(first_ear.vertices)
@@ -138,7 +131,7 @@ def build_ear_decomposition(g: Graph) -> EarDecomposition:
     while covered != set(range(g.vertex_count)) or edges_done != g.edges:
         pending = sorted(d - covered)
         if not pending:
-            raise NotMinimal("ears through degree-2 vertices did not exhaust the graph")
+            raise PreconditionViolated("ears through degree-2 vertices did not exhaust the graph")
         ear = ear_through_vertex(g, frozenset(covered), pending[0])
         ears.append(ear)
         covered |= set(ear.vertices)
@@ -150,36 +143,36 @@ def check_ear_conditions(dec: EarDecomposition, g: Graph) -> VerificationReport:
     """Validate a decomposition against the two coloring preconditions.
 
     Shape problems (edges not in the graph, interiors touching covered
-    vertices, wrong coverage) raise MalformedDecomposition; condition
+    vertices, wrong coverage) raise PreconditionViolated; condition
     failures come back as report violations.
     """
     base = dec.base_cycle.vertices
     if len(base) < 3:
-        raise MalformedDecomposition("base cycle needs at least 3 vertices")
+        raise PreconditionViolated("base cycle needs at least 3 vertices")
     for e in cycle_edges(base):
         if e not in g.edges:
-            raise MalformedDecomposition(f"base cycle uses missing edge {e}")
+            raise PreconditionViolated(f"base cycle uses missing edge {e}")
     if not dec.ears:
-        raise MalformedDecomposition("decomposition has no ears")
+        raise PreconditionViolated("decomposition has no ears")
 
     covered = set(base)
     for idx, ear in enumerate(dec.ears):
         v = ear.vertices
         if len(v) < 2:
-            raise MalformedDecomposition(f"ear {idx} is a single vertex")
+            raise PreconditionViolated(f"ear {idx} is a single vertex")
         if v[0] not in covered or v[-1] not in covered:
-            raise MalformedDecomposition(f"ear {idx} endpoints must already be covered")
+            raise PreconditionViolated(f"ear {idx} endpoints must already be covered")
         if v[0] == v[-1]:
-            raise MalformedDecomposition(f"ear {idx} endpoints coincide")
+            raise PreconditionViolated(f"ear {idx} endpoints coincide")
         for x in ear.interior():
             if x in covered:
-                raise MalformedDecomposition(f"ear {idx} interior revisits vertex {x}")
+                raise PreconditionViolated(f"ear {idx} interior revisits vertex {x}")
         for e in ear.edges():
             if e not in g.edges:
-                raise MalformedDecomposition(f"ear {idx} uses missing edge {e}")
+                raise PreconditionViolated(f"ear {idx} uses missing edge {e}")
         covered |= set(v)
     if covered != set(range(g.vertex_count)) or dec.covered_edges() != g.edges:
-        raise MalformedDecomposition("decomposition does not reconstruct the graph")
+        raise PreconditionViolated("decomposition does not reconstruct the graph")
 
     d = degree_two_set(g)
     violations: list[Violation] = []
@@ -242,7 +235,7 @@ class BaseLabeling:
 def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
     """Choose the canonical working order and skip positions.
 
-    Raises LabelingImpossible when a required degree-2 vertex is absent,
+    Raises PreconditionViolated when a required degree-2 vertex is absent,
     which is exactly a failure of the decomposition conditions.
     """
     base = dec.base_cycle.vertices
@@ -261,7 +254,7 @@ def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
         for pos in range(lo, hi + 1):
             if order[pos - 1] in d:
                 return pos
-        raise LabelingImpossible(f"no degree-2 vertex on the {label} (positions {lo}..{hi})")
+        raise PreconditionViolated(f"no degree-2 vertex on the {label} (positions {lo}..{hi})")
 
     p1 = first_degree_two(2, p - 1, "first arc")
     p2 = first_degree_two(p + 1, s, "second arc")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Callers tell apart only the kinds below; the message says which check
+failed.  The CLI turns every one of them into exit 2.
+"""
 
 
 class Rc2Error(Exception):
@@ -6,71 +10,19 @@ class Rc2Error(Exception):
 
 
 class InvalidInput(Rc2Error):
-    """Malformed edge list, JSON document, or coloring payload."""
+    """Malformed input from outside the program: an edge list, a JSON
+    document, a coloring payload, or family and census parameters."""
 
     def __init__(self, message: str, line: int | None = None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
-class InvalidSpec(Rc2Error):
-    """Family descriptor with an unknown name or out-of-range parameters."""
-
-
-class NotTwoConnected(Rc2Error):
-    """The operation requires a 2-connected input graph."""
-
-
-class NoFan(Rc2Error):
-    """No pair of internally disjoint paths into the anchor set exists."""
-
-
-class NotApplicable(Rc2Error):
-    """The operation does not apply to this graph shape (e.g. a bare cycle)."""
-
-
-class NotMinimal(Rc2Error):
-    """The host graph is not minimally 2-connected."""
-
-
 class PreconditionViolated(Rc2Error):
-    """A documented precondition of the operation does not hold."""
-
-
-class MalformedDecomposition(Rc2Error):
-    """Ear decomposition pieces overlap improperly or a prefix is not 2-connected."""
-
-
-class LabelingImpossible(Rc2Error):
-    """No valid base labeling exists for the decomposition."""
-
-
-class LabelingInvalid(Rc2Error):
-    """A supplied base labeling is inconsistent with the graph."""
-
-
-class NotACycle(Rc2Error):
-    """The input graph is not a simple cycle."""
-
-
-class NotHamiltonianCycle(Rc2Error):
-    """The supplied vertex sequence is not a Hamiltonian cycle of the graph."""
-
-
-class ChordInvalid(Rc2Error):
-    """The supplied chord is missing or joins adjacent cycle vertices."""
-
-
-class EndpointNotEligible(Rc2Error):
-    """An ear endpoint has no entry in the running vertex-to-color map."""
-
-
-class NoInteriorDegreeTwo(Rc2Error):
-    """The ear interior contains no degree-2 vertex of the host graph."""
-
-
-class TraceMissing(Rc2Error):
-    """The coloring result carries no step-by-step trace to check."""
+    """Well-formed input that the operation does not apply to: a graph that
+    is not 2-connected, not minimal, a cycle where ears are needed, a
+    labeling or decomposition that does not fit the graph, a graph too large
+    to index, and the like."""
 
 
 class BudgetExceeded(Rc2Error):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import InvalidSpec
+from .errors import InvalidInput
 from .graphs import Graph, edge
 
 
@@ -23,7 +23,7 @@ class FamilySpec:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise InvalidSpec("cycle needs n >= 3")
+        raise InvalidInput("cycle needs n >= 3")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -31,7 +31,7 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
     """Two hub vertices 0 and 1 joined by three internally disjoint paths
     with a, b, c edges respectively (each at least 2)."""
     if min(a, b, c) < 2:
-        raise InvalidSpec("theta path lengths must each be >= 2")
+        raise InvalidInput("theta path lengths must each be >= 2")
     n = a + b + c - 1
     edges = []
     nxt = 2
@@ -48,7 +48,7 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
 def wheel_graph(n: int) -> Graph:
     """Hub vertex 0 joined to every vertex of the rim cycle 1..n-1."""
     if n < 4:
-        raise InvalidSpec("wheel needs n >= 4")
+        raise InvalidInput("wheel needs n >= 4")
     rim = [(i, i + 1) for i in range(1, n - 1)] + [(n - 1, 1)]
     spokes = [(0, i) for i in range(1, n)]
     return Graph.from_edges(n, rim + spokes)
@@ -56,14 +56,14 @@ def wheel_graph(n: int) -> Graph:
 
 def complete_graph(n: int) -> Graph:
     if n < 3:
-        raise InvalidSpec("complete graph needs n >= 3 to be 2-connected")
+        raise InvalidInput("complete graph needs n >= 3 to be 2-connected")
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     """Parts {0..a-1} and {a..a+b-1}."""
     if min(a, b) < 2:
-        raise InvalidSpec("complete bipartite graph needs both parts >= 2")
+        raise InvalidInput("complete bipartite graph needs both parts >= 2")
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -74,9 +74,9 @@ def random_two_connected(n: int, ears: int, seed: int) -> Graph:
     order.  Reproducible for a fixed (n, ears, seed) triple.
     """
     if n < 3:
-        raise InvalidSpec("need n >= 3")
+        raise InvalidInput("need n >= 3")
     if ears < 0 or 3 + ears > n:
-        raise InvalidSpec(f"cannot fit {ears} nonempty ears in {n} vertices")
+        raise InvalidInput(f"cannot fit {ears} nonempty ears in {n} vertices")
     rng = random.Random(seed)
     ids = list(range(n))
     rng.shuffle(ids)
@@ -126,5 +126,5 @@ def generate_family(spec: FamilySpec) -> Graph:
         if name == "random_two_connected":
             return random_two_connected(p["n"], p["ears"], p.get("seed", 0))
     except KeyError as exc:
-        raise InvalidSpec(f"{name} is missing parameter {exc}") from exc
-    raise InvalidSpec(f"unknown family {name!r}")
+        raise InvalidInput(f"{name} is missing parameter {exc}") from exc
+    raise InvalidInput(f"unknown family {name!r}")

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidInput, NotACycle, NotApplicable
+from .errors import InvalidInput, PreconditionViolated
 
 Edge = tuple[int, int]
 VertexSet = frozenset[int]
@@ -344,7 +344,7 @@ def cycle_order(g: Graph) -> tuple[int, ...]:
     """The cyclic vertex order of a cycle graph, starting at vertex 0 and
     moving toward its smaller neighbor."""
     if not is_cycle_graph(g):
-        raise NotACycle("cycle_order needs a cycle graph")
+        raise PreconditionViolated("cycle_order needs a cycle graph")
     adj = g.adjacency()
     order = [0]
     prev = -1
@@ -404,7 +404,7 @@ def find_cycle(g: Graph) -> tuple[int, ...]:
             stack.pop()
             del pos[v]
             chain.pop()
-    raise NotApplicable("graph has no cycle")
+    raise PreconditionViolated("graph has no cycle")
 
 
 def arcs_between(cycle: Sequence[int], a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Container, Mapping, Sequence
 
-from .errors import NoFan, PreconditionViolated
+from .errors import PreconditionViolated
 from .graphs import Graph, Path, VertexSet
 
 _SINK = -1
@@ -111,8 +111,8 @@ def two_fan_to_subgraph(g: Graph, anchors: VertexSet, v0: int) -> tuple[Path, Pa
     """Two paths from v0 to distinct anchor vertices, disjoint except at v0.
 
     Internal path vertices avoid ``anchors`` entirely.  The returned pair is
-    sorted by terminal anchor id.  Raises NoFan when no such pair exists and
-    PreconditionViolated on malformed arguments.
+    sorted by terminal anchor id.  Raises PreconditionViolated when no such
+    pair exists or the arguments are malformed.
     """
     if v0 in anchors:
         raise PreconditionViolated(f"fan source {v0} lies in the anchor set")
@@ -123,7 +123,7 @@ def two_fan_to_subgraph(g: Graph, anchors: VertexSet, v0: int) -> tuple[Path, Pa
 
     into = _two_unit_flows(g.adjacency(), anchors, v0)
     if into is None:
-        raise NoFan(f"no two disjoint paths from {v0} into the anchor set")
+        raise PreconditionViolated(f"no two disjoint paths from {v0} into the anchor set")
     paths = []
     for end in sorted(y for y in into if y in anchors):
         verts = [end]

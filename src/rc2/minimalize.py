@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import insort
 
-from .errors import NotTwoConnected, PreconditionViolated
+from .errors import PreconditionViolated
 from .graphs import (
     Graph,
     degree_two_set,
@@ -56,7 +56,7 @@ def _removable(adj: dict[int, list[int]], u: int, v: int) -> bool:
 def spanning_minimally_two_connected(g: Graph) -> Graph:
     """Delete removable edges (smallest first) until none remain."""
     if not is_two_connected(g):
-        raise NotTwoConnected("input must be 2-connected")
+        raise PreconditionViolated("input must be 2-connected")
     adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
     # A single ascending sweep reaches a fixpoint: deleting edges never makes
     # a previously essential edge removable.  The trailing sweep asserts that.
@@ -82,13 +82,12 @@ def is_minimally_two_connected(g: Graph) -> bool:
     return not any(_removable(adj, u, v) for u, v in g.edges)
 
 
-def branch_forest_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by degree >= 3 vertices."""
-    branch = set(range(g.vertex_count)) - degree_two_set(g)
-    adj = g.adjacency()
+def _components(adj: dict[int, list[int]], members: set[int]) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by ``members``, by
+    smallest vertex."""
     comps: list[frozenset[int]] = []
     seen: set[int] = set()
-    for root in sorted(branch):
+    for root in sorted(members):
         if root in seen:
             continue
         comp = {root}
@@ -96,7 +95,7 @@ def branch_forest_components(g: Graph) -> list[frozenset[int]]:
         while stack:
             x = stack.pop()
             for y in adj[x]:
-                if y in branch and y not in comp:
+                if y in members and y not in comp:
                     comp.add(y)
                     stack.append(y)
         seen |= comp
@@ -104,35 +103,25 @@ def branch_forest_components(g: Graph) -> list[frozenset[int]]:
     return comps
 
 
+def branch_forest_components(g: Graph) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by degree >= 3 vertices."""
+    return _components(g.adjacency(), set(range(g.vertex_count)) - degree_two_set(g))
+
+
 def _degree_two_paths(g: Graph) -> list[tuple[int, ...]]:
     """Components of the subgraph induced by degree-2 vertices, each returned
-    as a vertex sequence.  Raises if a component is not a path."""
-    d = degree_two_set(g)
+    as a vertex sequence from its smaller end."""
     adj = g.adjacency()
     paths: list[tuple[int, ...]] = []
-    seen: set[int] = set()
-    for root in sorted(d):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in d and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        inner_deg = {x: sum(1 for y in adj[x] if y in comp) for x in comp}
-        ends = sorted(x for x in comp if inner_deg[x] <= 1)
-        if len(comp) == 1:
-            paths.append((root,))
-            continue
-        if len(ends) != 2 or any(inner_deg[x] > 2 for x in comp):
-            raise PreconditionViolated(f"degree-2 component {sorted(comp)} is not a path")
+    for comp in _components(adj, degree_two_set(g)):
+        ends = sorted(x for x in comp if sum(1 for y in adj[x] if y in comp) <= 1)
+        # Degree-2 vertices induce paths and cycles.  A cycle among them has
+        # no edge leaving it, so it is the whole of a connected graph, and
+        # bollobas_structure_check refuses cycles before it gets here.
+        assert len(ends) == 2 or len(comp) == 1, f"degree-2 component {sorted(comp)} is not a path"
         seq = [ends[0]]
         prev = -1
-        while seq[-1] != ends[1]:
+        while seq[-1] != ends[-1]:
             cur = seq[-1]
             nxt = next(y for y in adj[cur] if y in comp and y != prev)
             prev = cur
@@ -174,11 +163,7 @@ def bollobas_structure_check(g: Graph) -> VerificationReport:
 
     d = degree_two_set(g)
     adj = g.adjacency()
-    try:
-        paths = _degree_two_paths(g)
-    except PreconditionViolated as exc:
-        return failing("structure", [Violation("degree-two-not-path", (), str(exc))])
-
+    paths = _degree_two_paths(g)
     for seq in paths:
         if len(seq) == 1:
             anchors = [y for y in adj[seq[0]] if y not in d]

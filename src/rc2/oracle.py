@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Iterator
 
 from .coloring import color_rc2
-from .errors import BudgetExceeded, InvalidSpec, NotTwoConnected
+from .errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from .graphs import Graph, is_cycle_graph, is_two_connected
 from .verify import RainbowIndex
 
@@ -51,7 +51,7 @@ def brute_force_rc2(
     feasibility tests have run.
     """
     if not is_two_connected(g):
-        raise NotTwoConnected("the property is only defined for 2-connected graphs")
+        raise PreconditionViolated("the property is only defined for 2-connected graphs")
     index = RainbowIndex(g)
     m = g.edge_count
     k_cap = min(k_max if k_max is not None else g.vertex_count, m)
@@ -88,7 +88,7 @@ def census_small_graphs(n: int, budget: int = DEFAULT_BUDGET) -> list[CensusRow]
     brute-force minimum with the constructive count.
     """
     if not 3 <= n <= 5:
-        raise InvalidSpec("census covers 3 to 5 vertices")
+        raise InvalidInput("census covers 3 to 5 vertices")
     slots = list(combinations(range(n), 2))
     rows: list[CensusRow] = []
     for mask in range(1 << len(slots)):

@@ -28,15 +28,14 @@ class SizeGuard:
     """Limits above which exhaustive path enumeration is refused."""
 
     max_vertices: int = 12
-    max_edges: int = 24
+    max_edges: int = 28
 
     def allows(self, vertex_count: int, edge_count: int) -> bool:
         return vertex_count <= self.max_vertices and edge_count <= self.max_edges
 
 
-DEFAULT_GUARD = SizeGuard()
 # The standard corpus fits: K_{5,5}, its densest member, has 25 edges.
-CORPUS_GUARD = SizeGuard(12, 28)
+DEFAULT_GUARD = SizeGuard()
 
 
 @dataclass(frozen=True)

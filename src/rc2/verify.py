@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .coloring import ColoringResult, EdgeColoring, UniqueColorMap, trace_levels
-from .errors import InvalidInput, InvalidSpec, TraceMissing
+from .errors import InvalidInput, PreconditionViolated
 from .graphs import Graph, VertexSet, edge
 from .reports import (
     DEFAULT_GUARD,
@@ -307,7 +307,7 @@ def check_induction_invariants(
     violation.
     """
     if result.trace is None:
-        raise TraceMissing("color the graph with tracing enabled first")
+        raise PreconditionViolated("color the graph with tracing enabled first")
     if not guard.allows(g.vertex_count, g.edge_count):
         return skipped(
             "induction",
@@ -385,6 +385,9 @@ def check_induction_invariants(
 # ---------------------------------------------------------------------------
 # exhaustive feasibility index for the brute-force oracle
 
+INDEX_MAX_VERTICES = 10
+INDEX_MAX_EDGES = 28
+
 
 class RainbowIndex:
     """Precomputed simple paths for testing many colorings of one graph.
@@ -392,12 +395,13 @@ class RainbowIndex:
     Simple paths and their internally disjoint pairings depend only on the
     graph, so they are enumerated once; each candidate coloring then only
     pays for rainbow tests, memoized per path.  Intended for tiny graphs --
-    construction refuses anything past 10 vertices or 28 edges.
+    construction refuses anything past ``INDEX_MAX_VERTICES`` vertices or
+    ``INDEX_MAX_EDGES`` edges.
     """
 
-    def __init__(self, g: Graph, max_vertices: int = 10, max_edges: int = 28):
-        if g.vertex_count > max_vertices or g.edge_count > max_edges:
-            raise InvalidSpec(
+    def __init__(self, g: Graph):
+        if g.vertex_count > INDEX_MAX_VERTICES or g.edge_count > INDEX_MAX_EDGES:
+            raise PreconditionViolated(
                 f"graph with {g.vertex_count} vertices / {g.edge_count} edges "
                 "is too large to index exhaustively"
             )

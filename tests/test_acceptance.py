@@ -23,7 +23,7 @@ from rc2.minimalize import (
     spanning_minimally_two_connected,
 )
 from rc2.oracle import brute_force_rc2, census_small_graphs
-from rc2.reports import CORPUS_GUARD, SizeGuard
+from rc2.reports import SizeGuard
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 
@@ -61,7 +61,7 @@ def test_noncycle_corpus_bound_and_verification(corpus, capsys):
             assert not is_cycle_graph(g), spec.describe()
             result = color_rc2(g)
             assert result.coloring.color_count <= g.vertex_count - 1, spec.describe()
-            report = is_rainbow_two_connected(g, result.coloring, CORPUS_GUARD)
+            report = is_rainbow_two_connected(g, result.coloring)
             assert not report.skipped, spec.describe()
             assert report.passed, (spec.describe(), report.violations)
 
@@ -73,7 +73,7 @@ def test_cycle_color_count_is_sharp(capsys):
             assert brute_force_rc2(g) == n
             result = color_rc2(g)
             assert result.coloring.color_count == n
-            report = is_rainbow_two_connected(g, result.coloring, CORPUS_GUARD)
+            report = is_rainbow_two_connected(g, result.coloring)
             assert report.passed and not report.skipped
 
 

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from rc2.cli import main
+from rc2.generators import complete_bipartite_graph
 from rc2.graphs import graph_to_json
 
 from .common import c6_with_chord, cycle, diamond, k4, k23
@@ -223,6 +224,18 @@ def test_verify_guard_skip_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert out.splitlines()[0].startswith("A1: skipped (")
+
+
+def test_verify_default_guard_covers_the_corpus(capsys, tmp_path):
+    # K_{5,5}, the corpus's densest member, has 25 edges: within the default
+    # guard of 12 vertices and 28 edges, so no guard flags are needed.
+    g = complete_bipartite_graph(5, 5)
+    assert (g.vertex_count, g.edge_count) == (10, 25)
+    gpath, cpath = colored_graph(capsys, tmp_path, g)
+    code, out, _ = run(capsys, ["verify", "--graph", gpath, "--coloring", cpath])
+    assert code == 0
+    assert out.splitlines()[0] == "A1: pass"
+    assert out.splitlines()[-1] == "overall: pass"
 
 
 def test_verify_graph_with_isolated_vertex_exits_2(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -15,15 +17,7 @@ from rc2 import (
     trace_levels,
 )
 from rc2.coloring import color_base_subgraph, coloring_from_json_obj, extend_with_ear
-from rc2.errors import (
-    ChordInvalid,
-    EndpointNotEligible,
-    InvalidInput,
-    NoInteriorDegreeTwo,
-    NotACycle,
-    NotHamiltonianCycle,
-    NotTwoConnected,
-)
+from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.graphs import degree_two_set, is_cycle_graph, parse_edge_list
 
 from .common import (
@@ -50,15 +44,15 @@ class TestEdgeColoring:
     def test_from_assignment(self):
         c = EdgeColoring.from_assignment({(0, 1): 0, (1, 2): 1})
         assert c.color_count == 2
-        assert c.color_of(2, 1) == 1
+        assert c.assignment[(1, 2)] == 1
 
     def test_from_assignment_requires_contiguous_colors(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="contiguous from 0"):
             EdgeColoring.from_assignment({(0, 1): 0, (1, 2): 2})
 
     def test_used_colors(self):
         c = EdgeColoring.from_assignment(K23_COLORING)
-        assert c.used_colors() == {0, 1, 2, 3}
+        assert set(c.assignment.values()) == {0, 1, 2, 3}
 
 
 class TestUniqueColorMap:
@@ -67,7 +61,7 @@ class TestUniqueColorMap:
         assert f[0] == 0 and 1 in f and 2 not in f
 
     def test_rejects_shared_color(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="must be injective"):
             UniqueColorMap({0: 3, 1: 3})
 
 
@@ -81,7 +75,7 @@ class TestColorCycle:
         }
 
     def test_rejects_non_cycle(self):
-        with pytest.raises(NotACycle):
+        with pytest.raises(PreconditionViolated, match="color_cycle needs a cycle graph"):
             color_cycle(diamond())
 
 
@@ -93,18 +87,18 @@ class TestHamiltonianChord:
         assert res.coloring.color_count == 5
 
     def test_non_spanning_cycle_rejected(self):
-        with pytest.raises(NotHamiltonianCycle):
+        with pytest.raises(PreconditionViolated, match="must visit every vertex exactly once"):
             color_hamiltonian_with_chord(c6_with_chord(), (0, 1, 2, 3), (0, 3))
 
     def test_cycle_with_missing_edge_rejected(self):
-        with pytest.raises(NotHamiltonianCycle):
+        with pytest.raises(PreconditionViolated, match="cycle uses an edge not in the graph"):
             color_hamiltonian_with_chord(c6_with_chord(), (0, 1, 2, 4, 3, 5), (0, 3))
 
     def test_chord_must_be_an_off_cycle_edge(self):
         g = c6_with_chord()
-        with pytest.raises(ChordInvalid):
+        with pytest.raises(PreconditionViolated, match=r"chord \(0, 1\) lies on the cycle"):
             color_hamiltonian_with_chord(g, (0, 1, 2, 3, 4, 5), (0, 1))
-        with pytest.raises(ChordInvalid):
+        with pytest.raises(PreconditionViolated, match=r"chord \(1, 4\) is not an edge"):
             color_hamiltonian_with_chord(g, (0, 1, 2, 3, 4, 5), (1, 4))
 
 
@@ -123,6 +117,15 @@ class TestBaseColoring:
         doubled = [c for c in coloring.assignment.values()
                    if list(coloring.assignment.values()).count(c) > 1]
         assert set(cmap.mapping.values()).isdisjoint(doubled)
+
+    def test_labeling_implying_a_non_edge_rejected(self):
+        g = k23()
+        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
+        assert lab.order == (0, 2, 1, 3, 4)
+        # Swapping w2 and w3 makes the first cycle edge w1-w2 the non-edge 0-1.
+        bad = dataclasses.replace(lab, order=(0, 1, 2, 3, 4))
+        with pytest.raises(PreconditionViolated, match=r"labeling implies missing edge \(0, 1\)"):
+            color_base_subgraph(bad, g)
 
 
 class TestExtendWithEar:
@@ -146,7 +149,7 @@ class TestExtendWithEar:
         coloring = EdgeColoring.from_assignment(K23_COLORING)
         from rc2 import Path
 
-        with pytest.raises(EndpointNotEligible):
+        with pytest.raises(PreconditionViolated, match="ear endpoint 0 has no mapped color"):
             extend_with_ear(coloring, UniqueColorMap({1: 1}), Path((0, 5, 1)),
                             frozenset({2, 3, 4, 5}))
 
@@ -154,7 +157,7 @@ class TestExtendWithEar:
         coloring = EdgeColoring.from_assignment(K23_COLORING)
         from rc2 import Path
 
-        with pytest.raises(NoInteriorDegreeTwo):
+        with pytest.raises(PreconditionViolated, match="has no degree-2 interior vertex"):
             extend_with_ear(coloring, UniqueColorMap(K23_COLOR_MAP), Path((0, 5, 1)),
                             frozenset({2, 3, 4}))
 
@@ -224,13 +227,13 @@ class TestDispatch:
         assert set(res.coloring.assignment) == g.edges
 
     def test_rejects_non_two_connected(self):
-        with pytest.raises(NotTwoConnected):
+        with pytest.raises(PreconditionViolated, match="needs a 2-connected graph"):
             color_rc2(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_inner_layers_reject_non_two_connected_input(self):
         bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         for layer in (color_minimally_two_connected, build_ear_decomposition):
-            with pytest.raises(NotTwoConnected):
+            with pytest.raises(PreconditionViolated, match="need a 2-connected input"):
                 layer(bowtie)
 
     def test_scans_for_cut_vertices_only_on_input_and_minimalized_graph(self, monkeypatch):
@@ -260,7 +263,7 @@ class TestDispatch:
         else:
             assert res.coloring.color_count <= g.vertex_count - 1
         assert set(res.coloring.assignment) == g.edges
-        used = res.coloring.used_colors()
+        used = set(res.coloring.assignment.values())
         assert used == set(range(res.coloring.color_count))
 
 
@@ -293,7 +296,7 @@ class TestColoringJson:
             {"u": 0, "v": 1, "color": 0},
             {"u": 1, "v": 0, "color": 1},
         ]}
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"edge \(0, 1\) colored twice"):
             coloring_from_json_obj(obj)
 
 

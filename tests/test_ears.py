@@ -11,13 +11,7 @@ from rc2 import (
     exchange_bad_arc,
     select_base_labeling,
 )
-from rc2.errors import (
-    LabelingImpossible,
-    MalformedDecomposition,
-    NotApplicable,
-    NotMinimal,
-    NotTwoConnected,
-)
+from rc2.errors import PreconditionViolated
 from rc2.generators import theta_graph
 from rc2.graphs import degree_two_set
 
@@ -66,28 +60,28 @@ class TestBuildDecomposition:
         assert dec.repair_exchanges == 0
 
     def test_cycle_not_applicable(self):
-        with pytest.raises(NotApplicable):
+        with pytest.raises(PreconditionViolated, match="a cycle decomposes into just itself"):
             build_ear_decomposition(cycle(5))
 
     def test_not_two_connected(self):
-        with pytest.raises(NotTwoConnected):
+        with pytest.raises(PreconditionViolated, match="need a 2-connected input"):
             build_ear_decomposition(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     def test_no_degree_two_vertices(self):
-        with pytest.raises(NotMinimal):
+        with pytest.raises(PreconditionViolated, match="has degree-2 vertices"):
             build_ear_decomposition(prism())
 
     def test_diamond_gives_up(self):
         """The diamond's only degree-2 vertices sit on one cycle, which the
         repair swap discovers; a correct rejection since the diamond is not
         minimally 2-connected."""
-        with pytest.raises(NotMinimal, match="one cycle carries"):
+        with pytest.raises(PreconditionViolated, match="one cycle carries"):
             build_ear_decomposition(diamond())
 
     def test_theta_grid_repair_cascade_then_gives_up(self):
         """Each repair absorbs an ear into the cycle until the cycle is
         Hamiltonian, at which point no uncovered degree-2 vertex remains."""
-        with pytest.raises(NotMinimal, match="one cycle carries"):
+        with pytest.raises(PreconditionViolated, match="one cycle carries"):
             build_ear_decomposition(theta_grid())
 
     @given(minimal_noncycle_graphs())
@@ -129,39 +123,39 @@ class TestCheckEarConditions:
 
     def test_short_base_rejected(self):
         dec = EarDecomposition(Path((0, 1)), (Path((0, 2, 1)),))
-        with pytest.raises(MalformedDecomposition, match="at least 3"):
+        with pytest.raises(PreconditionViolated, match="at least 3"):
             check_ear_conditions(dec, k23())
 
     def test_base_with_missing_edge_rejected(self):
         dec = EarDecomposition(Path((0, 1, 2)), (Path((0, 3, 1)),))
-        with pytest.raises(MalformedDecomposition, match="missing edge"):
+        with pytest.raises(PreconditionViolated, match="missing edge"):
             check_ear_conditions(dec, k23())
 
     def test_no_ears_rejected(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), ())
-        with pytest.raises(MalformedDecomposition, match="no ears"):
+        with pytest.raises(PreconditionViolated, match="no ears"):
             check_ear_conditions(dec, k23())
 
     def test_single_vertex_ear_rejected(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((4,)),))
-        with pytest.raises(MalformedDecomposition, match="single vertex"):
+        with pytest.raises(PreconditionViolated, match="single vertex"):
             check_ear_conditions(dec, k23())
 
     def test_uncovered_endpoint_rejected(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 4)),))
-        with pytest.raises(MalformedDecomposition, match="already be covered"):
+        with pytest.raises(PreconditionViolated, match="already be covered"):
             check_ear_conditions(dec, k23())
 
     def test_interior_revisit_rejected(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 2, 1)), Path((0, 4, 1))))
-        with pytest.raises(MalformedDecomposition, match="revisits"):
+        with pytest.raises(PreconditionViolated, match="revisits"):
             check_ear_conditions(dec, k23())
 
     def test_incomplete_coverage_rejected(self):
         g = theta_graph(2, 2, 2)
         # base covers hubs 0,1 and arm vertices 2,3 but never touches 4
         dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 3)),))
-        with pytest.raises(MalformedDecomposition):
+        with pytest.raises(PreconditionViolated, match="does not reconstruct the graph"):
             check_ear_conditions(dec, g)
 
 
@@ -204,7 +198,7 @@ class TestSelectBaseLabeling:
             Path((0, 1, 4, 3, 5, 2)),
             (Path((0, 3)), Path((1, 2)), Path((4, 5))),
         )
-        with pytest.raises(LabelingImpossible):
+        with pytest.raises(PreconditionViolated, match="no degree-2 vertex on the first arc"):
             select_base_labeling(dec, degree_two_set(prism()))
 
     @given(minimal_noncycle_graphs())

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rc2 import FamilySpec, generate_family
-from rc2.errors import InvalidSpec
+from rc2.errors import InvalidInput
 from rc2.graphs import degree_two_set, is_cycle_graph, is_two_connected
 from rc2.generators import (
     complete_bipartite_graph,
@@ -22,7 +22,7 @@ class TestShapes:
         assert g.vertex_count == 5 and g.edge_count == 5
 
     def test_cycle_too_small(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="cycle needs n >= 3"):
             cycle_graph(2)
 
     def test_theta_counts(self):
@@ -34,7 +34,7 @@ class TestShapes:
         assert g.degree(0) == 3 and g.degree(1) == 3
 
     def test_theta_minimum_arm(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="must each be >= 2"):
             theta_graph(1, 3, 3)
 
     def test_wheel(self):
@@ -54,7 +54,7 @@ class TestShapes:
         )
 
     def test_bipartite_minimum_side(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="both parts >= 2"):
             complete_bipartite_graph(1, 3)
 
 
@@ -73,7 +73,7 @@ class TestRandomTwoConnected:
         assert len(graphs) > 1
 
     def test_too_many_ears(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="cannot fit 3 nonempty ears in 4 vertices"):
             random_two_connected(4, 3, seed=0)
 
     @given(st.integers(4, 12), st.integers(1, 3), st.integers(0, 10**6))
@@ -92,11 +92,11 @@ class TestFamilyDispatch:
         assert g.vertex_count == 5
 
     def test_unknown_family(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="unknown family 'moebius'"):
             generate_family(FamilySpec("moebius", {"n": 8}))
 
     def test_missing_parameter(self):
-        with pytest.raises(InvalidSpec, match="missing parameter"):
+        with pytest.raises(InvalidInput, match="missing parameter"):
             generate_family(FamilySpec("wheel", {}))
 
     def test_describe_mentions_name_and_params(self):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rc2 import Graph, Path, edge, graph_from_json, graph_to_json
-from rc2.errors import InvalidInput, NotApplicable
+from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.graphs import (
     arcs_between,
     articulation_points,
@@ -31,11 +31,11 @@ class TestGraphBasics:
         assert edge(1, 3) == (1, 3)
 
     def test_from_edges_rejects_self_loop(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="self-loop at vertex 0"):
             Graph.from_edges(3, [(0, 0)])
 
     def test_from_edges_rejects_out_of_range(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"edge \(0, 3\) out of range for n=3"):
             Graph.from_edges(3, [(0, 3)])
 
     def test_adjacency_is_sorted(self):
@@ -56,7 +56,7 @@ class TestGraphBasics:
 
 class TestPath:
     def test_rejects_repeats(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="repeated vertex in path"):
             Path((0, 1, 0))
 
     def test_edges_and_interior(self):
@@ -124,11 +124,11 @@ class TestJson:
         assert graph_from_json(graph_to_json(g)).edges == g.edges
 
     def test_missing_keys(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="needs keys"):
             graph_from_json('{"edges": []}')
 
     def test_rejects_duplicate_edges(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"duplicate edge \(0, 1\)"):
             graph_from_json('{"n": 3, "edges": [[0, 1], [1, 0]]}')
 
     @pytest.mark.parametrize(
@@ -254,7 +254,7 @@ class TestCycleUtilities:
         assert normalize_cycle(norm) == norm
 
     def test_find_cycle_on_acyclic_raises(self):
-        with pytest.raises(NotApplicable):
+        with pytest.raises(PreconditionViolated, match="graph has no cycle"):
             find_cycle(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_find_cycle_returns_a_real_cycle(self):

@@ -1,8 +1,10 @@
-"""No unused module-level imports in the package, the tests or the scripts.
+"""No unused module-level imports in the package, the tests or the scripts,
+and no exception class in ``rc2.errors`` that the package neither raises nor
+catches.
 
-No linter is installed, so this stdlib scan stands in for one.  Exempt are
-the package's ``__init__``, whose imports are its public re-exports, and
-``from __future__`` imports, which are compiler directives.
+No linter is installed, so these stdlib scans stand in for one.  Exempt from
+the import scan are the package's ``__init__``, whose imports are its public
+re-exports, and ``from __future__`` imports, which are compiler directives.
 """
 
 import ast
@@ -40,3 +42,33 @@ def test_the_scan_finds_unused_names():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def raised_or_caught(source: str) -> set[str]:
+    """Names of the exceptions a module raises or names in an ``except``."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            names |= {exc.id} if isinstance(exc, ast.Name) else set()
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names |= {t.id for t in types if isinstance(t, ast.Name)}
+    return names
+
+
+def test_the_scan_finds_raised_and_caught_names():
+    source = "try:\n    raise A('x')\nexcept (B, C):\n    raise\nexcept D as e:\n    raise E from e\n"
+    assert raised_or_caught(source) == {"A", "B", "C", "D", "E"}
+
+
+def test_every_error_class_is_raised_or_caught():
+    package = ROOT / "src" / "rc2"
+    defined = [
+        node.name
+        for node in ast.parse((package / "errors.py").read_text()).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    used = set().union(*(raised_or_caught(path.read_text()) for path in package.glob("*.py")))
+    assert "Rc2Error" in defined
+    assert [name for name in defined if name not in used] == []

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from rc2 import Graph
-from rc2.errors import NoFan, PreconditionViolated
+from rc2.errors import PreconditionViolated
 from rc2.menger import two_fan_to_subgraph
 
 from .common import c6_with_chord, k23, k24
@@ -46,21 +46,21 @@ class TestTwoFan:
         assert q.vertices == (5, 4, 3)
 
     def test_v0_in_anchors_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="fan source 4 lies in the anchor set"):
             two_fan_to_subgraph(k23(), frozenset({0, 1, 4}), 4)
 
     def test_needs_two_anchors(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="need at least two anchor vertices"):
             two_fan_to_subgraph(k23(), frozenset({0}), 4)
 
     def test_out_of_range_vertex(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="vertex 9 out of range"):
             two_fan_to_subgraph(k23(), frozenset({0, 1}), 9)
 
     def test_no_fan_when_cut_vertex_blocks(self):
         # bowtie: vertex 2 separates v0=4 from the anchors
         g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        with pytest.raises(NoFan):
+        with pytest.raises(PreconditionViolated, match="no two disjoint paths"):
             two_fan_to_subgraph(g, frozenset({0, 1}), 4)
 
     @given(two_connected_graphs())

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from rc2 import Graph, spanning_minimally_two_connected
-from rc2.errors import NotTwoConnected, PreconditionViolated
+from rc2.errors import PreconditionViolated
 from rc2.generators import complete_graph, wheel_graph
 from rc2.graphs import cycle_order, is_cycle_graph, is_two_connected, is_two_connected_sub
 from rc2.minimalize import (
@@ -44,7 +44,7 @@ class TestSpanningMinimal:
         assert spanning_minimally_two_connected(g).edges == g.edges
 
     def test_rejects_non_two_connected(self):
-        with pytest.raises(NotTwoConnected):
+        with pytest.raises(PreconditionViolated, match="input must be 2-connected"):
             spanning_minimally_two_connected(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     @given(two_connected_graphs())
@@ -120,11 +120,11 @@ class TestBollobasStructure:
         assert sorted(sorted(c) for c in comps) == [[0, 1], [2], [3]]
 
     def test_cycle_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="does not apply to cycles"):
             bollobas_structure_check(cycle(5))
 
     def test_non_minimal_rejected(self):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(PreconditionViolated, match="not minimally 2-connected"):
             bollobas_structure_check(k4())
 
     @given(two_connected_graphs())

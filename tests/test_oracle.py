@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rc2 import Graph, RainbowIndex, brute_force_rc2, census_csv, census_small_graphs, color_rc2
-from rc2.errors import BudgetExceeded, InvalidSpec, NotTwoConnected
+from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.generators import theta_graph
 from rc2.oracle import _exact_k_colorings
 
@@ -63,7 +63,7 @@ class TestBruteForce:
         assert brute_force_rc2(cycle(5), k_max=3) is None
 
     def test_rejects_non_two_connected(self):
-        with pytest.raises(NotTwoConnected):
+        with pytest.raises(PreconditionViolated, match="only defined for 2-connected graphs"):
             brute_force_rc2(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
     def test_budget_carries_lower_bound(self):
@@ -118,9 +118,9 @@ class TestCensus:
                 assert row.rc2_constructive <= row.n - 1
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="census covers 3 to 5 vertices"):
             census_small_graphs(6)
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidInput, match="census covers 3 to 5 vertices"):
             census_small_graphs(2)
 
     def test_csv_shape(self):

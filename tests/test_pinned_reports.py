@@ -25,7 +25,6 @@ import hashlib
 from rc2.coloring import EdgeColoring, color_rc2, trace_levels
 from rc2.corpus import standard_corpus
 from rc2.graphs import canonical_json
-from rc2.reports import CORPUS_GUARD
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 PINNED_DIGEST = "ac32210ecc0b39daa0e08a7df36e68f8943bab35acbcb3ce667d14105c15b78d"
@@ -50,22 +49,22 @@ def reports(broken: bool):
         coloring = color_rc2(g).coloring
         if broken:
             coloring = merge_last_two_classes(coloring)
-        out.append(is_rainbow_two_connected(g, coloring, CORPUS_GUARD))
+        out.append(is_rainbow_two_connected(g, coloring))
     traced = [(color_rc2(g, with_trace=True), g) for g in corpus]
     traced = [(result, g) for result, g in traced if result.trace is not None]
     assert len(traced) == 97
     for result, g in traced:
         if not broken:
-            out.append(check_induction_invariants(result, g, CORPUS_GUARD))
+            out.append(check_induction_invariants(result, g))
             continue
         last = result.trace[-1]
         last_level = list(trace_levels(result.trace))[-1]
         # The merged coloring, given as the last level's delta, overrides every edge.
         merged = dataclasses.replace(last, colored=merge_last_two_classes(last_level.coloring).assignment)
-        out.append(check_induction_invariants(with_last_step(result, merged), g, CORPUS_GUARD))
+        out.append(check_induction_invariants(with_last_step(result, merged), g))
         if last.recycled_color is not None:
             shifted = dataclasses.replace(last, recycled_color=last.recycled_color + 1)
-            out.append(check_induction_invariants(with_last_step(result, shifted), g, CORPUS_GUARD))
+            out.append(check_induction_invariants(with_last_step(result, shifted), g))
     return out
 
 

@@ -18,7 +18,7 @@ from rc2.corpus import standard_corpus
 from rc2.generators import complete_bipartite_graph, random_two_connected
 from rc2.graphs import canonical_json
 from rc2.minimalize import spanning_minimally_two_connected
-from rc2.reports import CORPUS_GUARD
+from rc2.reports import DEFAULT_GUARD
 from rc2.verify import check_induction_invariants
 
 
@@ -114,8 +114,8 @@ def test_each_minimal_edge_is_colored_at_exactly_one_level():
         counts = Counter(e for step in result.trace for e in step.colored)
         assert counts == Counter(h.edges)
         assert sum(len(step.colored) for step in result.trace) == h.edge_count
-        if CORPUS_GUARD.allows(g.vertex_count, g.edge_count):
-            report = check_induction_invariants(result, g, CORPUS_GUARD)
+        if DEFAULT_GUARD.allows(g.vertex_count, g.edge_count):
+            report = check_induction_invariants(result, g)
             assert dict(report.witnesses)["levels_checked"] == len(result.trace)
             replayed += 1
     assert replayed == 97

@@ -19,6 +19,7 @@ from rc2 import (
     check_unique_color_map,
     color_minimally_two_connected,
     color_rc2,
+    edge,
     enumerate_rainbow_paths,
     has_two_internally_disjoint_rainbow_paths,
     is_rainbow_two_connected,
@@ -26,9 +27,8 @@ from rc2 import (
 )
 from rc2 import verify
 from rc2.corpus import standard_corpus
-from rc2.errors import InvalidInput, InvalidSpec, TraceMissing
+from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.generators import complete_graph
-from rc2.reports import CORPUS_GUARD
 
 from .common import K23_COLORING, cycle, k23, k24
 from .strategies import colorings_of, two_connected_graphs
@@ -68,7 +68,7 @@ def simple_paths(g, u, v):
 
 
 def is_rainbow(coloring, p):
-    cs = [coloring.color_of(a, b) for a, b in zip(p, p[1:])]
+    cs = [coloring.assignment[edge(a, b)] for a, b in zip(p, p[1:])]
     return len(set(cs)) == len(cs)
 
 
@@ -110,7 +110,7 @@ class TestEnumerateRainbowPaths:
 
     def test_same_endpoints_rejected(self):
         g, coloring = rainbow_c4()
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="path endpoints must differ"):
             list(enumerate_rainbow_paths(g, coloring, 1, 1))
 
     @given(two_connected_graphs(max_n=7))
@@ -180,7 +180,7 @@ class TestIsRainbowTwoConnected:
     def test_coloring_must_cover_graph(self):
         g = cycle(4)
         partial = EdgeColoring.from_assignment({(0, 1): 0})
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="must cover exactly the graph's edges"):
             is_rainbow_two_connected(g, partial)
 
     def test_size_guard_skips(self):
@@ -223,7 +223,7 @@ class TestIsRainbowTwoConnected:
     @settings(max_examples=40)
     def test_constructed_colorings_always_verify(self, g):
         res = color_rc2(g)
-        report = is_rainbow_two_connected(g, res.coloring, guard=CORPUS_GUARD)
+        report = is_rainbow_two_connected(g, res.coloring)
         assert report.passed
 
 
@@ -271,7 +271,7 @@ class TestPairWitnessCheck:
 
 class TestRainbowIndexOracle:
     def test_size_limits(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(PreconditionViolated, match="too large to index exhaustively"):
             RainbowIndex(cycle(11))
 
     def test_feasible_matches_verifier_on_examples(self):
@@ -313,7 +313,7 @@ class TestFanAndLinkage:
 
     def test_fan_needs_distinct_vertices(self):
         g, coloring = rainbow_c4()
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="three distinct vertices"):
             check_fan(g, coloring, 0, 0, 1)
 
     def test_fan_fails_on_mono(self):
@@ -420,7 +420,7 @@ class TestInductionInvariants:
     def test_missing_trace_raises(self):
         g = k23()
         res = color_minimally_two_connected(g)
-        with pytest.raises(TraceMissing):
+        with pytest.raises(PreconditionViolated, match="tracing enabled"):
             check_induction_invariants(res, g)
 
     def test_guard_skips(self):
@@ -465,7 +465,7 @@ class TestInductionInvariants:
         assert [e for e, c in base.coloring.assignment.items() if c == 5] == [(0, 3)]
         wrong = dataclasses.replace(last, recycled_color=5)
         broken = dataclasses.replace(res, trace=(first, wrong))
-        report = check_induction_invariants(broken, g, CORPUS_GUARD)
+        report = check_induction_invariants(broken, g)
         assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 6, 5))]
 
     @pytest.mark.parametrize("wrong", [1, 2])
