@@ -14,7 +14,6 @@ from .coloring import (
     EdgeColoring,
     TraceLevel,
     TraceStep,
-    UniqueColorMap,
     color_cycle,
     color_hamiltonian_with_chord,
     color_minimally_two_connected,

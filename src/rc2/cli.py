@@ -14,7 +14,6 @@ an unreadable path, or a graph over the verifier's size guard.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -71,18 +70,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
-
-
-def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("RC2_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidInput(f"RC2_BUDGET must be an integer, got {env!r}")
-    return DEFAULT_BUDGET
 
 
 def _cmd_gen(args) -> int:
@@ -162,7 +149,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.input, args.format)
     try:
-        k = brute_force_rc2(g, k_max=args.k_max, budget=_budget(args))
+        k = brute_force_rc2(g, k_max=args.k_max, budget=args.budget)
     except BudgetExceeded as exc:
         print(canonical_json({"budget_exceeded": True, "rc2_lower_bound": exc.lower_bound}))
         return 0
@@ -171,7 +158,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    rows = census_small_graphs(args.n, budget=_budget(args))
+    rows = census_small_graphs(args.n, budget=args.budget)
     _emit(census_csv(rows), args.out)
     return 0
 
@@ -240,12 +227,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force minimum color count (tiny graphs)")
     add_io(p)
     p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None, help="max feasibility tests")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max feasibility tests")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("census", help="exact vs constructed counts for all tiny graphs")
     p.add_argument("--n", type=int, required=True, help="vertex count (3..5)")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 

@@ -35,6 +35,7 @@ from .graphs import (
     edge,
     is_cycle_graph,
     is_two_connected,
+    rooted_cycle,
 )
 from .minimalize import spanning_minimally_two_connected
 
@@ -52,30 +53,6 @@ class EdgeColoring:
         if colors and colors != set(range(max(colors) + 1)):
             raise InvalidInput("color ids must be contiguous from 0")
         return EdgeColoring(dict(assignment), len(colors))
-
-
-@dataclass
-class UniqueColorMap:
-    """An injective vertex -> color map.
-
-    The contract maintained by the construction: each mapped color appears on
-    exactly one edge of the current subgraph, and that edge touches the
-    vertex.  This is what lets an ear extension recycle the color of its
-    smaller endpoint safely.
-    """
-
-    mapping: dict[int, int]
-
-    def __post_init__(self):
-        vals = list(self.mapping.values())
-        if len(set(vals)) != len(vals):
-            raise InvalidInput("vertex color map must be injective")
-
-    def __getitem__(self, v: int) -> int:
-        return self.mapping[v]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.mapping
 
 
 @dataclass(frozen=True)
@@ -263,7 +240,8 @@ def color_hamiltonian_with_chord(g: Graph, cycle: Sequence[int], chord: Edge) ->
 
     Two color classes of size two sit on the cycle in a crossing pattern
     around the chord endpoints; every other cycle edge and the chord itself
-    get fresh colors; any further edges reuse color 0.  Total n-1 colors.
+    get fresh colors.  Total n-1 colors.  Other edges are left uncolored:
+    :func:`color_rc2` gives them color 0.
     """
     n = g.vertex_count
     cyc = tuple(cycle)
@@ -278,11 +256,7 @@ def color_hamiltonian_with_chord(g: Graph, cycle: Sequence[int], chord: Edge) ->
     if chord in c_edges:
         raise PreconditionViolated(f"chord {chord} lies on the cycle")
 
-    v1 = chord[0]
-    i = cyc.index(v1)
-    rot = cyc[i:] + cyc[:i]
-    if rot[-1] < rot[1]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    rot = rooted_cycle(cyc, chord[0])
     j = rot.index(chord[1]) + 1
     assert 3 <= j <= n - 1
 
@@ -297,15 +271,33 @@ def color_hamiltonian_with_chord(g: Graph, cycle: Sequence[int], chord: Edge) ->
         assignment[cyc_edge(t)] = fresh
         fresh += 1
     assignment[chord] = fresh
-    for e in sorted(g.edges):
-        if e not in assignment:
-            assignment[e] = 0
     result = EdgeColoring.from_assignment(assignment)
     assert result.color_count == n - 1
     return ColoringResult(result, "hamiltonian_chord")
 
 
-def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring, UniqueColorMap]:
+def _map_stretch(
+    mapping: dict[int, int],
+    order: Sequence[int],
+    lo: int,
+    skip: int,
+    hi: int,
+    offset: int,
+    degree_two: VertexSet,
+) -> None:
+    """Map the branch vertices on 1-based positions lo..hi of ``order``.
+
+    The vertex at position j gets color offset + j - 1 before the skip
+    position and offset + j - 2 after it, so the colors stay injective and
+    each names the edge on one side of its vertex.  The skip position, a
+    degree-2 vertex, gets no entry.
+    """
+    for j in range(lo, hi + 1):
+        if j != skip and order[j - 1] not in degree_two:
+            mapping[order[j - 1]] = offset + j - (1 if j < skip else 2)
+
+
+def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring, dict[int, int]]:
     """Color the base cycle plus first ear and build the vertex color map.
 
     With the working order w_1..w_L (cycle of length s, then ear interior)
@@ -346,18 +338,18 @@ def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring,
         (s + 1, labeling.ear_skip, total),
     )
     for lo, skip, hi in spans:
-        for j in range(lo, skip):
-            if w(j) not in labeling.degree_two:
-                mapping[w(j)] = j - 1
-        for j in range(skip + 1, hi + 1):
-            if w(j) not in labeling.degree_two:
-                mapping[w(j)] = j - 2
-    return EdgeColoring.from_assignment(assign), UniqueColorMap(mapping)
+        _map_stretch(mapping, order, lo, skip, hi, 0, labeling.degree_two)
+    # The contract the construction maintains: the map is injective, and each
+    # mapped color sits on exactly one edge of the current subgraph, an edge
+    # at its vertex.  This is what lets an ear extension recycle the color of
+    # its smaller endpoint safely.
+    assert len(set(mapping.values())) == len(mapping), "vertex color map must be injective"
+    return EdgeColoring.from_assignment(assign), mapping
 
 
 def extend_with_ear(
     coloring: EdgeColoring,
-    color_map: UniqueColorMap,
+    color_map: Mapping[int, int],
     ear: Path,
     host_degree_two: VertexSet,
 ) -> TraceStep:
@@ -389,12 +381,7 @@ def extend_with_ear(
     assert not any(e in coloring.assignment for e in colored)
 
     mapped: dict[int, int] = {}
-    for j in range(1, pivot):
-        if verts[j - 1] not in host_degree_two:
-            mapped[verts[j - 1]] = base + j - 1
-    for j in range(pivot + 1, q):
-        if verts[j - 1] not in host_degree_two:
-            mapped[verts[j - 1]] = base + j - 2
+    _map_stretch(mapped, verts, 1, pivot, q - 1, base, host_degree_two)
     names = {base + j - 1: f"y{j}" for j in range(1, q - 1)}
     return TraceStep(ear, recycled, colored, verts[0], mapped, names)
 
@@ -420,13 +407,13 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
                 ear=dec.ears[0],
                 recycled_color=None,
                 colored=dict(coloring.assignment),
-                mapped=dict(fmap.mapping),
+                mapped=dict(fmap),
                 color_names={i: f"x{i + 1}" for i in range(coloring.color_count)},
             )
         )
     for ear in dec.ears[1:]:
         step = extend_with_ear(coloring, fmap, ear, d)
-        step.apply(coloring.assignment, fmap.mapping)
+        step.apply(coloring.assignment, fmap)
         coloring.color_count += len(ear) - 2
         if with_trace:
             steps.append(step)
@@ -453,18 +440,12 @@ def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
     h = spanning_minimally_two_connected(g)
     if is_cycle_graph(h):
         chord = min(g.edges - h.edges)
-        return color_hamiltonian_with_chord(g, cycle_order(h), chord)
-    result = color_minimally_two_connected(h, with_trace)
-    if h.edges != g.edges:
-        assign = dict(result.coloring.assignment)
-        for e in sorted(g.edges - h.edges):
-            assign[e] = 0
-        result = ColoringResult(
-            EdgeColoring(assign, result.coloring.color_count),
-            result.strategy,
-            result.decomposition,
-            result.trace,
-        )
+        result = color_hamiltonian_with_chord(g, cycle_order(h), chord)
+    else:
+        result = color_minimally_two_connected(h, with_trace)
+    assign = result.coloring.assignment
+    for e in sorted(g.edges - assign.keys()):
+        assign[e] = 0
     return result
 
 
@@ -483,7 +464,8 @@ def to_dot(g: Graph, coloring: EdgeColoring, name: str = "rc2") -> str:
     lines = [f"graph {name} {{"]
     if g.labels:
         for v, label in enumerate(g.labels):
-            lines.append(f'  {v} [label="{label}"];')
+            quoted = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{quoted}"];')
     for u, v in sorted(coloring.assignment):
         c = coloring.assignment[(u, v)]
         lines.append(f'  {u} -- {v} [color="{_PALETTE[c % len(_PALETTE)]}", label="{c}"];')

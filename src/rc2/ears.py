@@ -31,6 +31,7 @@ from .graphs import (
     is_cycle_graph,
     is_two_connected,
     normalize_cycle,
+    rooted_cycle,
 )
 from .menger import two_fan_to_subgraph
 from .reports import Violation, VerificationReport, failing, passing
@@ -240,11 +241,7 @@ def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
     """
     base = dec.base_cycle.vertices
     first = dec.ears[0]
-    v1 = first.first
-    i = base.index(v1)
-    rot = base[i:] + base[:i]
-    if rot[-1] < rot[1]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    rot = rooted_cycle(base, first.first)
     order = rot + first.interior()
     s = len(base)
     total = len(order)

@@ -68,9 +68,6 @@ class Graph:
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count
         for u, v in self.edges:
@@ -236,32 +233,21 @@ def _adjacency_of(edges: Iterable[Edge]) -> dict[int, list[int]]:
     return adj
 
 
-def _is_connected(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> bool:
-    verts = set(vertices)
-    if not verts:
-        return True
-    start = min(verts)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y in verts and y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(verts)
-
-
-def _articulation_points(vertices: Sequence[int], adj: Mapping[int, Sequence[int]]) -> set[int]:
-    """Cut vertices via iterative lowpoint search."""
+def _lowpoint_scan(
+    vertices: Sequence[int], adj: Mapping[int, Sequence[int]]
+) -> tuple[int, set[int]]:
+    """The number of DFS roots (one per component) and the cut vertices,
+    via iterative lowpoint search."""
     verts = sorted(set(vertices))
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     cut: set[int] = set()
     timer = 0
+    roots = 0
     for root in verts:
         if root in disc:
             continue
+        roots += 1
         disc[root] = low[root] = timer
         timer += 1
         stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj.get(root, ())))]
@@ -291,7 +277,7 @@ def _articulation_points(vertices: Sequence[int], adj: Mapping[int, Sequence[int
                 cut.add(parent)
         if root_children > 1:
             cut.add(root)
-    return cut
+    return roots, cut
 
 
 def is_two_connected_sub(vertices: Iterable[int], edges: Iterable[Edge]) -> bool:
@@ -299,10 +285,9 @@ def is_two_connected_sub(vertices: Iterable[int], edges: Iterable[Edge]) -> bool
     verts = sorted(set(vertices))
     if len(verts) < 3:
         return False
-    adj = _adjacency_of(edges)
-    if not _is_connected(verts, adj):
-        return False
-    return not _articulation_points(verts, adj)
+    # One DFS root means connected; then no cut vertex means 2-connected.
+    roots, cut = _lowpoint_scan(verts, _adjacency_of(edges))
+    return roots == 1 and not cut
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -324,7 +309,7 @@ def record_two_connected(g: Graph, verdict: bool) -> None:
 
 
 def articulation_points(g: Graph) -> set[int]:
-    return _articulation_points(range(g.vertex_count), g.adjacency())
+    return _lowpoint_scan(range(g.vertex_count), g.adjacency())[1]
 
 
 def degree_two_set(g: Graph) -> VertexSet:
@@ -337,7 +322,28 @@ def is_cycle_graph(g: Graph) -> bool:
         return False
     if any(d != 2 for d in g.degrees()):
         return False
-    return _is_connected(range(g.vertex_count), g.adjacency())
+    return len(components(g.adjacency(), set(range(g.vertex_count)))) == 1
+
+
+def components(adj: dict[int, list[int]], members: set[int]) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by ``members``, by
+    smallest vertex."""
+    comps: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for root in sorted(members):
+        if root in seen:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in members and y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
 
 
 def cycle_order(g: Graph) -> tuple[int, ...]:
@@ -345,25 +351,24 @@ def cycle_order(g: Graph) -> tuple[int, ...]:
     moving toward its smaller neighbor."""
     if not is_cycle_graph(g):
         raise PreconditionViolated("cycle_order needs a cycle graph")
-    adj = g.adjacency()
-    order = [0]
-    prev = -1
-    cur = 0
-    for _ in range(g.vertex_count - 1):
-        nxt = min(w for w in adj[cur] if w != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
+    # The only cycle is the whole graph, and find_cycle puts it in canonical form.
+    return find_cycle(g)
 
 
-def normalize_cycle(seq: Sequence[int]) -> tuple[int, ...]:
-    """Canonical rotation and orientation of a closed vertex sequence."""
+def rooted_cycle(seq: Sequence[int], start: int) -> tuple[int, ...]:
+    """A closed vertex sequence rotated to begin at ``start`` and oriented
+    toward the smaller of start's two neighbours."""
     seq = tuple(seq)
-    i = seq.index(min(seq))
+    i = seq.index(start)
     rot = seq[i:] + seq[:i]
     if len(rot) > 2 and rot[-1] < rot[1]:
         rot = (rot[0],) + tuple(reversed(rot[1:]))
     return rot
+
+
+def normalize_cycle(seq: Sequence[int]) -> tuple[int, ...]:
+    """Canonical rotation and orientation of a closed vertex sequence."""
+    return rooted_cycle(seq, min(seq))
 
 
 def cycle_edges(seq: Sequence[int]) -> list[Edge]:

@@ -25,6 +25,7 @@ from bisect import insort
 from .errors import PreconditionViolated
 from .graphs import (
     Graph,
+    components,
     degree_two_set,
     is_cycle_graph,
     is_two_connected,
@@ -82,30 +83,9 @@ def is_minimally_two_connected(g: Graph) -> bool:
     return not any(_removable(adj, u, v) for u, v in g.edges)
 
 
-def _components(adj: dict[int, list[int]], members: set[int]) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by ``members``, by
-    smallest vertex."""
-    comps: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for root in sorted(members):
-        if root in seen:
-            continue
-        comp = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in members and y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return comps
-
-
 def branch_forest_components(g: Graph) -> list[frozenset[int]]:
     """Connected components of the subgraph induced by degree >= 3 vertices."""
-    return _components(g.adjacency(), set(range(g.vertex_count)) - degree_two_set(g))
+    return components(g.adjacency(), set(range(g.vertex_count)) - degree_two_set(g))
 
 
 def _degree_two_paths(g: Graph) -> list[tuple[int, ...]]:
@@ -113,7 +93,7 @@ def _degree_two_paths(g: Graph) -> list[tuple[int, ...]]:
     as a vertex sequence from its smaller end."""
     adj = g.adjacency()
     paths: list[tuple[int, ...]] = []
-    for comp in _components(adj, degree_two_set(g)):
+    for comp in components(adj, degree_two_set(g)):
         ends = sorted(x for x in comp if sum(1 for y in adj[x] if y in comp) <= 1)
         # Degree-2 vertices induce paths and cycles.  A cycle among them has
         # no edge leaving it, so it is the whole of a connected graph, and

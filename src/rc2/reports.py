@@ -33,6 +33,15 @@ class SizeGuard:
     def allows(self, vertex_count: int, edge_count: int) -> bool:
         return vertex_count <= self.max_vertices and edge_count <= self.max_edges
 
+    def refusal(self, vertex_count: int, edge_count: int) -> str | None:
+        """Why a graph of this size is refused, or None when it is allowed."""
+        if self.allows(vertex_count, edge_count):
+            return None
+        return (
+            f"graph with {vertex_count} vertices / {edge_count} edges "
+            f"exceeds the size guard ({self.max_vertices}, {self.max_edges})"
+        )
+
 
 # The standard corpus fits: K_{5,5}, its densest member, has 25 edges.
 DEFAULT_GUARD = SizeGuard()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .coloring import ColoringResult, EdgeColoring, UniqueColorMap, trace_levels
+from .coloring import ColoringResult, EdgeColoring, trace_levels
 from .errors import InvalidInput, PreconditionViolated
 from .graphs import Graph, VertexSet, edge
 from .reports import (
@@ -187,12 +187,9 @@ def is_rainbow_two_connected(
     """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")
-    if not guard.allows(g.vertex_count, g.edge_count):
-        return skipped(
-            "A1",
-            f"graph with {g.vertex_count} vertices / {g.edge_count} edges "
-            f"exceeds the size guard ({guard.max_vertices}, {guard.max_edges})",
-        )
+    refusal = guard.refusal(g.vertex_count, g.edge_count)
+    if refusal is not None:
+        return skipped("A1", refusal)
     count = 0
     for u, v in combinations(range(g.vertex_count), 2):
         ok, witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
@@ -268,14 +265,13 @@ def _color_map_violations(
 
 
 def check_unique_color_map(
-    coloring: EdgeColoring, mapping: UniqueColorMap | Mapping[int, int]
+    coloring: EdgeColoring, mapping: Mapping[int, int]
 ) -> VerificationReport:
     """Injectivity plus single-use incidence of a vertex color map."""
-    raw = mapping.mapping if isinstance(mapping, UniqueColorMap) else dict(mapping)
-    violations = _color_map_violations(coloring, raw)
+    violations = _color_map_violations(coloring, mapping)
     if violations:
         return failing("A4/A5", violations)
-    return passing("A4/A5", [("entries", len(raw))])
+    return passing("A4/A5", [("entries", len(mapping))])
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +304,9 @@ def check_induction_invariants(
     """
     if result.trace is None:
         raise PreconditionViolated("color the graph with tracing enabled first")
-    if not guard.allows(g.vertex_count, g.edge_count):
-        return skipped(
-            "induction",
-            f"graph with {g.vertex_count} vertices / {g.edge_count} edges "
-            f"exceeds the size guard ({guard.max_vertices}, {guard.max_edges})",
-        )
+    refusal = guard.refusal(g.vertex_count, g.edge_count)
+    if refusal is not None:
+        return skipped("induction", refusal)
 
     def fail(kind: str, subject: tuple, reason: str) -> VerificationReport:
         return failing("induction", [Violation(kind, subject, reason)])

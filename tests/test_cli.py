@@ -350,29 +350,6 @@ def test_oracle_budget_flag_reports_lower_bound(capsys, tmp_path):
     assert json.loads(out) == {"budget_exceeded": True, "rc2_lower_bound": 2}
 
 
-def test_oracle_budget_env_variable(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RC2_BUDGET", "3")
-    code, out, _ = run(capsys, ["oracle", "--input", graph_file(tmp_path, k23())])
-    assert code == 0
-    assert json.loads(out)["budget_exceeded"] is True
-
-
-def test_oracle_budget_flag_beats_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RC2_BUDGET", "3")
-    code, out, _ = run(
-        capsys,
-        ["oracle", "--input", graph_file(tmp_path, k23()), "--budget", "100000"],
-    )
-    assert code == 0
-    assert json.loads(out) == {"rc2": 3}
-
-
-def test_oracle_rejects_non_integer_env_budget(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("RC2_BUDGET", "plenty")
-    code, _, err = run(capsys, ["oracle", "--input", graph_file(tmp_path, k23())])
-    assert code == 2 and "RC2_BUDGET must be an integer" in err
-
-
 # --- census / corpus ---------------------------------------------------
 
 

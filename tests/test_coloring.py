@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from rc2 import (
     EdgeColoring,
     Graph,
-    UniqueColorMap,
     build_ear_decomposition,
     color_cycle,
     color_hamiltonian_with_chord,
@@ -55,16 +54,6 @@ class TestEdgeColoring:
         assert set(c.assignment.values()) == {0, 1, 2, 3}
 
 
-class TestUniqueColorMap:
-    def test_lookup(self):
-        f = UniqueColorMap({0: 0, 1: 1})
-        assert f[0] == 0 and 1 in f and 2 not in f
-
-    def test_rejects_shared_color(self):
-        with pytest.raises(InvalidInput, match="must be injective"):
-            UniqueColorMap({0: 3, 1: 3})
-
-
 class TestColorCycle:
     def test_colors_follow_the_cycle(self):
         res = color_cycle(cycle(5))
@@ -108,7 +97,7 @@ class TestBaseColoring:
         lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
         coloring, cmap = color_base_subgraph(lab, g)
         assert coloring.assignment == K23_COLORING
-        assert cmap.mapping == K23_COLOR_MAP
+        assert cmap == K23_COLOR_MAP
 
     def test_map_never_hits_the_doubled_colors(self):
         g = k24()
@@ -116,7 +105,7 @@ class TestBaseColoring:
         coloring, cmap = color_base_subgraph(lab, g)
         doubled = [c for c in coloring.assignment.values()
                    if list(coloring.assignment.values()).count(c) > 1]
-        assert set(cmap.mapping.values()).isdisjoint(doubled)
+        assert set(cmap.values()).isdisjoint(doubled)
 
     def test_labeling_implying_a_non_edge_rejected(self):
         g = k23()
@@ -140,9 +129,9 @@ class TestExtendWithEar:
         assert step.colored == {(0, 5): 4, (1, 5): K24_RECYCLED}
         assert (step.unmapped, step.mapped) == (0, {0: 4})
         assert base_coloring.assignment == K23_COLORING
-        step.apply(base_coloring.assignment, base_map.mapping)
+        step.apply(base_coloring.assignment, base_map)
         assert base_coloring.assignment == K24_COLORING
-        assert base_map.mapping == K24_COLOR_MAP
+        assert base_map == K24_COLOR_MAP
         assert step.recycled_color == K24_RECYCLED
 
     def test_endpoint_must_be_mapped(self):
@@ -150,7 +139,7 @@ class TestExtendWithEar:
         from rc2 import Path
 
         with pytest.raises(PreconditionViolated, match="ear endpoint 0 has no mapped color"):
-            extend_with_ear(coloring, UniqueColorMap({1: 1}), Path((0, 5, 1)),
+            extend_with_ear(coloring, {1: 1}, Path((0, 5, 1)),
                             frozenset({2, 3, 4, 5}))
 
     def test_interior_needs_degree_two(self):
@@ -158,7 +147,7 @@ class TestExtendWithEar:
         from rc2 import Path
 
         with pytest.raises(PreconditionViolated, match="has no degree-2 interior vertex"):
-            extend_with_ear(coloring, UniqueColorMap(K23_COLOR_MAP), Path((0, 5, 1)),
+            extend_with_ear(coloring, K23_COLOR_MAP, Path((0, 5, 1)),
                             frozenset({2, 3, 4}))
 
 
@@ -243,8 +232,8 @@ class TestDispatch:
         import rc2.graphs
 
         scans = []
-        real = rc2.graphs._articulation_points
-        monkeypatch.setattr(rc2.graphs, "_articulation_points", lambda *a: scans.append(1) or real(*a))
+        real = rc2.graphs._lowpoint_scan
+        monkeypatch.setattr(rc2.graphs, "_lowpoint_scan", lambda *a: scans.append(1) or real(*a))
         assert color_rc2(theta_grid()).strategy == "hamiltonian_chord"
         assert color_rc2(wheel(9)).strategy == "hamiltonian_chord"
         assert len(scans) == 4
@@ -314,3 +303,10 @@ class TestDot:
         text = to_dot(g, res.coloring)
         assert '0 [label="a"];' in text
         assert '2 [label="c"];' in text
+
+    def test_escapes_quotes_and_backslashes_in_labels(self):
+        g = parse_edge_list('a"x b\nb c\\\nc\\ a"x\n')
+        assert g.labels == ('a"x', "b", "c\\")
+        text = to_dot(g, color_rc2(g).coloring)
+        assert r'0 [label="a\"x"];' in text
+        assert r'2 [label="c\\"];' in text

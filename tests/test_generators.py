@@ -31,7 +31,7 @@ class TestShapes:
         assert g.vertex_count == 2 + 1 + 2 + 3
         assert g.edge_count == 2 + 3 + 4
         assert degree_two_set(g) == frozenset(range(2, 8))
-        assert g.degree(0) == 3 and g.degree(1) == 3
+        assert g.degrees()[:2] == [3, 3]
 
     def test_theta_minimum_arm(self):
         with pytest.raises(InvalidInput, match="must each be >= 2"):
@@ -40,8 +40,7 @@ class TestShapes:
     def test_wheel(self):
         g = wheel_graph(6)
         assert g.vertex_count == 6
-        assert g.degree(0) == 5
-        assert all(g.degree(i) == 3 for i in range(1, 6))
+        assert g.degrees() == [5, 3, 3, 3, 3, 3]
 
     def test_complete(self):
         g = complete_graph(5)

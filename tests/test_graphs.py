@@ -19,6 +19,7 @@ from rc2.graphs import (
     is_two_connected,
     normalize_cycle,
     parse_edge_list,
+    rooted_cycle,
 )
 
 from .common import c6_with_chord, cycle, diamond, k4, k23, prism
@@ -207,6 +208,15 @@ class TestConnectivity:
         assert not is_two_connected(g)
         assert articulation_points(g) == frozenset({2})
 
+    def test_disjoint_cycles_are_neither_cycle_graphs_nor_two_connected(self):
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        c3_and_c4 = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        for g in (two_triangles, c3_and_c4):
+            # Every vertex has degree 2 and n == m, and there is no cut vertex:
+            # only the connectivity checks tell these from one cycle.
+            assert not is_cycle_graph(g)
+            assert not is_two_connected(g)
+
     @given(st.integers(0, 500))
     @settings(max_examples=60)
     def test_matches_definition_on_random_subgraphs(self, seed):
@@ -233,6 +243,27 @@ class TestCycleUtilities:
 
     def test_cycle_order_starts_at_zero_toward_smaller_neighbor(self):
         assert cycle_order(cycle(5)) == (0, 1, 2, 3, 4)
+
+    @given(st.integers(3, 40).flatmap(lambda n: st.permutations(list(range(n)))))
+    @settings(max_examples=60)
+    def test_cycle_order_on_shuffled_ids_walks_to_smaller_neighbours(self, ring):
+        g = Graph.from_edges(len(ring), cycle_edges(ring))
+        adj = g.adjacency()
+        walk = [0]
+        while len(walk) < g.vertex_count:
+            walk.append(min(w for w in adj[walk[-1]] if w not in walk))
+        assert cycle_order(g) == tuple(walk)
+
+    @given(st.permutations(list(range(7))), st.integers(0, 6))
+    @settings(max_examples=60)
+    def test_rooted_cycle_starts_at_start_toward_smaller_neighbour(self, verts, start):
+        verts = tuple(verts)
+        rooted = rooted_cycle(verts, start)
+        assert rooted[0] == start
+        turns = {verts[k:] + verts[:k] for k in range(len(verts))}
+        assert rooted in turns | {tuple(reversed(t)) for t in turns}
+        i = verts.index(start)
+        assert rooted[1] == min(verts[i - 1], verts[(i + 1) % len(verts)])
 
     def test_cycle_edges_includes_wraparound(self):
         assert set(cycle_edges((0, 1, 2, 3))) == {(0, 1), (1, 2), (2, 3), (0, 3)}

@@ -1,6 +1,7 @@
 """No unused module-level imports in the package, the tests or the scripts,
-and no exception class in ``rc2.errors`` that the package neither raises nor
-catches.
+no exception class in ``rc2.errors`` that the package neither raises nor
+catches, and no module-level private function or class in the package that
+the package never references.
 
 No linter is installed, so these stdlib scans stand in for one.  Exempt from
 the import scan are the package's ``__init__``, whose imports are its public
@@ -72,3 +73,39 @@ def test_every_error_class_is_raised_or_caught():
     used = set().union(*(raised_or_caught(path.read_text()) for path in package.glob("*.py")))
     assert "Rc2Error" in defined
     assert [name for name in defined if name not in used] == []
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` of each module-level ``_private`` function or class
+    that no module in ``sources`` (module name -> source) reads by name or
+    as an attribute."""
+    defined: list[str] = []
+    read: set[str] = set()
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, kinds) and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name.partition(".")[2] not in read]
+
+
+def test_the_scan_finds_unreferenced_private_definitions():
+    sources = {
+        "a": "def _used(): pass\nclass _Dead: pass\ndef _dead(): pass\ndef public(): pass\n",
+        "b": "from a import _used\n_used()\nm._by_attribute()\ndef _by_attribute(): pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == ["a._Dead", "a._dead"]
+
+
+def test_every_private_definition_is_referenced():
+    package = ROOT / "src" / "rc2"
+    sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

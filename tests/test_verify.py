@@ -12,7 +12,6 @@ from rc2 import (
     Path,
     RainbowIndex,
     SizeGuard,
-    UniqueColorMap,
     check_fan,
     check_induction_invariants,
     check_linkage,
@@ -384,7 +383,7 @@ class TestFanAndLinkage:
 class TestUniqueColorMapCheck:
     def test_valid_map_passes(self):
         coloring = EdgeColoring.from_assignment(K23_COLORING)
-        report = check_unique_color_map(coloring, UniqueColorMap({0: 0, 1: 1}))
+        report = check_unique_color_map(coloring, {0: 0, 1: 1})
         assert report.passed
 
     def test_shared_color_is_A4(self):
