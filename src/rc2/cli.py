@@ -149,16 +149,15 @@ def _cmd_decompose(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.input, args.format)
     try:
-        k = brute_force_rc2(g, k_max=args.k_max, budget=args.budget)
+        payload = {"rc2": brute_force_rc2(g, budget=args.budget)}
     except BudgetExceeded as exc:
-        print(canonical_json({"budget_exceeded": True, "rc2_lower_bound": exc.lower_bound}))
-        return 0
-    print(canonical_json({"rc2": k}))
+        payload = {"budget_exceeded": True, "rc2_lower_bound": exc.lower_bound}
+    _emit(canonical_json(payload) + "\n", args.out)
     return 0
 
 
 def _cmd_census(args) -> int:
-    rows = census_small_graphs(args.n, budget=args.budget)
+    rows = census_small_graphs(args.n)
     _emit(census_csv(rows), args.out)
     return 0
 
@@ -173,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rc2", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, input_flag: str = "--input") -> None:
-        p.add_argument(input_flag, default=None, help="input path (default: stdin)")
+    def add_io(p) -> None:
+        p.add_argument("--input", default=None, help="input path (default: stdin)")
         p.add_argument(
             "--format",
             choices=("auto", "json", "edgelist"),
@@ -226,13 +225,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force minimum color count (tiny graphs)")
     add_io(p)
-    p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max feasibility tests")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("census", help="exact vs constructed counts for all tiny graphs")
     p.add_argument("--n", type=int, required=True, help="vertex count (3..5)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 

@@ -19,9 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import InvalidInput, PreconditionViolated
 from .ears import (
     BaseLabeling,
-    EarDecomposition,
     build_ear_decomposition,
-    check_ear_conditions,
     select_base_labeling,
 )
 from .graphs import (
@@ -173,7 +171,6 @@ def _trace_texts(trace: Iterable[TraceStep]) -> Iterator[str]:
 class ColoringResult:
     coloring: EdgeColoring
     strategy: str
-    decomposition: EarDecomposition | None = None
     trace: tuple[TraceStep, ...] | None = None
 
     def to_json_text(self, include_trace: bool = False) -> str:
@@ -389,14 +386,10 @@ def extend_with_ear(
 def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> ColoringResult:
     """Color a minimally 2-connected non-cycle graph with n-1 colors by
     folding its ear decomposition.  :func:`build_ear_decomposition` refuses
-    any other input."""
+    any other input; each ear condition is enforced where the coloring uses
+    it (:func:`select_base_labeling`, :func:`extend_with_ear`)."""
     dec = build_ear_decomposition(g)
     d = degree_two_set(g)
-    report = check_ear_conditions(dec, g)
-    if not report.passed:
-        raise PreconditionViolated(
-            "; ".join(v.reason for v in report.violations)
-        )
     labeling = select_base_labeling(dec, d)
     coloring, fmap = color_base_subgraph(labeling, g)
 
@@ -420,12 +413,7 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
 
     assert coloring.color_count == g.vertex_count - 1
     assert len(coloring.assignment) == g.edge_count
-    return ColoringResult(
-        coloring,
-        "ear_induction",
-        decomposition=dec,
-        trace=tuple(steps) if with_trace else None,
-    )
+    return ColoringResult(coloring, "ear_induction", trace=tuple(steps) if with_trace else None)
 
 
 def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
@@ -459,9 +447,9 @@ _PALETTE = (
 )
 
 
-def to_dot(g: Graph, coloring: EdgeColoring, name: str = "rc2") -> str:
+def to_dot(g: Graph, coloring: EdgeColoring) -> str:
     """Graphviz rendering with one display color per color id (cycled past 16)."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph rc2 {"]
     if g.labels:
         for v, label in enumerate(g.labels):
             quoted = label.replace("\\", "\\\\").replace('"', '\\"')

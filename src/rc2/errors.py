@@ -13,10 +13,6 @@ class InvalidInput(Rc2Error):
     """Malformed input from outside the program: an edge list, a JSON
     document, a coloring payload, or family and census parameters."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
-
 
 class PreconditionViolated(Rc2Error):
     """Well-formed input that the operation does not apply to: a graph that

@@ -34,11 +34,9 @@ class Graph:
     labels: tuple[str, ...] | None = None
 
     @staticmethod
-    def from_edges(
-        vertex_count: int,
-        edges: Iterable[tuple[int, int]],
-        labels: tuple[str, ...] | None = None,
-    ) -> "Graph":
+    def from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """A graph built in code; repeated edges merge and vertices may be
+        isolated (the parsers refuse both)."""
         norm = set()
         for u, v in edges:
             if u == v:
@@ -46,7 +44,7 @@ class Graph:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise InvalidInput(f"edge ({u}, {v}) out of range for n={vertex_count}")
             norm.add(edge(u, v))
-        return Graph(vertex_count, frozenset(norm), labels)
+        return Graph(vertex_count, frozenset(norm))
 
     @property
     def edge_count(self) -> int:
@@ -121,9 +119,8 @@ def parse_edge_list(text: str) -> Graph:
     is a non-negative integer the tokens are used as vertex ids directly and
     the vertex count is one past the largest id.  Otherwise the whole file is
     treated as named vertices: ids are assigned by first appearance and the
-    names are kept in ``Graph.labels``.  Self-loops and duplicate edges are
-    rejected with the offending line number, and numeric ids that leave a
-    vertex without edges are rejected before any per-vertex work.
+    names are kept in ``Graph.labels``.  Faults are reported with their line
+    number (see :func:`_checked_graph`).
     """
     rows: list[tuple[int, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,36 +129,18 @@ def parse_edge_list(text: str) -> Graph:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise InvalidInput(f"expected two vertex tokens, got {len(tokens)}", line=lineno)
+            raise InvalidInput(f"line {lineno}: expected two vertex tokens, got {len(tokens)}")
         rows.append((lineno, tokens[0], tokens[1]))
 
-    numeric = all(t.isdecimal() for _, a, b in rows for t in (a, b))
-    labels: tuple[str, ...] | None = None
-    pairs: list[tuple[int, int, int]] = []
-    if numeric:
-        for lineno, a, b in rows:
-            pairs.append((lineno, int(a), int(b)))
+    if all(t.isdecimal() for _, a, b in rows for t in (a, b)):
+        pairs = [(lineno, int(a), int(b)) for lineno, a, b in rows]
         n = max((max(u, v) for _, u, v in pairs), default=-1) + 1
-    else:
-        ids: dict[str, int] = {}
-        for lineno, a, b in rows:
-            for t in (a, b):
-                if t not in ids:
-                    ids[t] = len(ids)
-            pairs.append((lineno, ids[a], ids[b]))
-        n = len(ids)
-        labels = tuple(sorted(ids, key=ids.get))
-
-    seen: set[Edge] = set()
-    for lineno, u, v in pairs:
-        if u == v:
-            raise InvalidInput("self-loop", line=lineno)
-        e = edge(u, v)
-        if e in seen:
-            raise InvalidInput(f"duplicate edge {e}", line=lineno)
-        seen.add(e)
-    _reject_isolated(n, seen)
-    return Graph(n, frozenset(seen), labels)
+        return _checked_graph(n, pairs, None)
+    ids: dict[str, int] = {}
+    for _, a, b in rows:
+        for t in (a, b):
+            ids.setdefault(t, len(ids))
+    return _checked_graph(len(ids), [(lineno, ids[a], ids[b]) for lineno, a, b in rows], tuple(ids))
 
 
 def edge_list_text(g: Graph) -> str:
@@ -173,16 +152,33 @@ def graph_to_json(g: Graph) -> str:
     return canonical_json(g.to_json_obj())
 
 
-def _reject_isolated(n: int, edges: Iterable[Edge]) -> None:
-    """Refuse a vertex count larger than the number of edge endpoints.
+def _checked_graph(
+    n: int, rows: Iterable[tuple[int | None, int, int]], labels: tuple[str, ...] | None
+) -> Graph:
+    """Check a parsed graph's edges once, then build the graph.
 
-    Every command works on 2-connected graphs, which have no vertex without
-    edges.  The check is O(m), so a huge ``n`` is refused before anything
-    builds per-vertex structures.
+    Rows are ``(line, u, v)``, ``line`` an edge-list line number or None.  The
+    first self-loop, id outside ``0..n-1`` or repeated edge is refused; then
+    any vertex without edges (no 2-connected graph has one), in O(m), so a
+    huge ``n`` is refused before anything builds per-vertex structures.
     """
-    touched = len({x for e in edges for x in e})
+    seen: set[Edge] = set()
+    for line, u, v in rows:
+        e = edge(u, v)
+        if u == v:
+            problem = f"self-loop at vertex {u}"
+        elif not (0 <= u < n and 0 <= v < n):
+            problem = f"edge ({u}, {v}) out of range for n={n}"
+        elif e in seen:
+            problem = f"duplicate edge {e}"
+        else:
+            seen.add(e)
+            continue
+        raise InvalidInput(problem if line is None else f"line {line}: {problem}")
+    touched = len({x for e in seen for x in e})
     if n > touched:
         raise InvalidInput(f"isolated vertices: n={n} but the edges touch only {touched}")
+    return Graph(n, frozenset(seen), labels)
 
 
 def parse_json(text: str, what: str):
@@ -204,19 +200,10 @@ def graph_from_json(text: str) -> Graph:
     # type() and not isinstance(): JSON true/false are bools, and bool is an int.
     if type(n) is not int or n < 0 or not isinstance(raw, list):
         raise InvalidInput("graph JSON has malformed fields")
-    seen: set[Edge] = set()
     for item in raw:
         if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
             raise InvalidInput(f"bad edge entry {item!r}")
-        u, v = item
-        if u == v:
-            raise InvalidInput(f"self-loop at vertex {u}")
-        e = edge(u, v)
-        if e in seen:
-            raise InvalidInput(f"duplicate edge {e}")
-        seen.add(e)
-    _reject_isolated(n, seen)
-    return Graph.from_edges(n, seen)
+    return _checked_graph(n, [(None, u, v) for u, v in raw], None)
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,8 @@ def _exact_k_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0)
 
 
-def brute_force_rc2(
-    g: Graph, k_max: int | None = None, budget: int = DEFAULT_BUDGET
-) -> int | None:
-    """Smallest color count that rainbow-2-connects g, or None past k_max.
+def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
+    """Smallest color count that rainbow-2-connects g.
 
     Raises BudgetExceeded (carrying the proven lower bound) once ``budget``
     feasibility tests have run.
@@ -54,9 +52,8 @@ def brute_force_rc2(
         raise PreconditionViolated("the property is only defined for 2-connected graphs")
     index = RainbowIndex(g)
     m = g.edge_count
-    k_cap = min(k_max if k_max is not None else g.vertex_count, m)
     remaining = budget
-    for k in range(1, k_cap + 1):
+    for k in range(1, g.vertex_count + 1):
         for colors in _exact_k_colorings(m, k):
             if remaining <= 0:
                 raise BudgetExceeded(
@@ -66,7 +63,7 @@ def brute_force_rc2(
             remaining -= 1
             if index.feasible(colors):
                 return k
-    return None
+    raise AssertionError("rc2(G) <= n for every 2-connected G, and m >= n, so k = n is feasible")
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class CensusRow:
     is_cycle: bool
 
 
-def census_small_graphs(n: int, budget: int = DEFAULT_BUDGET) -> list[CensusRow]:
+def census_small_graphs(n: int) -> list[CensusRow]:
     """Exact vs constructed color counts over all labeled 2-connected graphs.
 
     Enumerates every labeled graph on n vertices (n between 3 and 5; beyond
@@ -96,7 +93,7 @@ def census_small_graphs(n: int, budget: int = DEFAULT_BUDGET) -> list[CensusRow]
         g = Graph.from_edges(n, edges)
         if not is_two_connected(g):
             continue
-        exact = brute_force_rc2(g, budget=budget)
+        exact = brute_force_rc2(g)
         built = color_rc2(g)
         rows.append(
             CensusRow(

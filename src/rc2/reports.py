@@ -30,12 +30,9 @@ class SizeGuard:
     max_vertices: int = 12
     max_edges: int = 28
 
-    def allows(self, vertex_count: int, edge_count: int) -> bool:
-        return vertex_count <= self.max_vertices and edge_count <= self.max_edges
-
     def refusal(self, vertex_count: int, edge_count: int) -> str | None:
         """Why a graph of this size is refused, or None when it is allowed."""
-        if self.allows(vertex_count, edge_count):
+        if vertex_count <= self.max_vertices and edge_count <= self.max_edges:
             return None
         return (
             f"graph with {vertex_count} vertices / {edge_count} edges "

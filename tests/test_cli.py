@@ -376,6 +376,35 @@ def test_corpus_listing(capsys):
     assert all(len(line.split("\t")) == 3 for line in lines)
 
 
+# --- --out -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "cycle", "--n", "5"],
+        ["color", "--input", "{k23}"],
+        ["minimalize", "--input", "{k4}"],
+        ["decompose", "--input", "{k23}"],
+        ["oracle", "--input", "{k23}"],
+        ["census", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_gets_what_stdout_would(capsys, tmp_path, argv):
+    graphs = {
+        "k4": graph_file(tmp_path, k4(), "k4.json"),
+        "k23": graph_file(tmp_path, k23(), "k23.json"),
+    }
+    argv = [arg.format(**graphs) for arg in argv]
+    code, printed, _ = run(capsys, argv)
+    assert code == 0 and printed
+    dest = tmp_path / "out.txt"
+    code, out, _ = run(capsys, argv + ["--out", str(dest)])
+    assert code == 0 and out == ""
+    assert dest.read_text() == printed
+
+
 # --- installed entry point ---------------------------------------------
 
 

@@ -1,4 +1,6 @@
-"""Fuzzing ``rc2 color`` and ``rc2 verify`` with malformed and oversized input.
+"""Fuzzing ``rc2 color``, ``verify``, ``minimalize`` and ``decompose`` with
+malformed and oversized input.  ``oracle`` and ``census`` are left out: their
+brute force can run for a very long time on a fuzzed graph.
 
 The exit-code contract: 0 success, 1 only a verification that ran and
 failed, 2 bad input or a refusal, and never a traceback.  ``main`` runs in
@@ -100,12 +102,14 @@ def cli_cases(draw):
     graph = graph.encode()
     if draw(st.integers(0, 7)) == 0:
         graph = draw(st.binary(min_size=1, max_size=4)) + graph
-    if draw(st.booleans()):
-        argv = ["color", "--input", "{graph}", "--out", "{out}"] + (["--trace"] if draw(st.booleans()) else [])
-    else:
+    command = draw(st.sampled_from(["color", "verify", "minimalize", "decompose"]))
+    if command == "verify":
         argv = ["verify", "--graph", "{graph}", "--coloring", "{coloring}"]
         argv += ["--json"] if draw(st.booleans()) else []
         argv += ["--max-vertices", str(draw(st.integers(-1, 14)))] if draw(st.booleans()) else []
+    else:
+        argv = [command, "--input", "{graph}", "--out", "{out}"]
+        argv += ["--trace"] if command == "color" and draw(st.booleans()) else []
     return graph, coloring.encode(), argv
 
 

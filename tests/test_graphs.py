@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,24 @@ class TestJson:
 
     def test_canonical_json_is_compact_and_sorted(self):
         assert canonical_json({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
+
+
+@pytest.mark.parametrize(
+    "n, edges, line, message",
+    [
+        (3, [(0, 1), (1, 2), (2, 2)], 3, "self-loop at vertex 2"),
+        (3, [(0, 1), (1, 2), (2, 0), (1, 0)], 4, "duplicate edge (0, 1)"),
+        (4, [(1, 2), (2, 3), (1, 3)], None, "isolated vertices: n=4 but the edges touch only 3"),
+    ],
+    ids=["self-loop", "duplicate", "isolated"],
+)
+def test_both_parsers_report_a_fault_alike(n, edges, line, message):
+    with pytest.raises(InvalidInput) as from_json:
+        graph_from_json(json.dumps({"n": n, "edges": edges}))
+    with pytest.raises(InvalidInput) as from_text:
+        parse_edge_list("".join(f"{u} {v}\n" for u, v in edges))
+    assert str(from_json.value) == message
+    assert str(from_text.value) == (message if line is None else f"line {line}: {message}")
 
 
 def _two_connected_by_definition(g: Graph) -> bool:

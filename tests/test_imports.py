@@ -1,7 +1,8 @@
 """No unused module-level imports in the package, the tests or the scripts,
 no exception class in ``rc2.errors`` that the package neither raises nor
-catches, and no module-level private function or class in the package that
-the package never references.
+catches, no module-level private function or class in the package that
+the package never references, and no defaulted parameter in the package
+that no caller passes.
 
 No linter is installed, so these stdlib scans stand in for one.  Exempt from
 the import scan are the package's ``__init__``, whose imports are its public
@@ -109,3 +110,79 @@ def test_every_private_definition_is_referenced():
     package = ROOT / "src" / "rc2"
     sources = {path.stem: path.read_text() for path in sorted(package.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+def unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.parameter`` of each defaulted parameter of a function
+    in ``package`` (module name -> source) that no call in ``callers`` passes,
+    by keyword or by position.
+
+    Calls match by name: a function's own, or its class's for an
+    ``__init__``.  A method's position count skips ``self`` unless it is a
+    ``staticmethod``.  A call with ``*`` or ``**`` arguments passes them all.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found: list[str] = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        owner = {
+            item: node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, kinds)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, kinds):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            positional = positional[1:] if fn in owner and not static else positional
+            first_default = len(positional) - len(fn.args.defaults)
+            defaulted = [(a, i) for i, a in enumerate(positional) if i >= first_default]
+            keyword_only = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            defaulted += [(a.arg, None) for a, d in keyword_only if d is not None]
+            name = owner.get(fn) if fn.name == "__init__" else fn.name
+            label = f"{module}.{owner[fn]}.{fn.name}" if fn in owner else f"{module}.{fn.name}"
+            for param, index in defaulted:
+                if not any(
+                    any(k.arg in (param, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls.get(name, [])
+                ):
+                    found.append(f"{label}.{param}")
+    return found
+
+
+def test_the_scan_finds_defaults_no_call_passes():
+    package = {
+        "a": (
+            "def f(x, y=1, z=2, *, w=3): pass\n"
+            "def g(x=0): pass\n"
+            "class C:\n"
+            "    def __init__(self, a=0, b=0): pass\n"
+            "    def m(self, k=0): pass\n"
+            "    @staticmethod\n"
+            "    def s(k=0): pass\n"
+        )
+    }
+    callers = ["f(1, 2)\nf(0, w=1)\ng(*xs)\nC(b=1)\nobj.m(5)\nC.s()\n"]
+    assert unpassed_defaults(package, callers) == ["a.f.z", "a.C.__init__.a", "a.C.s.k"]
+
+
+def test_every_default_is_passed_somewhere():
+    package = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "rc2").glob("*.py"))}
+    callers = [
+        path.read_text()
+        for folder in ("src/rc2", "tests", "scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unpassed_defaults(package, callers) == []

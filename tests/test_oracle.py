@@ -59,9 +59,6 @@ class TestBruteForce:
         g = theta_graph(2, 3, 4)
         assert brute_force_rc2(g) == 7 == color_rc2(g).coloring.color_count
 
-    def test_k_max_cutoff(self):
-        assert brute_force_rc2(cycle(5), k_max=3) is None
-
     def test_rejects_non_two_connected(self):
         with pytest.raises(PreconditionViolated, match="only defined for 2-connected graphs"):
             brute_force_rc2(Graph.from_edges(3, [(0, 1), (1, 2)]))

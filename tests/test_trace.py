@@ -114,7 +114,7 @@ def test_each_minimal_edge_is_colored_at_exactly_one_level():
         counts = Counter(e for step in result.trace for e in step.colored)
         assert counts == Counter(h.edges)
         assert sum(len(step.colored) for step in result.trace) == h.edge_count
-        if DEFAULT_GUARD.allows(g.vertex_count, g.edge_count):
+        if DEFAULT_GUARD.refusal(g.vertex_count, g.edge_count) is None:
             report = check_induction_invariants(result, g)
             assert dict(report.witnesses)["levels_checked"] == len(result.trace)
             replayed += 1
