@@ -126,7 +126,7 @@ def _cmd_verify(args) -> int:
             for v in report.violations:
                 print(f"  - {v.kind} {v.subject}: {v.reason}")
         print(f"bound: {used} colors used, {allowed} allowed: {'ok' if bound_ok else 'exceeded'}")
-        print(f"overall: {'pass' if passed else 'fail'}")
+        print(f"overall: {'skipped' if report.skipped else 'pass' if passed else 'fail'}")
     if report.skipped:
         return 2
     return 0 if passed else 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInput, PreconditionViolated
@@ -60,32 +60,27 @@ class TraceStep:
 
     ``colored`` gives colors to edges, overriding any color an edge already
     had; a level's subgraph is every edge colored so far, and its vertices
-    are their endpoints.  ``unmapped`` leaves the vertex color map before the
-    ``mapped`` entries are added.  :func:`trace_levels` folds the steps into
-    per-level snapshots.
+    are their endpoints.  ``mapped`` adds or overrides vertex color map
+    entries, and ``color_names`` names the fresh colors the level adds.
+    :func:`trace_levels` folds the steps into per-level snapshots.
     """
 
-    ear: Path | None
+    ear: Path
     recycled_color: int | None
     colored: dict[Edge, int]
-    unmapped: int | None = None
-    mapped: dict[int, int] = field(default_factory=dict)
-    color_names: dict[int, str] = field(default_factory=dict)
+    mapped: dict[int, int]
+    color_names: dict[int, str]
 
     def apply(self, assignment: dict[Edge, int], mapping: dict[int, int]) -> None:
         """Fold this level into a coloring and a vertex color map, in place."""
         assignment.update(self.colored)
-        if self.unmapped is not None:
-            mapping.pop(self.unmapped, None)
         mapping.update(self.mapped)
 
 
 @dataclass(frozen=True)
 class TraceLevel:
-    """The colored subgraph after one level of a trace."""
+    """The colored subgraph after one level: the coloring's keys are its edges."""
 
-    vertices: VertexSet
-    edges: frozenset[Edge]
     coloring: EdgeColoring
     color_map: dict[int, int]
 
@@ -94,13 +89,9 @@ def trace_levels(trace: Iterable[TraceStep]) -> Iterator[TraceLevel]:
     """The snapshot after each level, in order; each is a fresh copy."""
     assignment: dict[Edge, int] = {}
     mapping: dict[int, int] = {}
-    vertices: set[int] = set()
     for step in trace:
         step.apply(assignment, mapping)
-        vertices.update(x for e in step.colored for x in e)
         yield TraceLevel(
-            frozenset(vertices),
-            frozenset(assignment),
             EdgeColoring(dict(assignment), len(set(assignment.values()))),
             dict(mapping),
         )
@@ -142,10 +133,6 @@ def _trace_texts(trace: Iterable[TraceStep]) -> Iterator[str]:
                 if not seen:
                     vertex_keys.insert(j, x)
                     vertex_texts.insert(j, str(x))
-        if step.unmapped is not None:
-            i, present = _slot(map_keys, str(step.unmapped))
-            if present:
-                del map_keys[i], map_texts[i]
         for x, c in step.mapped.items():
             key = str(x)
             i, present = _slot(map_keys, key)
@@ -158,7 +145,7 @@ def _trace_texts(trace: Iterable[TraceStep]) -> Iterator[str]:
             f'"{key}":{json.dumps(name)}'
             for key, name in sorted((str(i), name) for i, name in step.color_names.items())
         )
-        ear = "null" if step.ear is None else "[" + ",".join(map(str, step.ear.vertices)) + "]"
+        ear = "[" + ",".join(map(str, step.ear.vertices)) + "]"
         recycled = "null" if step.recycled_color is None else str(step.recycled_color)
         yield (
             f'{{"color_map":{{{",".join(map_texts)}}},"color_names":{{{names}}},'
@@ -294,8 +281,8 @@ def _map_stretch(
             mapping[order[j - 1]] = offset + j - (1 if j < skip else 2)
 
 
-def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring, dict[int, int]]:
-    """Color the base cycle plus first ear and build the vertex color map.
+def color_base_subgraph(labeling: BaseLabeling, g: Graph, d: VertexSet) -> TraceStep:
+    """The first level: the base cycle plus first ear, and its vertex color map.
 
     With the working order w_1..w_L (cycle of length s, then ear interior)
     the consecutive edges take colors by position; the cycle-closing edge
@@ -307,11 +294,11 @@ def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring,
     """
     order = labeling.order
     s = labeling.cycle_len
-    total = labeling.total_len
+    total = len(order)
     p = labeling.ear_end_pos
 
     def w(pos: int) -> int:
-        return labeling.vertex_at(pos)
+        return order[pos - 1]
 
     def put(assign: dict, a: int, b: int, color: int) -> None:
         e = edge(a, b)
@@ -335,13 +322,16 @@ def color_base_subgraph(labeling: BaseLabeling, g: Graph) -> tuple[EdgeColoring,
         (s + 1, labeling.ear_skip, total),
     )
     for lo, skip, hi in spans:
-        _map_stretch(mapping, order, lo, skip, hi, 0, labeling.degree_two)
+        _map_stretch(mapping, order, lo, skip, hi, 0, d)
     # The contract the construction maintains: the map is injective, and each
     # mapped color sits on exactly one edge of the current subgraph, an edge
     # at its vertex.  This is what lets an ear extension recycle the color of
     # its smaller endpoint safely.
     assert len(set(mapping.values())) == len(mapping), "vertex color map must be injective"
-    return EdgeColoring.from_assignment(assign), mapping
+    names = {i: f"x{i + 1}" for i in range(total - 1)}
+    assert set(assign.values()) == names.keys()
+    ear = Path(order[:1] + order[s:] + order[p - 1 : p])
+    return TraceStep(ear, None, assign, mapping, names)
 
 
 def extend_with_ear(
@@ -379,8 +369,10 @@ def extend_with_ear(
 
     mapped: dict[int, int] = {}
     _map_stretch(mapped, verts, 1, pivot, q - 1, base, host_degree_two)
+    # An endpoint has degree 3 or more, so the stretch remaps it.
+    assert verts[0] in mapped
     names = {base + j - 1: f"y{j}" for j in range(1, q - 1)}
-    return TraceStep(ear, recycled, colored, verts[0], mapped, names)
+    return TraceStep(ear, recycled, colored, mapped, names)
 
 
 def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> ColoringResult:
@@ -390,26 +382,20 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
     it (:func:`select_base_labeling`, :func:`extend_with_ear`)."""
     dec = build_ear_decomposition(g)
     d = degree_two_set(g)
-    labeling = select_base_labeling(dec, d)
-    coloring, fmap = color_base_subgraph(labeling, g)
-
+    coloring = EdgeColoring({}, 0)
+    fmap: dict[int, int] = {}
     steps: list[TraceStep] = []
-    if with_trace:
-        steps.append(
-            TraceStep(
-                ear=dec.ears[0],
-                recycled_color=None,
-                colored=dict(coloring.assignment),
-                mapped=dict(fmap),
-                color_names={i: f"x{i + 1}" for i in range(coloring.color_count)},
-            )
-        )
-    for ear in dec.ears[1:]:
-        step = extend_with_ear(coloring, fmap, ear, d)
+
+    def fold(step: TraceStep) -> None:
         step.apply(coloring.assignment, fmap)
-        coloring.color_count += len(ear) - 2
+        # Each level names exactly the fresh colors it adds.
+        coloring.color_count += len(step.color_names)
         if with_trace:
             steps.append(step)
+
+    fold(color_base_subgraph(select_base_labeling(dec, d), g, d))
+    for ear in dec.ears[1:]:
+        fold(extend_with_ear(coloring, fmap, ear, d))
 
     assert coloring.color_count == g.vertex_count - 1
     assert len(coloring.assignment) == g.edge_count

@@ -17,7 +17,7 @@ which strictly grows the number of degree-2 vertices on the cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PreconditionViolated
 from .graphs import (
@@ -56,12 +56,10 @@ class EarDecomposition:
         return frozenset(out)
 
 
-def ear_through_vertex(g: Graph, anchors: VertexSet, v0: int) -> Path:
+def ear_through_vertex(g: Graph, anchors: VertexSet | set[int], v0: int) -> Path:
     """An ear through v0: a path whose endpoints are distinct anchor
     vertices, whose interior contains v0 and avoids the anchors.  Oriented
     from the smaller endpoint."""
-    if v0 in anchors:
-        raise PreconditionViolated(f"vertex {v0} is already covered")
     p, q = two_fan_to_subgraph(g, anchors, v0)
     verts = tuple(reversed(p.vertices)) + q.vertices[1:]
     return Path(verts)
@@ -127,16 +125,17 @@ def build_ear_decomposition(g: Graph) -> EarDecomposition:
 
     cycle, first_ear, exchanges = _initial_cycle_and_first_ear(g, d)
     covered = set(cycle) | set(first_ear.vertices)
-    edges_done = set(cycle_edges(cycle)) | set(first_ear.edges())
     ears = [first_ear]
-    while covered != set(range(g.vertex_count)) or edges_done != g.edges:
-        pending = sorted(d - covered)
-        if not pending:
-            raise PreconditionViolated("ears through degree-2 vertices did not exhaust the graph")
-        ear = ear_through_vertex(g, frozenset(covered), pending[0])
-        ears.append(ear)
-        covered |= set(ear.vertices)
-        edges_done |= set(ear.edges())
+    # Covering only grows, so each ear starts at the smallest degree-2 vertex
+    # still uncovered when it is grown.
+    for v0 in sorted(d):
+        if v0 not in covered:
+            ears.append(ear_through_vertex(g, covered, v0))
+            covered.update(ears[-1].vertices)
+    # Every ear edge touches a new interior vertex, so no edge is counted
+    # twice; and covering every edge covers every vertex.
+    if len(cycle) + sum(len(e) - 1 for e in ears) != g.edge_count:
+        raise PreconditionViolated("ears through degree-2 vertices did not exhaust the graph")
     return EarDecomposition(Path(cycle), tuple(ears), exchanges)
 
 
@@ -222,15 +221,6 @@ class BaseLabeling:
     arc1_skip: int
     arc2_skip: int
     ear_skip: int
-    degree_two: VertexSet = field(repr=False)
-
-    @property
-    def total_len(self) -> int:
-        return len(self.order)
-
-    def vertex_at(self, pos: int) -> int:
-        """1-based lookup into the working order."""
-        return self.order[pos - 1]
 
 
 def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
@@ -244,7 +234,6 @@ def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
     rot = rooted_cycle(base, first.first)
     order = rot + first.interior()
     s = len(base)
-    total = len(order)
     p = rot.index(first.last) + 1
 
     def first_degree_two(lo: int, hi: int, label: str) -> int:
@@ -255,7 +244,7 @@ def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
 
     p1 = first_degree_two(2, p - 1, "first arc")
     p2 = first_degree_two(p + 1, s, "second arc")
-    p3 = first_degree_two(s + 1, total, "ear interior")
+    p3 = first_degree_two(s + 1, len(order), "ear interior")
     return BaseLabeling(
         order=order,
         cycle_len=s,
@@ -263,5 +252,4 @@ def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
         arc1_skip=p1,
         arc2_skip=p2,
         ear_skip=p3,
-        degree_two=d,
     )

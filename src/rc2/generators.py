@@ -109,22 +109,27 @@ def random_two_connected(n: int, ears: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# Each family's builder and the parameters it takes, in call order.
+_BUILDERS = {
+    "cycle": (cycle_graph, ("n",)),
+    "theta": (theta_graph, ("a", "b", "c")),
+    "wheel": (wheel_graph, ("n",)),
+    "complete": (complete_graph, ("n",)),
+    "complete_bipartite": (complete_bipartite_graph, ("a", "b")),
+    "random_two_connected": (random_two_connected, ("n", "ears", "seed")),
+}
+
+
 def generate_family(spec: FamilySpec) -> Graph:
-    """Build a graph from a family name and parameters."""
+    """Build a graph from a family name and parameters (``seed`` defaults to 0)."""
     name, p = spec.name, spec.params
+    if name not in _BUILDERS:
+        raise InvalidInput(f"unknown family {name!r}")
+    build, keys = _BUILDERS[name]
+    for key in p:
+        if key not in keys:
+            raise InvalidInput(f"{name} takes no parameter {key!r}")
     try:
-        if name == "cycle":
-            return cycle_graph(p["n"])
-        if name == "theta":
-            return theta_graph(p["a"], p["b"], p["c"])
-        if name == "wheel":
-            return wheel_graph(p["n"])
-        if name == "complete":
-            return complete_graph(p["n"])
-        if name == "complete_bipartite":
-            return complete_bipartite_graph(p["a"], p["b"])
-        if name == "random_two_connected":
-            return random_two_connected(p["n"], p["ears"], p.get("seed", 0))
+        return build(*(p.get(k, 0) if k == "seed" else p[k] for k in keys))
     except KeyError as exc:
         raise InvalidInput(f"{name} is missing parameter {exc}") from exc
-    raise InvalidInput(f"unknown family {name!r}")

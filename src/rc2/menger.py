@@ -107,7 +107,7 @@ def _two_unit_flows(
     return None
 
 
-def two_fan_to_subgraph(g: Graph, anchors: VertexSet, v0: int) -> tuple[Path, Path]:
+def two_fan_to_subgraph(g: Graph, anchors: VertexSet | set[int], v0: int) -> tuple[Path, Path]:
     """Two paths from v0 to distinct anchor vertices, disjoint except at v0.
 
     Internal path vertices avoid ``anchors`` entirely.  The returned pair is

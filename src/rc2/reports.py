@@ -58,16 +58,21 @@ class Violation:
 class VerificationReport:
     """Outcome of one verification pass.
 
-    ``passed`` is true exactly when ``violations`` is empty.  A report whose
-    ``skipped`` flag is set was not actually checked: the input exceeded the
-    size guard and the single violation entry says so.
+    A skipped report was not actually checked: the input exceeded the size
+    guard and its single violation, of kind ``"skipped"``, says so.
     """
 
-    passed: bool
     checked_property: str
     witnesses: list = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
-    skipped: bool = False
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    @property
+    def skipped(self) -> bool:
+        return any(v.kind == "skipped" for v in self.violations)
 
     def to_json_obj(self) -> dict:
         return {
@@ -80,15 +85,14 @@ class VerificationReport:
 
 
 def passing(prop: str, witnesses: list | None = None) -> VerificationReport:
-    return VerificationReport(True, prop, witnesses or [])
+    return VerificationReport(prop, witnesses or [])
 
 
 def failing(prop: str, violations: list[Violation]) -> VerificationReport:
     if not violations:
         raise ValueError("a failing report needs at least one violation")
-    return VerificationReport(False, prop, [], violations)
+    return VerificationReport(prop, [], violations)
 
 
 def skipped(prop: str, reason: str) -> VerificationReport:
-    v = Violation("skipped", (), reason)
-    return VerificationReport(False, prop, [], [v], skipped=True)
+    return VerificationReport(prop, [], [Violation("skipped", (), reason)])

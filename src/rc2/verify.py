@@ -190,7 +190,6 @@ def is_rainbow_two_connected(
     refusal = guard.refusal(g.vertex_count, g.edge_count)
     if refusal is not None:
         return skipped("A1", refusal)
-    count = 0
     for u, v in combinations(range(g.vertex_count), 2):
         ok, witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
         if not ok:
@@ -201,8 +200,7 @@ def is_rainbow_two_connected(
         error = pair_witness_error(coloring, u, v, witness)
         if error is not None:
             return failing("A1", [Violation("A1", (u, v), f"witness rejected: {error}")])
-        count += 1
-    return passing("A1", [("pairs_checked", count)])
+    return passing("A1", [("pairs_checked", g.vertex_count * (g.vertex_count - 1) // 2)])
 
 
 def check_fan(
@@ -302,6 +300,8 @@ def check_induction_invariants(
     sits on the ear's edge at its larger endpoint).  Stops at the first
     violation.
     """
+    if result.strategy != "ear_induction":
+        raise PreconditionViolated(f"a {result.strategy} coloring has no construction trace")
     if result.trace is None:
         raise PreconditionViolated("color the graph with tracing enabled first")
     refusal = guard.refusal(g.vertex_count, g.edge_count)
@@ -312,15 +312,14 @@ def check_induction_invariants(
         return failing("induction", [Violation(kind, subject, reason)])
 
     prev_sub = prev_level = None
-    levels_checked = 0
     for idx, (step, level) in enumerate(zip(result.trace, trace_levels(result.trace))):
-        sub = Graph(g.vertex_count, level.edges)
-        verts = sorted(level.vertices)
+        assign = level.coloring.assignment
+        sub = Graph(g.vertex_count, frozenset(assign))
+        verts = sorted({x for e in assign for x in e})
         cache = _all_pair_paths(sub, level.coloring, verts)
 
-        if idx > 0:
+        if prev_level is not None:
             ear = step.ear
-            assert ear is not None and prev_level is not None
             v1, vq = edge(ear.first, ear.last)
             recycled = step.recycled_color
             avoiding = enumerate_rainbow_paths(
@@ -332,7 +331,7 @@ def check_induction_invariants(
                     (idx, v1, vq, recycled),
                     "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
-            hits = [e for e in sorted(prev_level.edges) if prev_level.coloring.assignment[e] == recycled]
+            hits = sorted(e for e, c in prev_level.coloring.assignment.items() if c == recycled)
             if len(hits) != 1 or v1 not in hits[0]:
                 return fail(
                     "B2",
@@ -341,7 +340,7 @@ def check_induction_invariants(
                 )
             # extend_with_ear puts the recycled color on the ear edge at vq.
             last = edge(vq, ear.vertices[-2] if ear.last == vq else ear.vertices[1])
-            if level.coloring.assignment.get(last) != recycled:
+            if assign.get(last) != recycled:
                 return fail(
                     "B2",
                     (idx, vq, recycled),
@@ -370,9 +369,8 @@ def check_induction_invariants(
             return failing("induction", map_violations[:1])
 
         prev_sub, prev_level = sub, level
-        levels_checked += 1
 
-    return passing("induction", [("levels_checked", levels_checked)])
+    return passing("induction", [("levels_checked", len(result.trace))])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,6 @@ class RainbowIndex:
                 f"graph with {g.vertex_count} vertices / {g.edge_count} edges "
                 "is too large to index exhaustively"
             )
-        self.graph = g
         self.edge_list = sorted(g.edges)
         eid = {e: i for i, e in enumerate(self.edge_list)}
         adj = g.adjacency()

@@ -69,6 +69,12 @@ def test_gen_missing_parameter_exits_2(capsys):
     assert err.startswith("error:") and "missing parameter" in err
 
 
+def test_gen_extra_parameter_exits_2(capsys):
+    code, out, err = run(capsys, ["gen", "complete", "--n", "4", "--seed", "3", "--ears", "9"])
+    assert code == 2 and out == ""
+    assert err == "error: complete takes no parameter 'ears'\n"
+
+
 def test_gen_unknown_family_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "petersen"])
@@ -224,6 +230,7 @@ def test_verify_guard_skip_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert out.splitlines()[0].startswith("A1: skipped (")
+    assert out.splitlines()[-1] == "overall: skipped"
 
 
 def test_verify_default_guard_covers_the_corpus(capsys, tmp_path):

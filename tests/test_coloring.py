@@ -94,18 +94,18 @@ class TestHamiltonianChord:
 class TestBaseColoring:
     def test_k23_base_is_the_whole_graph(self):
         g = k23()
-        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        coloring, cmap = color_base_subgraph(lab, g)
-        assert coloring.assignment == K23_COLORING
-        assert cmap == K23_COLOR_MAP
+        d = degree_two_set(g)
+        base = color_base_subgraph(select_base_labeling(build_ear_decomposition(g), d), g, d)
+        assert base.colored == K23_COLORING
+        assert base.mapped == K23_COLOR_MAP
 
     def test_map_never_hits_the_doubled_colors(self):
         g = k24()
-        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        coloring, cmap = color_base_subgraph(lab, g)
-        doubled = [c for c in coloring.assignment.values()
-                   if list(coloring.assignment.values()).count(c) > 1]
-        assert set(cmap.values()).isdisjoint(doubled)
+        d = degree_two_set(g)
+        base = color_base_subgraph(select_base_labeling(build_ear_decomposition(g), d), g, d)
+        doubled = [c for c in base.colored.values()
+                   if list(base.colored.values()).count(c) > 1]
+        assert set(base.mapped.values()).isdisjoint(doubled)
 
     def test_labeling_implying_a_non_edge_rejected(self):
         g = k23()
@@ -114,21 +114,23 @@ class TestBaseColoring:
         # Swapping w2 and w3 makes the first cycle edge w1-w2 the non-edge 0-1.
         bad = dataclasses.replace(lab, order=(0, 1, 2, 3, 4))
         with pytest.raises(PreconditionViolated, match=r"labeling implies missing edge \(0, 1\)"):
-            color_base_subgraph(bad, g)
+            color_base_subgraph(bad, g, degree_two_set(g))
 
 
 class TestExtendWithEar:
     def test_k24_extension_frozen(self):
         g = k24()
         d = degree_two_set(g)
-        lab = select_base_labeling(build_ear_decomposition(g), d)
-        base_coloring, base_map = color_base_subgraph(lab, g)
+        base = color_base_subgraph(select_base_labeling(build_ear_decomposition(g), d), g, d)
+        base_coloring = EdgeColoring.from_assignment(base.colored)
+        base_map = dict(base.mapped)
         from rc2 import Path
 
         step = extend_with_ear(base_coloring, base_map, Path((0, 5, 1)), d)
         assert step.colored == {(0, 5): 4, (1, 5): K24_RECYCLED}
-        assert (step.unmapped, step.mapped) == (0, {0: 4})
+        assert step.mapped == {0: 4}
         assert base_coloring.assignment == K23_COLORING
+        assert base_map == K23_COLOR_MAP
         step.apply(base_coloring.assignment, base_map)
         assert base_coloring.assignment == K24_COLORING
         assert base_map == K24_COLOR_MAP

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from rc2 import (
     EarDecomposition,
@@ -12,8 +12,9 @@ from rc2 import (
     select_base_labeling,
 )
 from rc2.errors import PreconditionViolated
-from rc2.generators import theta_graph
+from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
 from rc2.graphs import degree_two_set
+from rc2.minimalize import spanning_minimally_two_connected
 
 from .common import cycle, diamond, four_hub, k23, prism, theta_grid
 from .strategies import minimal_noncycle_graphs
@@ -83,6 +84,28 @@ class TestBuildDecomposition:
         Hamiltonian, at which point no uncovered degree-2 vertex remains."""
         with pytest.raises(PreconditionViolated, match="one cycle carries"):
             build_ear_decomposition(theta_grid())
+
+    def test_leftover_edge_rejected(self):
+        """K_{2,3} plus the edge between its hubs: the ears cover every
+        vertex but not that edge."""
+        g = Graph(5, k23().edges | {(0, 1)})
+        with pytest.raises(PreconditionViolated, match="did not exhaust the graph"):
+            build_ear_decomposition(g)
+
+    @given(minimal_noncycle_graphs())
+    @example(complete_bipartite_graph(2, 5))
+    @example(spanning_minimally_two_connected(random_two_connected(40, 12, 1)))
+    @settings(max_examples=50)
+    def test_each_later_ear_holds_the_smallest_uncovered_degree_two_vertex(self, g):
+        """The generated graphs seldom have two later ears to order, so the
+        examples carry several."""
+        d = degree_two_set(g)
+        dec = build_ear_decomposition(g)
+        covered = set(dec.base_cycle.vertices) | set(dec.ears[0].vertices)
+        for ear in dec.ears[1:]:
+            assert min(d - covered) in ear.interior()
+            covered |= set(ear.vertices)
+        assert d <= covered
 
     @given(minimal_noncycle_graphs())
     @settings(max_examples=50)
@@ -190,8 +213,8 @@ class TestSelectBaseLabeling:
     def test_positions_are_one_based(self):
         g = k23()
         lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        assert lab.vertex_at(1) == 0
-        assert lab.vertex_at(lab.total_len) == 4
+        assert lab.order[0] == 0
+        assert lab.order[len(lab.order) - 1] == 4
 
     def test_impossible_without_degree_two_vertices(self):
         dec = EarDecomposition(
@@ -206,9 +229,9 @@ class TestSelectBaseLabeling:
     def test_skips_point_at_degree_two_vertices(self, g):
         d = degree_two_set(g)
         lab = select_base_labeling(build_ear_decomposition(g), d)
-        assert lab.vertex_at(lab.arc1_skip) in d
-        assert lab.vertex_at(lab.arc2_skip) in d
-        assert lab.vertex_at(lab.ear_skip) in d
+        assert lab.order[lab.arc1_skip - 1] in d
+        assert lab.order[lab.arc2_skip - 1] in d
+        assert lab.order[lab.ear_skip - 1] in d
         assert 1 < lab.arc1_skip < lab.ear_end_pos
         assert lab.ear_end_pos < lab.arc2_skip <= lab.cycle_len
-        assert lab.cycle_len < lab.ear_skip <= lab.total_len
+        assert lab.cycle_len < lab.ear_skip <= len(lab.order)

@@ -98,6 +98,18 @@ class TestFamilyDispatch:
         with pytest.raises(InvalidInput, match="missing parameter"):
             generate_family(FamilySpec("wheel", {}))
 
+    def test_extra_parameter(self):
+        with pytest.raises(InvalidInput, match="cycle takes no parameter 'bogus'"):
+            generate_family(FamilySpec("cycle", {"n": 4, "bogus": 1}))
+        with pytest.raises(InvalidInput, match="theta takes no parameter 'seed'"):
+            generate_family(FamilySpec("theta", {"a": 2, "b": 2, "c": 2, "seed": 1}))
+
+    def test_random_seed_is_optional(self):
+        unseeded = FamilySpec("random_two_connected", {"n": 8, "ears": 2})
+        seeded = FamilySpec("random_two_connected", {"n": 8, "ears": 2, "seed": 5})
+        assert generate_family(unseeded) == random_two_connected(8, 2, 0)
+        assert generate_family(seeded) == random_two_connected(8, 2, 5)
+
     def test_describe_mentions_name_and_params(self):
         text = FamilySpec("wheel", {"n": 7}).describe()
         assert "wheel" in text and "7" in text

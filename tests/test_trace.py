@@ -25,11 +25,11 @@ from rc2.verify import check_induction_invariants
 def snapshot_obj(step, level) -> dict:
     assign = level.coloring.assignment
     return {
-        "vertices": sorted(level.vertices),
-        "edges": [list(e) for e in sorted(level.edges)],
-        "coloring": [[u, v, assign[u, v]] for u, v in sorted(level.edges)],
+        "vertices": sorted({x for e in assign for x in e}),
+        "edges": [list(e) for e in sorted(assign)],
+        "coloring": [[u, v, assign[u, v]] for u, v in sorted(assign)],
         "color_map": {str(v): c for v, c in level.color_map.items()},
-        "ear": list(step.ear.vertices) if step.ear else None,
+        "ear": list(step.ear.vertices),
         "recycled_color": step.recycled_color,
         "color_names": {str(i): name for i, name in step.color_names.items()},
     }
@@ -75,9 +75,8 @@ def test_trace_text_matches_snapshot_objects_on_the_corpus():
 
 
 def test_damaged_last_level_renders_like_its_snapshot():
-    """The last level recolors an edge an older level colored, drops a
-    vertex from the color map that it does not map again, and overrides
-    another vertex's mapped color without dropping it first."""
+    """The last level recolors an edge an older level colored and
+    overrides the mapped color of a vertex it does not map."""
     for _, g in standard_corpus():
         result = color_rc2(g, with_trace=True)
         if result.trace is not None and len(result.trace) > 1 and string_order_differs(result):
@@ -85,18 +84,17 @@ def test_damaged_last_level_renders_like_its_snapshot():
     first, *_, last = result.trace
     before = list(trace_levels(result.trace))[-2]
     older = min(first.colored)
-    dropped, kept = [x for x in sorted(before.color_map) if x not in last.mapped and x != last.unmapped][:2]
+    kept = min(x for x in before.color_map if x not in last.mapped)
     assert older not in last.colored
     damaged = dataclasses.replace(
         last,
         colored={**last.colored, older: 99},
-        unmapped=dropped,
         mapped={**last.mapped, kept: 98},
     )
     broken = dataclasses.replace(result, trace=result.trace[:-1] + (damaged,))
     level = list(trace_levels(broken.trace))[-1]
     assert level.coloring.assignment[older] == 99
-    assert dropped not in level.color_map and level.color_map[kept] == 98
+    assert level.color_map[kept] == 98
     assert_renders_like_the_reference(broken)
     text = json.loads(broken.to_json_text(include_trace=True))
     assert [*older, 99] in text["trace"][-1]["coloring"]

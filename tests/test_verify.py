@@ -422,6 +422,14 @@ class TestInductionInvariants:
         with pytest.raises(PreconditionViolated, match="tracing enabled"):
             check_induction_invariants(res, g)
 
+    def test_direct_strategies_have_no_trace(self):
+        for g, strategy in ((cycle(5), "cycle"), (complete_graph(4), "hamiltonian_chord")):
+            res = color_rc2(g, with_trace=True)
+            assert (res.strategy, res.trace) == (strategy, None)
+            message = f"^a {strategy} coloring has no construction trace$"
+            with pytest.raises(PreconditionViolated, match=message):
+                check_induction_invariants(res, g)
+
     def test_guard_skips(self):
         g = k24()
         res = color_minimally_two_connected(g, with_trace=True)
