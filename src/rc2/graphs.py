@@ -66,6 +66,41 @@ class Graph:
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
+    def adjacency_toward(self, target: int) -> dict[int, list[int]]:
+        """Adjacency lists ordered nearest to ``target`` first: by BFS hop
+        distance to ``target``, then by id.  Vertices that cannot reach
+        ``target`` count as farthest, so their lists stay in id order.
+
+        One BFS and one sort per target, kept on the graph; callers must not
+        mutate the lists.
+        """
+        memo = self.__dict__.get("_toward")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_toward", memo)
+        toward = memo.get(target)
+        if toward is None:
+            adj = self.adjacency()
+            n = self.vertex_count
+            dist = [n] * n
+            dist[target] = 0
+            frontier = [target]
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for y in adj[x]:
+                        if dist[y] == n:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+            # The sort is stable, so equal distances keep ascending ids.
+            toward = {x: [] for x in range(n)}
+            for y in sorted(range(n), key=dist.__getitem__):
+                for x in adj[y]:
+                    toward[x].append(y)
+            memo[target] = toward
+        return toward
+
     def degrees(self) -> list[int]:
         deg = [0] * self.vertex_count
         for u, v in self.edges:

@@ -84,8 +84,8 @@ class VerificationReport:
         }
 
 
-def passing(prop: str, witnesses: list | None = None) -> VerificationReport:
-    return VerificationReport(prop, witnesses or [])
+def passing(prop: str, witnesses: list) -> VerificationReport:
+    return VerificationReport(prop, witnesses)
 
 
 def failing(prop: str, violations: list[Violation]) -> VerificationReport:

@@ -39,8 +39,11 @@ def enumerate_rainbow_paths(
     forbidden_vertices: VertexSet = frozenset(),
     forbidden_colors: frozenset[int] = frozenset(),
 ) -> Iterator[tuple[int, ...]]:
-    """All rainbow u-v paths, in lexicographic vertex order.
+    """All rainbow u-v paths, nearest to v first.
 
+    Each vertex's neighbours are tried in :meth:`Graph.adjacency_toward`
+    order (BFS hop distance to v, then id), so the paths come in
+    lexicographic order of their per-vertex keys ``(dist(x, v), x)``.
     Edges missing from the coloring are unusable.  ``forbidden_vertices``
     bans vertices outright (do not ban the endpoints), ``forbidden_colors``
     bans colors.  The search keeps an explicit stack of neighbour
@@ -48,7 +51,7 @@ def enumerate_rainbow_paths(
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
-    adj = g.adjacency()
+    adj = g.adjacency_toward(v)
     assign = coloring.assignment
     # Banned vertices and colors are never on the path, so popping a path
     # vertex or color never lifts a ban.
@@ -131,20 +134,19 @@ def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad
 
 def has_two_internally_disjoint_rainbow_paths(
     g: Graph, coloring: EdgeColoring, u: int, v: int
-) -> tuple[bool, tuple[tuple[int, ...], tuple[int, ...]] | None]:
-    """Two rainbow u-v paths that share only their endpoints.
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two rainbow u-v paths that share only their endpoints, or None.
 
-    The witness is the first rainbow path, in lexicographic order, that has
-    such a partner, with its first partner.  Each path's partner is sought
-    by one search that bans the path's interior, so the paths are never
-    stored and compared.
+    The witness is the first rainbow path, in the nearest-to-v order of
+    :func:`enumerate_rainbow_paths`, that has such a partner, with its first
+    partner in that order.  Each path's partner is sought by one search that
+    bans the path's interior, so the paths are never stored and compared.
     """
 
     def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
         return enumerate_rainbow_paths(g, coloring, a, b, forbidden_vertices=banned)
 
-    found = _a1_pair(find, u, v)
-    return found is not None, found
+    return _a1_pair(find, u, v)
 
 
 def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str | None:
@@ -191,8 +193,8 @@ def is_rainbow_two_connected(
     if refusal is not None:
         return skipped("A1", refusal)
     for u, v in combinations(range(g.vertex_count), 2):
-        ok, witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
-        if not ok:
+        witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
+        if witness is None:
             return failing(
                 "A1",
                 [Violation("A1", (u, v), "no two internally disjoint rainbow paths")],
@@ -205,22 +207,21 @@ def is_rainbow_two_connected(
 
 def check_fan(
     g: Graph, coloring: EdgeColoring, center: int, t1: int, t2: int
-) -> tuple[bool, tuple | None]:
-    """Two rainbow paths from ``center`` to t1 and t2 sharing only the center."""
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two rainbow paths from ``center`` to t1 and t2 sharing only the
+    center, or None."""
     if len({center, t1, t2}) != 3:
         raise InvalidInput("fan check needs three distinct vertices")
-    found = _a2_fan(
+    return _a2_fan(
         _with_sets(enumerate_rainbow_paths(g, coloring, center, t1)),
         list(_with_sets(enumerate_rainbow_paths(g, coloring, center, t2))),
         center,
     )
-    return found is not None, found
 
 
-def check_linkage(
-    g: Graph, coloring: EdgeColoring, quad: Sequence[int]
-) -> tuple[bool, tuple | None]:
-    """Some pairing of four vertices joined by fully disjoint rainbow paths.
+def check_linkage(g: Graph, coloring: EdgeColoring, quad: Sequence[int]) -> tuple | None:
+    """Some pairing of four vertices joined by fully disjoint rainbow paths,
+    as ``(pair1, pair2, p, q)``, or None.
 
     The three ways to split the four vertices into two pairs are tried in
     order; the first split admitting vertex-disjoint rainbow paths wins.
@@ -228,10 +229,9 @@ def check_linkage(
     a, b, c, d = sorted(quad)
     if len({a, b, c, d}) != 4:
         raise InvalidInput("linkage check needs four distinct vertices")
-    found = _a3_linkage(
+    return _a3_linkage(
         lambda pair: list(_with_sets(enumerate_rainbow_paths(g, coloring, *pair))), (a, b, c, d)
     )
-    return found is not None, found
 
 
 def _color_map_violations(

@@ -64,3 +64,35 @@ def test_minimalizer_output_is_minimal_by_networkx(g):
 def test_minimalized_complete_graph_is_minimal_by_networkx(n):
     g = Graph.from_edges(n, itertools.combinations(range(n), 2))
     assert_minimally_two_connected(spanning_minimally_two_connected(g))
+
+
+def assert_nearest_first(g: Graph, target: int):
+    """Each list of ``adjacency_toward(target)`` holds the vertex's
+    neighbours, by networkx hop distance to the target and then by id, with
+    the vertices that cannot reach it counted as farthest."""
+    dist = nx.shortest_path_length(to_nx(g), target=target)
+    far = g.vertex_count
+    before = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
+    toward = g.adjacency_toward(target)
+    assert sorted(toward) == list(range(g.vertex_count))
+    for x, nbrs in toward.items():
+        assert sorted(nbrs) == before[x]
+        assert nbrs == sorted(nbrs, key=lambda y: (dist.get(y, far), y))
+    assert g.adjacency_toward(target) is toward
+    assert g.adjacency() == before
+
+
+@given(st.one_of(arbitrary_graphs(), two_connected_graphs(max_n=12)), st.data())
+@settings(max_examples=150)
+def test_adjacency_toward_orders_by_networkx_distance(g, data):
+    assert_nearest_first(g, data.draw(st.integers(0, g.vertex_count - 1)))
+
+
+def test_adjacency_toward_on_a_disconnected_graph():
+    """A 4-cycle 0-1-2-3 with chord 0-2, and a triangle 4-5-6 that cannot
+    reach the target 3, so its lists keep ascending ids."""
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (4, 5), (5, 6), (4, 6)])
+    assert_nearest_first(g, 3)
+    assert g.adjacency_toward(3) == {
+        0: [3, 2, 1], 1: [0, 2], 2: [3, 0, 1], 3: [0, 2], 4: [5, 6], 5: [4, 6], 6: [4, 5]
+    }

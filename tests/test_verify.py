@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -72,7 +73,18 @@ def is_rainbow(coloring, p):
 
 
 def rainbow_simple_paths(g, coloring, u, v):
-    return [p for p in simple_paths(g, u, v) if is_rainbow(coloring, p)]
+    """Every rainbow u-v path, nearest to v first: sorted by the key sequence
+    ``(dist(x, v), x)`` of their vertices, with distances from a plain queue
+    BFS over the edge set."""
+    dist, queue = {v: 0}, deque([v])
+    while queue:
+        x = queue.popleft()
+        for y in (b if a == x else a for a, b in g.edges if x in (a, b)):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    paths = [p for p in simple_paths(g, u, v) if is_rainbow(coloring, p)]
+    return sorted(paths, key=lambda p: [(dist[x], x) for x in p])
 
 
 def dense_coloring(edges, values):
@@ -116,11 +128,12 @@ class TestEnumerateRainbowPaths:
     @settings(max_examples=30)
     def test_agrees_with_filtered_simple_paths(self, g):
         """Cross-check the enumerator against all simple paths filtered by
-        the rainbow predicate, order included."""
+        the rainbow predicate, order included, in both directions."""
         coloring = color_rc2(g).coloring
-        for u, v in [(0, 1), (0, g.vertex_count - 1)]:
-            expect = rainbow_simple_paths(g, coloring, u, v)
-            assert list(enumerate_rainbow_paths(g, coloring, u, v)) == expect
+        for a, b in [(0, 1), (0, g.vertex_count - 1)]:
+            for u, v in [(a, b), (b, a)]:
+                expect = rainbow_simple_paths(g, coloring, u, v)
+                assert list(enumerate_rainbow_paths(g, coloring, u, v)) == expect
 
     def test_long_rainbow_cycle_has_two_paths(self):
         """Path length is not bounded by the interpreter's recursion limit."""
@@ -136,30 +149,42 @@ class TestDisjointPairs:
         """The single edge 0-1 is the only rainbow 0-1 path; it avoids its
         own empty interior but is not its own partner."""
         g, coloring = mono_c4()
-        ok, witness = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1)
-        assert not ok and witness is None
+        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1) is None
 
     def test_rainbow_c4_passes_with_witness(self):
         g, coloring = rainbow_c4()
-        ok, (p, q) = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 2)
-        assert ok
+        p, q = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 2)
         assert {p, q} == {(0, 1, 2), (0, 3, 2)}
 
     def test_witness_is_the_first_path_with_a_partner(self):
-        """K5 with color 0 everywhere but (0, 2) = 1 and (1, 3) = 2.  The
-        rainbow 2-3 paths start (2, 0, 1, 3), (2, 0, 3), (2, 1, 3), (2, 3).
-        The first of them already has a partner, the single edge, so the
-        witness is not the earliest pair met in a scan of the list,
-        (2, 0, 3) with (2, 1, 3)."""
+        """K5 with color 0 everywhere but (0, 2) = 1 and (1, 3) = 2, and the
+        same graph and colors without the edge (2, 3), searched from 2 to 3.
+        Every vertex but 3 lies one hop from 3 (2 lies two hops from it once
+        (2, 3) is gone), so each vertex tries 3 first, then the rest by id.
+
+        In K5 the rainbow 2-3 paths start (2, 3), (2, 0, 3), (2, 0, 1, 3),
+        (2, 1, 3): the single edge comes first and its first partner is the
+        next path.  Without the edge, and with (0, 3) = 1 and (3, 4) = 3,
+        (2, 0, 3) uses color 1 twice and the paths are (2, 0, 1, 3),
+        (2, 0, 4, 3), (2, 1, 3), (2, 4, 3).  The first of them meets every
+        later path but (2, 4, 3), so the witness is not the earliest pair met
+        in a scan of the list, (2, 0, 4, 3) with (2, 1, 3)."""
         g = complete_graph(5)
-        coloring = EdgeColoring.from_assignment(
-            {e: {(0, 2): 1, (1, 3): 2}.get(e, 0) for e in g.edges}
-        )
+        colors = {e: {(0, 2): 1, (1, 3): 2}.get(e, 0) for e in g.edges}
+        coloring = EdgeColoring.from_assignment(colors)
         assert list(enumerate_rainbow_paths(g, coloring, 2, 3))[:4] == [
-            (2, 0, 1, 3), (2, 0, 3), (2, 1, 3), (2, 3)
+            (2, 3), (2, 0, 3), (2, 0, 1, 3), (2, 1, 3)
         ]
-        got = has_two_internally_disjoint_rainbow_paths(g, coloring, 2, 3)
-        assert got == (True, ((2, 0, 1, 3), (2, 3)))
+        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 2, 3) == ((2, 3), (2, 0, 3))
+
+        h = Graph.from_edges(5, g.edges - {(2, 3)})
+        del colors[(2, 3)]
+        coloring = EdgeColoring.from_assignment({**colors, (0, 3): 1, (3, 4): 3})
+        assert list(enumerate_rainbow_paths(h, coloring, 2, 3)) == [
+            (2, 0, 1, 3), (2, 0, 4, 3), (2, 1, 3), (2, 4, 3)
+        ]
+        got = has_two_internally_disjoint_rainbow_paths(h, coloring, 2, 3)
+        assert got == ((2, 0, 1, 3), (2, 4, 3))
 
 
 class TestIsRainbowTwoConnected:
@@ -247,14 +272,14 @@ class TestPairWitnessCheck:
             (((0, 2, 1), (0, 3, 1)), "(0, 3, 1) is not rainbow"),
             (((0, 2, 3, 0, 1), (0, 1)), "(0, 2, 3, 0, 1) is not simple"),
             (((0, 2, 1), (0, 3)), "(0, 3) is not a path from 0 to 1"),
-            (None, "the witness is not a pair of paths"),
+            ([(0, 2, 1), (0, 1)], "the witness is not a pair of paths"),
         ],
     )
     def test_a_bad_witness_fails_the_report(self, monkeypatch, witness, error):
         g, coloring = self.k4()
-        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1)[0]
+        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1) is not None
         monkeypatch.setattr(
-            verify, "has_two_internally_disjoint_rainbow_paths", lambda *args: (True, witness)
+            verify, "has_two_internally_disjoint_rainbow_paths", lambda *args: witness
         )
         report = is_rainbow_two_connected(g, coloring)
         assert not report.passed and not report.skipped
@@ -306,8 +331,7 @@ class TestRainbowIndexOracle:
 class TestFanAndLinkage:
     def test_fan_on_rainbow_c4(self):
         g, coloring = rainbow_c4()
-        ok, (p, q) = check_fan(g, coloring, 0, 1, 3)
-        assert ok
+        p, q = check_fan(g, coloring, 0, 1, 3)
         assert set(p) & set(q) == {0}
 
     def test_fan_needs_distinct_vertices(self):
@@ -317,25 +341,23 @@ class TestFanAndLinkage:
 
     def test_fan_fails_on_mono(self):
         g, coloring = mono_c4()
-        ok, witness = check_fan(g, coloring, 0, 1, 2)
-        assert not ok
+        assert check_fan(g, coloring, 0, 1, 2) is None
 
     def test_linkage_mono_c4_satisfied_by_adjacent_split(self):
         """Even the monochromatic C4 links its four vertices: the pairing
         (0,1),(2,3) uses two disjoint single edges."""
         g, coloring = mono_c4()
-        ok, (pair1, pair2, p, q) = check_linkage(g, coloring, (0, 1, 2, 3))
-        assert ok
+        pair1, pair2, p, q = check_linkage(g, coloring, (0, 1, 2, 3))
         assert (pair1, pair2) == ((0, 1), (2, 3))
         assert p == (0, 1) and q == (2, 3)
 
     @given(two_connected_graphs(max_n=6), st.data())
     @settings(max_examples=40)
     def test_pair_fan_and_linkage_agree_with_brute_force(self, g, data):
-        """Witnesses match a search over all simple paths, in lexicographic
-        order: for a pair, the first path with a partner, and its first
-        partner; for a fan, the first path to t1 with its first partner;
-        for a linkage, the first pairing in order."""
+        """Witnesses match a search over all simple paths, each list nearest
+        to its target first: for a pair, the first path with a partner, and
+        its first partner; for a fan, the first path to t1 with its first
+        partner to t2; for a linkage, the first pairing in order."""
         coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=4)))
         verts = range(g.vertex_count)
         for u, v in combinations(verts, 2):
@@ -344,8 +366,7 @@ class TestFanAndLinkage:
                 ((p, q) for p in paths for q in paths if p != q and set(p) & set(q) == {u, v}),
                 None,
             )
-            got = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
-            assert got == (expect is not None, expect)
+            assert has_two_internally_disjoint_rainbow_paths(g, coloring, u, v) == expect
         for center in verts:
             for t1, t2 in combinations([x for x in verts if x != center], 2):
                 expect = next(
@@ -357,7 +378,7 @@ class TestFanAndLinkage:
                     ),
                     None,
                 )
-                assert check_fan(g, coloring, center, t1, t2) == (expect is not None, expect)
+                assert check_fan(g, coloring, center, t1, t2) == expect
         for a, b, c, d in combinations(verts, 4):
             expect = next(
                 (
@@ -369,15 +390,14 @@ class TestFanAndLinkage:
                 ),
                 None,
             )
-            assert check_linkage(g, coloring, (d, b, c, a)) == (expect is not None, expect)
+            assert check_linkage(g, coloring, (d, b, c, a)) == expect
 
     def test_linkage_impossible_on_path_shaped_colors(self):
         # star K_{1,3} is not 2-connected, but linkage is a pure path
         # predicate; all pairings collide at the hub
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         coloring = EdgeColoring.from_assignment({(0, 1): 0, (0, 2): 1, (0, 3): 2})
-        ok, witness = check_linkage(g, coloring, (0, 1, 2, 3))
-        assert not ok
+        assert check_linkage(g, coloring, (0, 1, 2, 3)) is None
 
 
 class TestUniqueColorMapCheck:
