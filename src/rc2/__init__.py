@@ -24,13 +24,11 @@ from .coloring import (
 )
 from .corpus import standard_corpus
 from .ears import (
-    BaseLabeling,
     EarDecomposition,
     build_ear_decomposition,
     check_ear_conditions,
     ear_through_vertex,
     exchange_bad_arc,
-    select_base_labeling,
 )
 from .errors import BudgetExceeded, InvalidInput, PreconditionViolated, Rc2Error
 from .generators import FamilySpec, generate_family

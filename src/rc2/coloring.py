@@ -17,11 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInput, PreconditionViolated
-from .ears import (
-    BaseLabeling,
-    build_ear_decomposition,
-    select_base_labeling,
-)
+from .ears import EarDecomposition, build_ear_decomposition
 from .graphs import (
     Edge,
     Graph,
@@ -281,24 +277,41 @@ def _map_stretch(
             mapping[order[j - 1]] = offset + j - (1 if j < skip else 2)
 
 
-def color_base_subgraph(labeling: BaseLabeling, g: Graph, d: VertexSet) -> TraceStep:
+def color_base_subgraph(dec: EarDecomposition, g: Graph, d: VertexSet) -> TraceStep:
     """The first level: the base cycle plus first ear, and its vertex color map.
 
-    With the working order w_1..w_L (cycle of length s, then ear interior)
-    the consecutive edges take colors by position; the cycle-closing edge
+    The working order w_1..w_L lists the base cycle from the first ear's
+    smaller endpoint w_1, then the ear's interior; positions are 1-based, the
+    cycle has length s and the ear's other endpoint sits at position p.  The
+    consecutive edges take colors by position; the cycle-closing edge
     doubles the color of the ear's closing edge, and the edge leaving w_1
-    into the ear doubles the color at the ear's far endpoint position.  The
-    vertex map assigns each branch vertex the color of a neighboring edge,
-    skipping one degree-2 position per stretch so the doubled colors stay
-    out of the map.
+    into the ear doubles the color at position p.  The vertex map assigns
+    each branch vertex the color of a neighboring edge, skipping the first
+    degree-2 position of each stretch (first arc, second arc, ear interior)
+    so the doubled colors stay out of the map.  A stretch without a degree-2
+    vertex is a failure of the decomposition conditions and raises.
     """
-    order = labeling.order
-    s = labeling.cycle_len
+    first = dec.ears[0]
+    rot = rooted_cycle(dec.base_cycle.vertices, first.first)
+    order = rot + first.interior()
+    s = len(rot)
     total = len(order)
-    p = labeling.ear_end_pos
+    p = rot.index(first.last) + 1
 
     def w(pos: int) -> int:
         return order[pos - 1]
+
+    def first_degree_two(lo: int, hi: int, label: str) -> int:
+        for pos in range(lo, hi + 1):
+            if w(pos) in d:
+                return pos
+        raise PreconditionViolated(f"no degree-2 vertex on the {label} (positions {lo}..{hi})")
+
+    spans = (
+        (1, first_degree_two(2, p - 1, "first arc"), p),
+        (p + 1, first_degree_two(p + 1, s, "second arc"), s),
+        (s + 1, first_degree_two(s + 1, total, "ear interior"), total),
+    )
 
     def put(assign: dict, a: int, b: int, color: int) -> None:
         e = edge(a, b)
@@ -316,11 +329,6 @@ def color_base_subgraph(labeling: BaseLabeling, g: Graph, d: VertexSet) -> Trace
     put(assign, w(total), w(p), s - 1)
 
     mapping: dict[int, int] = {}
-    spans = (
-        (1, labeling.arc1_skip, p),
-        (p + 1, labeling.arc2_skip, s),
-        (s + 1, labeling.ear_skip, total),
-    )
     for lo, skip, hi in spans:
         _map_stretch(mapping, order, lo, skip, hi, 0, d)
     # The contract the construction maintains: the map is injective, and each
@@ -379,7 +387,7 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
     """Color a minimally 2-connected non-cycle graph with n-1 colors by
     folding its ear decomposition.  :func:`build_ear_decomposition` refuses
     any other input; each ear condition is enforced where the coloring uses
-    it (:func:`select_base_labeling`, :func:`extend_with_ear`)."""
+    it (:func:`color_base_subgraph`, :func:`extend_with_ear`)."""
     dec = build_ear_decomposition(g)
     d = degree_two_set(g)
     coloring = EdgeColoring({}, 0)
@@ -393,7 +401,7 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
         if with_trace:
             steps.append(step)
 
-    fold(color_base_subgraph(select_base_labeling(dec, d), g, d))
+    fold(color_base_subgraph(dec, g, d))
     for ear in dec.ears[1:]:
         fold(extend_with_ear(coloring, fmap, ear, d))
 

@@ -31,7 +31,6 @@ from .graphs import (
     is_cycle_graph,
     is_two_connected,
     normalize_cycle,
-    rooted_cycle,
 )
 from .menger import two_fan_to_subgraph
 from .reports import Violation, VerificationReport, failing, passing
@@ -200,56 +199,4 @@ def check_ear_conditions(dec: EarDecomposition, g: Graph) -> VerificationReport:
     return passing(
         "ear-conditions",
         [("ears", len(dec.ears)), ("repair_exchanges", dec.repair_exchanges)],
-    )
-
-
-@dataclass(frozen=True)
-class BaseLabeling:
-    """The working order for coloring the base cycle plus first ear.
-
-    ``order`` lists the cycle from the first ear's smaller endpoint followed
-    by the ear's interior.  Positions are 1-based throughout to keep the
-    off-by-one structure of the skip positions readable: ``ear_end_pos`` is
-    where the ear's other endpoint sits on the cycle, and the three skip
-    positions mark the first degree-2 vertex strictly inside the first arc,
-    on the second arc, and on the ear interior.
-    """
-
-    order: tuple[int, ...]
-    cycle_len: int
-    ear_end_pos: int
-    arc1_skip: int
-    arc2_skip: int
-    ear_skip: int
-
-
-def select_base_labeling(dec: EarDecomposition, d: VertexSet) -> BaseLabeling:
-    """Choose the canonical working order and skip positions.
-
-    Raises PreconditionViolated when a required degree-2 vertex is absent,
-    which is exactly a failure of the decomposition conditions.
-    """
-    base = dec.base_cycle.vertices
-    first = dec.ears[0]
-    rot = rooted_cycle(base, first.first)
-    order = rot + first.interior()
-    s = len(base)
-    p = rot.index(first.last) + 1
-
-    def first_degree_two(lo: int, hi: int, label: str) -> int:
-        for pos in range(lo, hi + 1):
-            if order[pos - 1] in d:
-                return pos
-        raise PreconditionViolated(f"no degree-2 vertex on the {label} (positions {lo}..{hi})")
-
-    p1 = first_degree_two(2, p - 1, "first arc")
-    p2 = first_degree_two(p + 1, s, "second arc")
-    p3 = first_degree_two(s + 1, len(order), "ear interior")
-    return BaseLabeling(
-        order=order,
-        cycle_len=s,
-        ear_end_pos=p,
-        arc1_skip=p1,
-        arc2_skip=p2,
-        ear_skip=p3,
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidInput
 from .graphs import Graph, edge
@@ -14,7 +14,7 @@ class FamilySpec:
     """A named graph family plus its parameters, e.g. ``theta(2,3,4)``."""
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def describe(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))

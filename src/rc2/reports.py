@@ -63,7 +63,7 @@ class VerificationReport:
     """
 
     checked_property: str
-    witnesses: list = field(default_factory=list)
+    witnesses: list
     violations: list[Violation] = field(default_factory=list)
 
     @property

@@ -37,7 +37,6 @@ def enumerate_rainbow_paths(
     u: int,
     v: int,
     forbidden_vertices: VertexSet = frozenset(),
-    forbidden_colors: frozenset[int] = frozenset(),
 ) -> Iterator[tuple[int, ...]]:
     """All rainbow u-v paths, nearest to v first.
 
@@ -45,18 +44,18 @@ def enumerate_rainbow_paths(
     order (BFS hop distance to v, then id), so the paths come in
     lexicographic order of their per-vertex keys ``(dist(x, v), x)``.
     Edges missing from the coloring are unusable.  ``forbidden_vertices``
-    bans vertices outright (do not ban the endpoints), ``forbidden_colors``
-    bans colors.  The search keeps an explicit stack of neighbour
-    iterators, so path length is not bounded by the recursion limit.
+    bans vertices outright (do not ban the endpoints).  The search keeps an
+    explicit stack of neighbour iterators, so path length is not bounded by
+    the recursion limit.
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
     adj = g.adjacency_toward(v)
     assign = coloring.assignment
-    # Banned vertices and colors are never on the path, so popping a path
-    # vertex or color never lifts a ban.
+    # Banned vertices are never on the path, so popping a path vertex never
+    # lifts a ban.
     blocked = {u, *forbidden_vertices}
-    spent = set(forbidden_colors)
+    spent: set[int] = set()
     path = [u]
     colors: list[int] = []
     stack = [iter(adj[u])]
@@ -311,27 +310,25 @@ def check_induction_invariants(
     def fail(kind: str, subject: tuple, reason: str) -> VerificationReport:
         return failing("induction", [Violation(kind, subject, reason)])
 
-    prev_sub = prev_level = None
+    cache = prev_level = None
     for idx, (step, level) in enumerate(zip(result.trace, trace_levels(result.trace))):
         assign = level.coloring.assignment
-        sub = Graph(g.vertex_count, frozenset(assign))
-        verts = sorted({x for e in assign for x in e})
-        cache = _all_pair_paths(sub, level.coloring, verts)
-
         if prev_level is not None:
             ear = step.ear
             v1, vq = edge(ear.first, ear.last)
             recycled = step.recycled_color
-            avoiding = enumerate_rainbow_paths(
-                prev_sub, prev_level.coloring, v1, vq, forbidden_colors=frozenset((recycled,))
-            )
-            if next(avoiding, None) is None:
+            prev_assign = prev_level.coloring.assignment
+            # ``cache`` still holds the prior level's paths, none at a new vertex.
+            if not any(
+                all(prev_assign[edge(a, b)] != recycled for a, b in zip(p, p[1:]))
+                for p, _ in cache.get((v1, vq), ())
+            ):
                 return fail(
                     "B1",
                     (idx, v1, vq, recycled),
                     "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
-            hits = sorted(e for e, c in prev_level.coloring.assignment.items() if c == recycled)
+            hits = sorted(e for e, c in prev_assign.items() if c == recycled)
             if len(hits) != 1 or v1 not in hits[0]:
                 return fail(
                     "B2",
@@ -346,6 +343,10 @@ def check_induction_invariants(
                     (idx, vq, recycled),
                     f"recycled color {recycled} is not on the ear's last edge {last}",
                 )
+
+        sub = Graph(g.vertex_count, frozenset(assign))
+        verts = sorted({x for e in assign for x in e})
+        cache = _all_pair_paths(sub, level.coloring, verts)
 
         def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
             return (p for p, pset in cache[a, b] if pset.isdisjoint(banned))
@@ -368,7 +369,7 @@ def check_induction_invariants(
         if map_violations:
             return failing("induction", map_violations[:1])
 
-        prev_sub, prev_level = sub, level
+        prev_level = level
 
     return passing("induction", [("levels_checked", len(result.trace))])
 

@@ -82,6 +82,26 @@ K23_COLORING = {
 }
 K23_COLOR_MAP = {0: 0, 1: 1}
 
+# Base steps (base cycle plus first ear), from the working order w_1..w_L:
+# the base cycle from the first ear's smaller endpoint, then the ear's
+# interior; s is the cycle length and w_p the ear's far endpoint.  Edge
+# w_j w_{j+1} takes color j-1 (j < s, and s < j < L); w_s w_1 and w_L w_p
+# share s-1; w_1 w_{s+1} takes p-1.  A branch vertex at position j maps to
+# j-1 before its stretch's skip position and j-2 after it.
+#
+# K_{2,3}: order (0,2,1,3,4), s=4, p=3, skips 2, 4, 5 (vertices 2, 3, 4).
+# The base level is the whole graph, so its step is K23_COLORING and
+# K23_COLOR_MAP above, with ear (0,4,1).
+#
+# theta(3,3,3): order (0,2,3,1,5,4,6,7), s=6, p=4, skips 2, 5, 7 (vertices
+# 2, 5, 6); ear (0,6,7,1).  Hubs 0 (position 1) and 1 (position 4) are the
+# branch vertices.
+THETA333_BASE_COLORING = {
+    (0, 2): 0, (2, 3): 1, (1, 3): 2, (1, 5): 3, (4, 5): 4, (6, 7): 6,
+    (0, 4): 5, (0, 6): 3, (1, 7): 5,
+}
+THETA333_BASE_COLOR_MAP = {0: 0, 1: 2}
+
 # K_{2,4} extends K_{2,3} by the ear (0,5,1); color 0 is recycled on (1,5).
 K24_COLORING = {**K23_COLORING, (0, 5): 4, (1, 5): 0}
 K24_COLOR_MAP = {0: 4, 1: 1}

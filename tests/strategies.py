@@ -11,7 +11,7 @@ from rc2.generators import random_two_connected
 def two_connected_graphs(draw, min_n: int = 4, max_n: int = 9):
     """Random 2-connected graphs built from a cycle plus glued ears."""
     n = draw(st.integers(min_n, max_n))
-    ears = draw(st.integers(1, min(3, n - 3)))
+    ears = draw(st.integers(1, n - 3))
     seed = draw(st.integers(0, 10**6))
     return random_two_connected(n, ears, seed)
 

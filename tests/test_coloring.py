@@ -1,22 +1,23 @@
-import dataclasses
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from rc2 import (
+    EarDecomposition,
     EdgeColoring,
     Graph,
+    Path,
     build_ear_decomposition,
     color_cycle,
     color_hamiltonian_with_chord,
     color_minimally_two_connected,
     color_rc2,
-    select_base_labeling,
+    check_unique_color_map,
     to_dot,
     trace_levels,
 )
 from rc2.coloring import color_base_subgraph, coloring_from_json_obj, extend_with_ear
 from rc2.errors import InvalidInput, PreconditionViolated
+from rc2.generators import theta_graph
 from rc2.graphs import degree_two_set, is_cycle_graph, parse_edge_list
 
 from .common import (
@@ -27,16 +28,20 @@ from .common import (
     K24_COLOR_MAP,
     K24_COLORING,
     K24_RECYCLED,
+    THETA333_BASE_COLOR_MAP,
+    THETA333_BASE_COLORING,
     c6_with_chord,
     cycle,
     diamond,
+    four_hub,
     k4,
     k23,
     k24,
+    prism,
     theta_grid,
     wheel,
 )
-from .strategies import two_connected_graphs
+from .strategies import minimal_noncycle_graphs, two_connected_graphs
 
 
 class TestEdgeColoring:
@@ -93,39 +98,83 @@ class TestHamiltonianChord:
 
 class TestBaseColoring:
     def test_k23_base_is_the_whole_graph(self):
+        """Working order (0, 2, 1, 3, 4): the ear starts at w_1 = 0 and its
+        interior ends at w_L = 4, before the far endpoint w_3 = 1."""
         g = k23()
-        d = degree_two_set(g)
-        base = color_base_subgraph(select_base_labeling(build_ear_decomposition(g), d), g, d)
+        base = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
         assert base.colored == K23_COLORING
         assert base.mapped == K23_COLOR_MAP
+        assert base.ear.vertices == (0, 4, 1)
+        assert base.recycled_color is None
+
+    def test_theta333_base_frozen(self):
+        g = theta_graph(3, 3, 3)
+        base = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
+        assert base.colored == THETA333_BASE_COLORING
+        assert base.mapped == THETA333_BASE_COLOR_MAP
+        assert base.ear.vertices == (0, 6, 7, 1)
 
     def test_map_never_hits_the_doubled_colors(self):
         g = k24()
-        d = degree_two_set(g)
-        base = color_base_subgraph(select_base_labeling(build_ear_decomposition(g), d), g, d)
+        base = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
         doubled = [c for c in base.colored.values()
                    if list(base.colored.values()).count(c) > 1]
         assert set(base.mapped.values()).isdisjoint(doubled)
 
     def test_labeling_implying_a_non_edge_rejected(self):
-        g = k23()
-        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        assert lab.order == (0, 2, 1, 3, 4)
-        # Swapping w2 and w3 makes the first cycle edge w1-w2 the non-edge 0-1.
-        bad = dataclasses.replace(lab, order=(0, 1, 2, 3, 4))
+        """In K_{2,4}, the base cycle (0, 1, 2, 3, 4) with the ear (0, 5, 3)
+        has a degree-2 vertex on each stretch, but its first cycle edge
+        w_1 w_2 is the non-edge 0-1."""
+        g = k24()
+        dec = EarDecomposition(Path((0, 1, 2, 3, 4)), (Path((0, 5, 3)),))
         with pytest.raises(PreconditionViolated, match=r"labeling implies missing edge \(0, 1\)"):
-            color_base_subgraph(bad, g, degree_two_set(g))
+            color_base_subgraph(dec, g, degree_two_set(g))
+
+    @pytest.mark.parametrize(
+        "g, dec, message",
+        [
+            # The prism has no degree-2 vertices at all.
+            (
+                prism(),
+                EarDecomposition(
+                    Path((0, 1, 4, 3, 5, 2)),
+                    (Path((0, 3)), Path((1, 2)), Path((4, 5))),
+                ),
+                r"no degree-2 vertex on the first arc \(positions 2\.\.3\)",
+            ),
+            # A chord between the hubs of K_{2,3} has no interior.
+            (
+                Graph(5, k23().edges | {(0, 1)}),
+                EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 1)),)),
+                r"no degree-2 vertex on the ear interior \(positions 5\.\.4\)",
+            ),
+        ],
+        ids=["first arc", "ear interior"],
+    )
+    def test_stretch_without_degree_two_vertex_rejected(self, g, dec, message):
+        with pytest.raises(PreconditionViolated, match=message):
+            color_base_subgraph(dec, g, degree_two_set(g))
+
+    @given(minimal_noncycle_graphs())
+    @example(four_hub())
+    @settings(max_examples=50)
+    def test_base_color_map_is_unique_and_maps_every_branch_vertex(self, g):
+        """Each skip position holds a degree-2 vertex, so every branch
+        vertex of the base level is mapped, and the map satisfies A4/A5.
+        In the four-hub graph the ear interior starts at branch vertex 0."""
+        d = degree_two_set(g)
+        base = color_base_subgraph(build_ear_decomposition(g), g, d)
+        assert check_unique_color_map(EdgeColoring.from_assignment(base.colored), base.mapped).passed
+        assert set(base.mapped) == {x for e in base.colored for x in e} - d
 
 
 class TestExtendWithEar:
     def test_k24_extension_frozen(self):
         g = k24()
         d = degree_two_set(g)
-        base = color_base_subgraph(select_base_labeling(build_ear_decomposition(g), d), g, d)
+        base = color_base_subgraph(build_ear_decomposition(g), g, d)
         base_coloring = EdgeColoring.from_assignment(base.colored)
         base_map = dict(base.mapped)
-        from rc2 import Path
-
         step = extend_with_ear(base_coloring, base_map, Path((0, 5, 1)), d)
         assert step.colored == {(0, 5): 4, (1, 5): K24_RECYCLED}
         assert step.mapped == {0: 4}
@@ -138,16 +187,12 @@ class TestExtendWithEar:
 
     def test_endpoint_must_be_mapped(self):
         coloring = EdgeColoring.from_assignment(K23_COLORING)
-        from rc2 import Path
-
         with pytest.raises(PreconditionViolated, match="ear endpoint 0 has no mapped color"):
             extend_with_ear(coloring, {1: 1}, Path((0, 5, 1)),
                             frozenset({2, 3, 4, 5}))
 
     def test_interior_needs_degree_two(self):
         coloring = EdgeColoring.from_assignment(K23_COLORING)
-        from rc2 import Path
-
         with pytest.raises(PreconditionViolated, match="has no degree-2 interior vertex"):
             extend_with_ear(coloring, K23_COLOR_MAP, Path((0, 5, 1)),
                             frozenset({2, 3, 4}))

@@ -9,7 +9,6 @@ from rc2 import (
     check_ear_conditions,
     ear_through_vertex,
     exchange_bad_arc,
-    select_base_labeling,
 )
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
@@ -191,47 +190,3 @@ class TestDecompositionJson:
     def test_exchange_count_not_serialized(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 4, 1)),), repair_exchanges=2)
         assert "repair_exchanges" not in dec.to_json_obj()
-
-
-class TestSelectBaseLabeling:
-    def test_k23_frozen(self):
-        g = k23()
-        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        assert lab.order == (0, 2, 1, 3, 4)
-        assert lab.cycle_len == 4
-        assert lab.ear_end_pos == 3
-        assert (lab.arc1_skip, lab.arc2_skip, lab.ear_skip) == (2, 4, 5)
-
-    def test_theta333_frozen(self):
-        g = theta_graph(3, 3, 3)
-        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        assert lab.order == (0, 2, 3, 1, 5, 4, 6, 7)
-        assert lab.cycle_len == 6
-        assert lab.ear_end_pos == 4
-        assert (lab.arc1_skip, lab.arc2_skip, lab.ear_skip) == (2, 5, 7)
-
-    def test_positions_are_one_based(self):
-        g = k23()
-        lab = select_base_labeling(build_ear_decomposition(g), degree_two_set(g))
-        assert lab.order[0] == 0
-        assert lab.order[len(lab.order) - 1] == 4
-
-    def test_impossible_without_degree_two_vertices(self):
-        dec = EarDecomposition(
-            Path((0, 1, 4, 3, 5, 2)),
-            (Path((0, 3)), Path((1, 2)), Path((4, 5))),
-        )
-        with pytest.raises(PreconditionViolated, match="no degree-2 vertex on the first arc"):
-            select_base_labeling(dec, degree_two_set(prism()))
-
-    @given(minimal_noncycle_graphs())
-    @settings(max_examples=50)
-    def test_skips_point_at_degree_two_vertices(self, g):
-        d = degree_two_set(g)
-        lab = select_base_labeling(build_ear_decomposition(g), d)
-        assert lab.order[lab.arc1_skip - 1] in d
-        assert lab.order[lab.arc2_skip - 1] in d
-        assert lab.order[lab.ear_skip - 1] in d
-        assert 1 < lab.arc1_skip < lab.ear_end_pos
-        assert lab.ear_end_pos < lab.arc2_skip <= lab.cycle_len
-        assert lab.cycle_len < lab.ear_skip <= len(lab.order)

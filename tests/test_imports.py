@@ -1,8 +1,9 @@
 """No unused module-level imports in the package, the tests or the scripts,
 no exception class in ``rc2.errors`` that the package neither raises nor
 catches, no module-level private function or class in the package that
-the package never references, and no defaulted parameter in the package
-that no caller passes.
+the package never references, no defaulted parameter in the package
+that no caller passes, and no dataclass field default in the package that
+every construction overrides.
 
 No linter is installed, so these stdlib scans stand in for one.  Exempt from
 the import scan are the package's ``__init__``, whose imports are its public
@@ -112,15 +113,8 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_private_definitions(sources) == []
 
 
-def unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
-    """``module.function.parameter`` of each defaulted parameter of a function
-    in ``package`` (module name -> source) that no call in ``callers`` passes,
-    by keyword or by position.
-
-    Calls match by name: a function's own, or its class's for an
-    ``__init__``.  A method's position count skips ``self`` unless it is a
-    ``staticmethod``.  A call with ``*`` or ``**`` arguments passes them all.
-    """
+def calls_by_name(callers: list[str]) -> dict[str, list[ast.Call]]:
+    """Every call in ``callers``, by the name or attribute it calls."""
     calls: dict[str, list[ast.Call]] = {}
     for source in callers:
         for node in ast.walk(ast.parse(source)):
@@ -128,6 +122,29 @@ def unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Does ``call`` pass ``param``, by keyword or at position ``index``?  A
+    call with ``*`` or ``**`` arguments passes them all."""
+    return (
+        any(k.arg in (param, None) for k in call.keywords)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+        or (index is not None and len(call.args) > index)
+    )
+
+
+def unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function.parameter`` of each defaulted parameter of a function
+    in ``package`` (module name -> source) that no call in ``callers`` passes,
+    by keyword or by position.
+
+    Calls match by name: a function's own, or its class's for an
+    ``__init__``.  A method's position count skips ``self`` unless it is a
+    ``staticmethod``.
+    """
+    calls = calls_by_name(callers)
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
     found: list[str] = []
     for module, source in package.items():
@@ -152,12 +169,7 @@ def unpassed_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
             name = owner.get(fn) if fn.name == "__init__" else fn.name
             label = f"{module}.{owner[fn]}.{fn.name}" if fn in owner else f"{module}.{fn.name}"
             for param, index in defaulted:
-                if not any(
-                    any(k.arg in (param, None) for k in call.keywords)
-                    or any(isinstance(a, ast.Starred) for a in call.args)
-                    or (index is not None and len(call.args) > index)
-                    for call in calls.get(name, [])
-                ):
+                if not any(passes(call, param, index) for call in calls.get(name, [])):
                     found.append(f"{label}.{param}")
     return found
 
@@ -178,11 +190,73 @@ def test_the_scan_finds_defaults_no_call_passes():
     assert unpassed_defaults(package, callers) == ["a.f.z", "a.C.__init__.a", "a.C.s.k"]
 
 
+PACKAGE = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "rc2").glob("*.py"))}
+# Every call the package's defaults and fields are checked against.
+CALLERS = [
+    path.read_text()
+    for folder in ("src/rc2", "tests", "scripts", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
+
+
 def test_every_default_is_passed_somewhere():
-    package = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "rc2").glob("*.py"))}
-    callers = [
-        path.read_text()
-        for folder in ("src/rc2", "tests", "scripts", "perfbench")
-        for path in sorted((ROOT / folder).glob("*.py"))
-    ]
-    assert unpassed_defaults(package, callers) == []
+    assert unpassed_defaults(PACKAGE, CALLERS) == []
+
+
+def overridden_field_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.Class.field`` of each defaulted field of a dataclass in
+    ``package`` (module name -> source) that every construction in
+    ``callers`` passes, by keyword or by position.
+
+    Constructions match by the class name; a class that nothing constructs
+    is not flagged.  A field's position counts the class's own fields.
+    """
+    calls = calls_by_name(callers)
+    found: list[str] = []
+    for module, source in package.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            # ``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass``.
+            decorators = [getattr(d, "func", d) for d in node.decorator_list]
+            if "dataclass" not in [getattr(d, "id", getattr(d, "attr", None)) for d in decorators]:
+                continue
+            fields = [
+                item for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+            constructions = calls.get(node.name, [])
+            for index, item in enumerate(fields):
+                if item.value is not None and constructions and all(
+                    passes(call, item.target.id, index) for call in constructions
+                ):
+                    found.append(f"{module}.{node.name}.{item.target.id}")
+    return found
+
+
+def test_the_scan_finds_field_defaults_every_construction_overrides():
+    package = {
+        "a": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\n"
+            "class P:\n"
+            "    x: int\n"
+            "    y: int = 0\n"
+            "    z: list = field(default_factory=list)\n"
+            "    w: int = 1\n"
+            "@dataclasses.dataclass(frozen=True)\n"
+            "class Q:\n"
+            "    k: int = 0\n"
+            "@dataclass\n"
+            "class Unbuilt:\n"
+            "    u: int = 0\n"
+            "class Plain:\n"
+            "    v: int = 0\n"
+        )
+    }
+    callers = ["P(1, 2, z=[])\nP(1, 2, [], w=3)\nm.P(*args)\nm.Q(k=1)\nQ()\nPlain(v=1)\n"]
+    assert overridden_field_defaults(package, callers) == ["a.P.y", "a.P.z"]
+
+
+def test_no_field_default_is_overridden_by_every_construction():
+    assert overridden_field_defaults(PACKAGE, CALLERS) == []

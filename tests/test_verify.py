@@ -114,11 +114,6 @@ class TestEnumerateRainbowPaths:
         got = list(enumerate_rainbow_paths(g, coloring, 0, 2, forbidden_vertices=frozenset({1})))
         assert got == [(0, 3, 2)]
 
-    def test_forbidden_colors(self):
-        g, coloring = rainbow_c4()
-        got = list(enumerate_rainbow_paths(g, coloring, 0, 2, forbidden_colors=frozenset({0})))
-        assert got == [(0, 3, 2)]
-
     def test_same_endpoints_rejected(self):
         g, coloring = rainbow_c4()
         with pytest.raises(InvalidInput, match="path endpoints must differ"):
@@ -479,6 +474,16 @@ class TestInductionInvariants:
         broken = dataclasses.replace(res, trace=res.trace[:-1] + (moved,))
         report = check_induction_invariants(broken, g)
         assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 3, 4, recycled))]
+
+    def test_ear_endpoint_missing_from_the_prior_level_is_B1(self):
+        """Vertex 5 first appears on the last level, so the prior level has
+        no 0-5 path at all."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        moved = dataclasses.replace(res.trace[-1], ear=Path((0, 5)))
+        broken = dataclasses.replace(res, trace=res.trace[:-1] + (moved,))
+        report = check_induction_invariants(broken, g)
+        assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 0, 5, 0))]
 
     def test_recycled_color_off_the_ears_last_edge_is_B2(self):
         """Corpus graph 107: the last ear (0, 9, 6) puts recycled color 4 on
