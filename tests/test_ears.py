@@ -10,9 +10,10 @@ from rc2 import (
     ear_through_vertex,
     exchange_bad_arc,
 )
+from rc2.coloring import color_base_subgraph
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
-from rc2.graphs import degree_two_set
+from rc2.graphs import degree_two_set, edge
 from rc2.minimalize import spanning_minimally_two_connected
 
 from .common import cycle, diamond, four_hub, k23, prism, theta_grid
@@ -190,3 +191,50 @@ class TestDecompositionJson:
     def test_exchange_count_not_serialized(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 4, 1)),), repair_exchanges=2)
         assert "repair_exchanges" not in dec.to_json_obj()
+
+
+def working_order(step):
+    """The base labeling's working order w_1..w_L, read off a base step: the
+    base cycle walked from the ear's first endpoint w_1 along the color-0
+    edge w_1 w_2, then the ear's interior."""
+    ear_edges = set(step.ear.edges())
+    cycle_edges = [e for e in step.colored if e not in ear_edges]
+    w1 = step.ear.first
+    order = [w1, next(v for e in cycle_edges if w1 in e and step.colored[e] == 0
+                      for v in e if v != w1)]
+    while len(order) < len(cycle_edges):
+        prev, cur = order[-2], order[-1]
+        order.append(next(v for e in cycle_edges if cur in e for v in e if v not in (prev, cur)))
+    return tuple(order) + step.ear.interior()
+
+
+class TestSelectBaseLabeling:
+    """The base labeling (working order, cycle length s, far-endpoint
+    position p, skip positions) is laid out by color_base_subgraph; these
+    tests read it back off the base step."""
+
+    def test_k23_frozen(self):
+        g = k23()
+        d = degree_two_set(g)
+        step = color_base_subgraph(build_ear_decomposition(g), g, d)
+        order = working_order(step)
+        assert order == (0, 2, 1, 3, 4)
+        s = len(order) - len(step.ear.interior())
+        assert s == 4
+        assert order.index(step.ear.last) + 1 == 3
+        # Skips 2, 4 and 5 are the first degree-2 positions of the first arc
+        # (2..2), second arc (4..4) and ear interior (5..5).  Branch vertex 0
+        # at position 1 precedes its stretch's skip and maps to 1 - 1; branch
+        # vertex 1 at position p = 3 follows it and maps to 3 - 2.
+        assert all(order[pos - 1] in d for pos in (2, 4, 5))
+        assert step.mapped == {0: 0, 1: 1}
+
+    def test_positions_are_one_based(self):
+        g = k23()
+        step = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
+        order = working_order(step)
+        assert order[0] == 0
+        assert order[len(order) - 1] == 4
+        # Edge w_j w_{j+1} takes color j - 1, and w_s w_1 takes s - 1.
+        assert [step.colored[edge(order[j - 1], order[j])] for j in (1, 2, 3)] == [0, 1, 2]
+        assert step.colored[edge(order[3], order[0])] == 3
