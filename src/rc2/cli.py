@@ -14,6 +14,7 @@ an unreadable path, or a graph over the verifier's size guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -168,7 +169,16 @@ def _cmd_corpus(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``rc2`` parser, built on the first ``main`` call and reused after.
+
+    Reuse carries nothing from one call to the next: ``parse_args`` makes a
+    fresh ``Namespace`` each time, every default below is immutable (None,
+    strings, False, ints), and ``set_defaults(func=...)`` binds each handler
+    once, so a handler replaced on the module after the first call is not
+    seen.
+    """
     parser = argparse.ArgumentParser(prog="rc2", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

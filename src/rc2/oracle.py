@@ -46,8 +46,11 @@ def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest color count that rainbow-2-connects g.
 
     Raises BudgetExceeded (carrying the proven lower bound) once ``budget``
-    feasibility tests have run.
+    feasibility tests have run.  A negative budget is refused as invalid
+    input; a budget of 0 raises BudgetExceeded at once.
     """
+    if budget < 0:
+        raise InvalidInput(f"budget must be at least 0, got {budget}")
     if not is_two_connected(g):
         raise PreconditionViolated("the property is only defined for 2-connected graphs")
     index = RainbowIndex(g)

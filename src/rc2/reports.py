@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class SizeGuard:
@@ -29,6 +31,12 @@ class SizeGuard:
 
     max_vertices: int = 12
     max_edges: int = 28
+
+    def __post_init__(self) -> None:
+        if self.max_vertices < 0 or self.max_edges < 0:
+            raise InvalidInput(
+                f"size guard limits must be at least 0, got ({self.max_vertices}, {self.max_edges})"
+            )
 
     def refusal(self, vertex_count: int, edge_count: int) -> str | None:
         """Why a graph of this size is refused, or None when it is allowed."""

@@ -1,5 +1,6 @@
 """Hypothesis strategies for graph-valued properties."""
 
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from rc2 import Graph, spanning_minimally_two_connected
@@ -17,12 +18,15 @@ def two_connected_graphs(draw, min_n: int = 4, max_n: int = 9):
 
 
 @st.composite
-def minimal_noncycle_graphs(draw, max_n: int = 9):
-    """Minimally 2-connected graphs that are not plain cycles."""
+def minimal_noncycle_graphs(draw, max_n: int = 20):
+    """Minimally 2-connected graphs that are not plain cycles.
+
+    The minimalizer turns many drawn graphs into a cycle, and those draws
+    are rejected.  Most kept shapes are a cycle plus one ear; on up to 20
+    vertices about one in ten has two or more ears after the first.
+    """
     g = spanning_minimally_two_connected(draw(two_connected_graphs(max_n=max_n)))
-    if is_cycle_graph(g):
-        # fall back to a known minimal non-cycle shape instead of rejecting
-        g = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    assume(not is_cycle_graph(g))
     return g
 
 

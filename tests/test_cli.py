@@ -4,6 +4,7 @@ Most cases drive ``main(argv)`` in process and read captured stdout; a
 couple of subprocess runs check the installed entry point end to end.
 """
 
+import argparse
 import io
 import json
 import subprocess
@@ -11,11 +12,12 @@ import sys
 
 import pytest
 
+from rc2 import cli
 from rc2.cli import main
 from rc2.generators import complete_bipartite_graph
 from rc2.graphs import graph_to_json
 
-from .common import c6_with_chord, cycle, diamond, k4, k23
+from .common import c6_with_chord, cycle, diamond, k4, k23, wheel
 
 CORPUS_SIZE = 154
 
@@ -233,6 +235,16 @@ def test_verify_guard_skip_exits_2(capsys, tmp_path):
     assert out.splitlines()[-1] == "overall: skipped"
 
 
+def test_verify_negative_guard_exits_2(capsys, tmp_path):
+    gpath, cpath = colored_graph(capsys, tmp_path, cycle(4))
+    code, out, err = run(
+        capsys,
+        ["verify", "--graph", gpath, "--coloring", cpath, "--max-vertices", "-1"],
+    )
+    assert code == 2 and out == ""
+    assert err == "error: size guard limits must be at least 0, got (-1, 28)\n"
+
+
 def test_verify_default_guard_covers_the_corpus(capsys, tmp_path):
     # K_{5,5}, the corpus's densest member, has 25 edges: within the default
     # guard of 12 vertices and 28 edges, so no guard flags are needed.
@@ -357,6 +369,22 @@ def test_oracle_budget_flag_reports_lower_bound(capsys, tmp_path):
     assert json.loads(out) == {"budget_exceeded": True, "rc2_lower_bound": 2}
 
 
+def test_oracle_negative_budget_exits_2(capsys, tmp_path):
+    code, out, err = run(
+        capsys, ["oracle", "--input", graph_file(tmp_path, wheel(6)), "--budget", "-5"]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: budget must be at least 0, got -5\n"
+
+
+def test_oracle_zero_budget_is_legal(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, ["oracle", "--input", graph_file(tmp_path, k23()), "--budget", "0"]
+    )
+    assert code == 0
+    assert json.loads(out) == {"budget_exceeded": True, "rc2_lower_bound": 1}
+
+
 # --- census / corpus ---------------------------------------------------
 
 
@@ -410,6 +438,78 @@ def test_out_gets_what_stdout_would(capsys, tmp_path, argv):
     code, out, _ = run(capsys, argv + ["--out", str(dest)])
     assert code == 0 and out == ""
     assert dest.read_text() == printed
+
+
+# --- one parser across calls ------------------------------------------
+# ``main`` builds its parser on the first call and reuses it; each case
+# below makes one call after another in this process, and the later call
+# must see nothing of the earlier one.
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    assert main(["gen", "cycle", "--n", "3"]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["gen", "cycle", "--n", "4"], ["corpus"], ["census", "--n", "3"]) * 3:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_guard_skip_does_not_stick(capsys, tmp_path):
+    gpath, cpath = colored_graph(capsys, tmp_path, cycle(4))
+    argv = ["verify", "--graph", gpath, "--coloring", cpath]
+    code, out, _ = run(capsys, argv + ["--max-vertices", "3"])
+    assert code == 2 and out.splitlines()[-1] == "overall: skipped"
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.splitlines()[-1] == "overall: pass"
+
+
+def test_trace_and_out_do_not_stick(capsys, tmp_path):
+    gpath = graph_file(tmp_path, k23())
+    dest = tmp_path / "traced.json"
+    code, out, _ = run(capsys, ["color", "--input", gpath, "--trace", "--out", str(dest)])
+    assert code == 0 and out == "" and "trace" in json.loads(dest.read_text())
+    code, out, _ = run(capsys, ["color", "--input", gpath])
+    assert code == 0 and "trace" not in json.loads(out)
+
+
+def test_gen_parameters_do_not_stick(capsys):
+    code, _, _ = run(capsys, ["gen", "random", "--n", "8", "--ears", "2", "--seed", "3"])
+    assert code == 0
+    code, out, err = run(capsys, ["gen", "wheel", "--n", "6"])
+    assert code == 0 and err == ""
+    assert json.loads(out)["n"] == 6
+
+
+def test_good_call_after_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--budget", "many"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    code, out, err = run(capsys, ["gen", "cycle", "--n", "5"])
+    assert code == 0 and err == "" and json.loads(out)["n"] == 5
+
+
+def test_help_is_the_same_every_call(capsys, tmp_path):
+    """A guard given to one call shows in no later help text."""
+    gpath, cpath = colored_graph(capsys, tmp_path, cycle(4))
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+        run(capsys, ["verify", "--graph", gpath, "--coloring", cpath, "--max-vertices", "3"])
+    assert helps[0] == helps[1]
+    assert helps[0].startswith("usage: rc2 verify ") and "(default 12)" in helps[0]
 
 
 # --- installed entry point ---------------------------------------------

