@@ -11,7 +11,7 @@ per corpus member, so two checkouts whose colorings and traces are
 byte-identical print the same digests.
 
 Usage:
-    python3 scripts/run_corpus.py [--max-vertices 12] [--max-edges 28] [--csv out.csv]
+    python3 scripts/run_corpus.py [--csv out.csv]
 """
 
 import argparse
@@ -23,18 +23,14 @@ from collections import defaultdict
 
 from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
-from rc2.reports import DEFAULT_GUARD, SizeGuard
 from rc2.verify import is_rainbow_two_connected
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--max-vertices", type=int, default=DEFAULT_GUARD.max_vertices)
-    parser.add_argument("--max-edges", type=int, default=DEFAULT_GUARD.max_edges)
     parser.add_argument("--csv", default=None, help="also write per-graph rows here")
     args = parser.parse_args(argv)
 
-    guard = SizeGuard(args.max_vertices, args.max_edges)
     rows = []
     by_family = defaultdict(lambda: {"graphs": 0, "colors": 0, "budget": 0, "failures": 0})
     digest = hashlib.sha256()
@@ -44,7 +40,7 @@ def main(argv=None):
         result = color_rc2(g, with_trace=True)
         digest.update(result.to_json_text().encode() + b"\n")
         traces.update(result.to_json_text(include_trace=True).encode() + b"\n")
-        report = is_rainbow_two_connected(g, result.coloring, guard)
+        report = is_rainbow_two_connected(g, result.coloring)
         ok = report.passed
         used = result.coloring.color_count
         budget = g.vertex_count - 1

@@ -24,9 +24,9 @@ from .graphs import (
     Path,
     VertexSet,
     cycle_edges,
-    cycle_order,
     degree_two_set,
     edge,
+    find_cycle,
     is_cycle_graph,
     is_two_connected,
     rooted_cycle,
@@ -209,9 +209,7 @@ def color_cycle(g: Graph) -> ColoringResult:
     paths between a vertex pair jointly use all n edges, so all n colors."""
     if not is_cycle_graph(g):
         raise PreconditionViolated("color_cycle needs a cycle graph")
-    order = cycle_order(g)
-    n = g.vertex_count
-    assignment = {edge(order[i], order[(i + 1) % n]): i for i in range(n)}
+    assignment = {e: i for i, e in enumerate(cycle_edges(find_cycle(g)))}
     return ColoringResult(EdgeColoring.from_assignment(assignment), "cycle")
 
 
@@ -422,7 +420,7 @@ def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
     h = spanning_minimally_two_connected(g)
     if is_cycle_graph(h):
         chord = min(g.edges - h.edges)
-        result = color_hamiltonian_with_chord(g, cycle_order(h), chord)
+        result = color_hamiltonian_with_chord(g, find_cycle(h), chord)
     else:
         result = color_minimally_two_connected(h, with_trace)
     assign = result.coloring.assignment

@@ -161,8 +161,6 @@ def check_ear_conditions(dec: EarDecomposition, g: Graph) -> VerificationReport:
             raise PreconditionViolated(f"ear {idx} is a single vertex")
         if v[0] not in covered or v[-1] not in covered:
             raise PreconditionViolated(f"ear {idx} endpoints must already be covered")
-        if v[0] == v[-1]:
-            raise PreconditionViolated(f"ear {idx} endpoints coincide")
         for x in ear.interior():
             if x in covered:
                 raise PreconditionViolated(f"ear {idx} interior revisits vertex {x}")

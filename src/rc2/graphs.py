@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, PreconditionViolated
 
@@ -100,13 +100,6 @@ class Graph:
                     toward[x].append(y)
             memo[target] = toward
         return toward
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
     def to_json_obj(self) -> dict:
         return {"n": self.vertex_count, "edges": [list(e) for e in sorted(self.edges)]}
@@ -245,71 +238,52 @@ def graph_from_json(text: str) -> Graph:
 # connectivity
 
 
-def _adjacency_of(edges: Iterable[Edge]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
-
-
-def _lowpoint_scan(
-    vertices: Sequence[int], adj: Mapping[int, Sequence[int]]
-) -> tuple[int, set[int]]:
-    """The number of DFS roots (one per component) and the cut vertices,
-    via iterative lowpoint search."""
-    verts = sorted(set(vertices))
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    cut: set[int] = set()
-    timer = 0
-    roots = 0
-    for root in verts:
-        if root in disc:
+def _lowpoint_scan(g: Graph) -> bool:
+    """Whether g is 2-connected, by iterative lowpoint search over
+    ``g.adjacency()``: at least 3 vertices, a DFS from vertex 0 that reaches
+    every vertex, and no cut vertex.  Stops at the first cut vertex found."""
+    n = g.vertex_count
+    if n < 3:
+        return False
+    adj = g.adjacency()
+    disc = [-1] * n
+    low = [0] * n
+    disc[0] = 0
+    timer = 1
+    stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(adj[0]))]
+    while stack:
+        v, parent, nbrs = stack[-1]
+        advanced = False
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = timer
+                timer += 1
+                stack.append((w, v, iter(adj[w])))
+                advanced = True
+                break
+            if w != parent and disc[w] < low[v]:
+                low[v] = disc[w]
+        if advanced:
             continue
-        roots += 1
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(adj.get(root, ())))]
-        root_children = 0
-        while stack:
-            v, parent, nbrs = stack[-1]
-            advanced = False
-            for w in nbrs:
-                if w not in disc:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-                if w != parent and disc[w] < low[v]:
-                    low[v] = disc[w]
-            if advanced:
-                continue
-            stack.pop()
-            if parent == -1:
-                continue
+        stack.pop()
+        if parent == 0:
+            # The root's first child is done.  If its subtree missed a
+            # vertex, the root is a cut vertex or g is not connected;
+            # otherwise the root has one child and the DFS covered g.
+            return timer == n
+        if parent > 0:
+            if low[v] >= disc[parent]:
+                return False
             if low[v] < low[parent]:
                 low[parent] = low[v]
-            if parent == root:
-                root_children += 1
-            elif low[v] >= disc[parent]:
-                cut.add(parent)
-        if root_children > 1:
-            cut.add(root)
-    return roots, cut
+    # Vertex 0 has no neighbours.
+    return False
 
 
-def is_two_connected_sub(vertices: Iterable[int], edges: Iterable[Edge]) -> bool:
-    """2-connectivity of an explicit (vertex set, edge set) subgraph."""
-    verts = sorted(set(vertices))
-    if len(verts) < 3:
-        return False
-    # One DFS root means connected; then no cut vertex means 2-connected.
-    roots, cut = _lowpoint_scan(verts, _adjacency_of(edges))
-    return roots == 1 and not cut
+def is_two_connected_sub(vertex_count: int, edges: Iterable[Edge]) -> bool:
+    """2-connectivity of the graph on ``0..vertex_count-1`` with these edges.
+    It scans a throwaway Graph, so no verdict is kept."""
+    return _lowpoint_scan(Graph(vertex_count, frozenset(edges)))
 
 
 def is_two_connected(g: Graph) -> bool:
@@ -320,7 +294,7 @@ def is_two_connected(g: Graph) -> bool:
     """
     verdict = g.__dict__.get("_two_connected")
     if verdict is None:
-        verdict = is_two_connected_sub(range(g.vertex_count), g.edges)
+        verdict = _lowpoint_scan(g)
         record_two_connected(g, verdict)
     return verdict
 
@@ -330,21 +304,21 @@ def record_two_connected(g: Graph, verdict: bool) -> None:
     object.__setattr__(g, "_two_connected", verdict)
 
 
-def articulation_points(g: Graph) -> set[int]:
-    return _lowpoint_scan(range(g.vertex_count), g.adjacency())[1]
-
-
 def degree_two_set(g: Graph) -> VertexSet:
-    return frozenset(v for v, d in enumerate(g.degrees()) if d == 2)
+    return frozenset(v for v, nbrs in g.adjacency().items() if len(nbrs) == 2)
 
 
 def is_cycle_graph(g: Graph) -> bool:
-    """True when g is exactly one simple cycle covering all its vertices."""
-    if g.vertex_count < 3 or g.edge_count != g.vertex_count:
-        return False
-    if any(d != 2 for d in g.degrees()):
-        return False
-    return len(components(g.adjacency(), set(range(g.vertex_count)))) == 1
+    """True when g is exactly one simple cycle covering all its vertices.
+
+    A 2-regular graph is one cycle exactly when it is connected, which for
+    n >= 3 is the same as 2-connected; the kept verdict answers that.
+    """
+    return (
+        g.edge_count == g.vertex_count
+        and all(len(nbrs) == 2 for nbrs in g.adjacency().values())
+        and is_two_connected(g)
+    )
 
 
 def components(adj: dict[int, list[int]], members: set[int]) -> list[frozenset[int]]:
@@ -366,15 +340,6 @@ def components(adj: dict[int, list[int]], members: set[int]) -> list[frozenset[i
         seen |= comp
         comps.append(frozenset(comp))
     return comps
-
-
-def cycle_order(g: Graph) -> tuple[int, ...]:
-    """The cyclic vertex order of a cycle graph, starting at vertex 0 and
-    moving toward its smaller neighbor."""
-    if not is_cycle_graph(g):
-        raise PreconditionViolated("cycle_order needs a cycle graph")
-    # The only cycle is the whole graph, and find_cycle puts it in canonical form.
-    return find_cycle(g)
 
 
 def rooted_cycle(seq: Sequence[int], start: int) -> tuple[int, ...]:

@@ -68,7 +68,7 @@ def spanning_minimally_two_connected(g: Graph) -> Graph:
     edges = frozenset((u, v) for u in adj for v in adj[u] if u < v)
     # Every deletion above rests on the Menger lemma; a lowpoint scan of the
     # result checks them all by a different algorithm.
-    verdict = is_two_connected_sub(range(g.vertex_count), edges)
+    verdict = is_two_connected_sub(g.vertex_count, edges)
     assert verdict, "minimalizer output is not 2-connected"
     h = Graph(g.vertex_count, edges, g.labels)
     record_two_connected(h, verdict)

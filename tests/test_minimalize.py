@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from rc2 import Graph, spanning_minimally_two_connected
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_graph, wheel_graph
-from rc2.graphs import cycle_order, is_cycle_graph, is_two_connected, is_two_connected_sub
+from rc2.graphs import find_cycle, is_cycle_graph, is_two_connected, is_two_connected_sub
 from rc2.minimalize import (
     _removable,
     bollobas_structure_check,
@@ -36,7 +36,7 @@ class TestSpanningMinimal:
     def test_theta_grid_minimalizes_to_hamiltonian_cycle(self):
         h = spanning_minimally_two_connected(theta_grid())
         assert is_cycle_graph(h)
-        assert cycle_order(h) == (0, 5, 7, 2, 1, 6, 4, 3, 8)
+        assert find_cycle(h) == (0, 5, 7, 2, 1, 6, 4, 3, 8)
         assert theta_grid().edges - h.edges == {(0, 1), (2, 3), (4, 5)}
 
     def test_already_minimal_is_unchanged(self):
@@ -65,7 +65,7 @@ class TestRemovable:
     def assert_matches_definition(g):
         adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
         for u, v in sorted(g.edges):
-            expected = is_two_connected_sub(range(g.vertex_count), g.edges - {(u, v)})
+            expected = is_two_connected_sub(g.vertex_count, g.edges - {(u, v)})
             assert _removable(adj, u, v) == expected, (u, v)
             assert adj == g.adjacency()
 
@@ -83,7 +83,7 @@ class TestRemovable:
         g = complete_graph(8)
         edges = set(g.edges)
         for e in sorted(g.edges)[:12]:
-            if is_two_connected_sub(range(8), edges - {e}):
+            if is_two_connected_sub(8, edges - {e}):
                 edges.remove(e)
         self.assert_matches_definition(Graph.from_edges(8, edges))
 

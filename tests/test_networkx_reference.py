@@ -1,15 +1,15 @@
-"""Connectivity, cut vertices and minimality checked against networkx, an
+"""Connectivity, cycle graphs and minimality checked against networkx, an
 independent implementation.  Skipped where networkx is not installed."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rc2 import Graph, spanning_minimally_two_connected
-from rc2.graphs import articulation_points, is_two_connected
+from rc2.graphs import is_cycle_graph, is_two_connected
 
 from .strategies import two_connected_graphs
 
@@ -43,8 +43,16 @@ def arbitrary_graphs(draw, max_n: int = 14):
 
 @given(st.one_of(arbitrary_graphs(), two_connected_graphs(max_n=12)))
 @settings(max_examples=200)
-def test_articulation_points_match_networkx(g):
-    assert articulation_points(g) == set(nx.articulation_points(to_nx(g)))
+@example(Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+@example(Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)]))
+@example(Graph.from_edges(2, [(0, 1)]))
+def test_two_connected_and_cycle_verdicts_match_networkx(g):
+    """On any graph; networkx calls K2 biconnected, rc2 asks for 3 vertices."""
+    h = to_nx(g)
+    n = g.vertex_count
+    assert is_two_connected(g) == (n >= 3 and nx.is_biconnected(h))
+    two_regular = all(d == 2 for _, d in h.degree)
+    assert is_cycle_graph(g) == (n >= 3 and nx.is_connected(h) and two_regular)
 
 
 def assert_minimally_two_connected(g: Graph):
