@@ -25,6 +25,7 @@ from bisect import insort
 from .errors import PreconditionViolated
 from .graphs import (
     Graph,
+    VertexSet,
     components,
     degree_two_set,
     is_cycle_graph,
@@ -83,17 +84,18 @@ def is_minimally_two_connected(g: Graph) -> bool:
     return not any(_removable(adj, u, v) for u, v in g.edges)
 
 
-def branch_forest_components(g: Graph) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by degree >= 3 vertices."""
-    return components(g.adjacency(), set(range(g.vertex_count)) - degree_two_set(g))
+def branch_forest_components(g: Graph, d: VertexSet) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by degree >= 3 vertices,
+    given the degree-2 set ``d`` of g."""
+    return components(g.adjacency(), set(range(g.vertex_count)) - d)
 
 
-def _degree_two_paths(g: Graph) -> list[tuple[int, ...]]:
-    """Components of the subgraph induced by degree-2 vertices, each returned
-    as a vertex sequence from its smaller end."""
+def _degree_two_paths(g: Graph, d: VertexSet) -> list[tuple[int, ...]]:
+    """Components of the subgraph induced by the degree-2 set ``d`` of g,
+    each returned as a vertex sequence from its smaller end."""
     adj = g.adjacency()
     paths: list[tuple[int, ...]] = []
-    for comp in components(adj, degree_two_set(g)):
+    for comp in components(adj, d):
         ends = sorted(x for x in comp if sum(1 for y in adj[x] if y in comp) <= 1)
         # Degree-2 vertices induce paths and cycles.  A cycle among them has
         # no edge leaving it, so it is the whole of a connected graph, and
@@ -123,8 +125,9 @@ def bollobas_structure_check(g: Graph) -> VerificationReport:
         raise PreconditionViolated("input is not minimally 2-connected")
 
     violations: list[Violation] = []
-    branch = sorted(set(range(g.vertex_count)) - degree_two_set(g))
-    comps = branch_forest_components(g)
+    d = degree_two_set(g)
+    branch = sorted(set(range(g.vertex_count)) - d)
+    comps = branch_forest_components(g, d)
     tree_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
     branch_edges = [e for e in sorted(g.edges) if e[0] in tree_of and e[1] in tree_of]
@@ -141,9 +144,8 @@ def bollobas_structure_check(g: Graph) -> VerificationReport:
             )
         )
 
-    d = degree_two_set(g)
     adj = g.adjacency()
-    paths = _degree_two_paths(g)
+    paths = _degree_two_paths(g, d)
     for seq in paths:
         if len(seq) == 1:
             anchors = [y for y in adj[seq[0]] if y not in d]

@@ -129,3 +129,7 @@ EXACT_RC2 = {
 # Labeled 2-connected graph counts on 3, 4, 5 vertices.  Independently
 # known (A013922); the census must reproduce them exactly.
 TWO_CONNECTED_COUNTS = {3: 1, 4: 10, 5: 238}
+
+# The same graphs up to isomorphism (A002218): the triangle; C4, the diamond
+# and K4; and ten classes on five vertices.
+TWO_CONNECTED_CLASS_COUNTS = {3: 1, 4: 3, 5: 10}

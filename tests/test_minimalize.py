@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from rc2 import Graph, spanning_minimally_two_connected
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_graph, wheel_graph
-from rc2.graphs import find_cycle, is_cycle_graph, is_two_connected, is_two_connected_sub
+from rc2.graphs import (
+    degree_two_set,
+    find_cycle,
+    is_cycle_graph,
+    is_two_connected,
+    is_two_connected_sub,
+)
 from rc2.minimalize import (
     _removable,
     bollobas_structure_check,
@@ -116,7 +122,8 @@ class TestBollobasStructure:
         assert ("degree_two_paths", 5) in report.witnesses
 
     def test_branch_forest_components(self):
-        comps = branch_forest_components(four_hub())
+        g = four_hub()
+        comps = branch_forest_components(g, degree_two_set(g))
         assert sorted(sorted(c) for c in comps) == [[0, 1], [2], [3]]
 
     def test_cycle_rejected(self):

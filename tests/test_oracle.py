@@ -1,3 +1,7 @@
+import hashlib
+from functools import cache
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,9 +9,34 @@ from hypothesis import strategies as st
 from rc2 import Graph, RainbowIndex, brute_force_rc2, census_csv, census_small_graphs, color_rc2
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.generators import theta_graph
-from rc2.oracle import _exact_k_colorings
+from rc2.oracle import _exact_k_colorings, isomorphism_key
 
-from .common import TWO_CONNECTED_COUNTS, cycle, diamond, k4, k23, wheel
+from .common import (
+    TWO_CONNECTED_CLASS_COUNTS,
+    TWO_CONNECTED_COUNTS,
+    cycle,
+    diamond,
+    k4,
+    k23,
+    wheel,
+)
+
+# sha256 of census_csv(census_small_graphs(n)), recorded when the census
+# still brute-forced every labeled graph.
+CENSUS_CSV_SHA256 = {
+    3: "df490ce4a8364ee71bc2bf4396c79ced75ecb71d61c6eae568829a566ee3e8bd",
+    4: "390cc5531d3e9a7c808eac3be8acf3f0b01a270664f4303886472e0c4ff97c60",
+    5: "ebf07372ddf308b5b142ba1033eab5593b29f033a45ce6a4832ab280b88edfff",
+}
+
+
+@cache
+def census_rows(n):
+    return tuple(census_small_graphs(n))
+
+
+def row_graph(row):
+    return Graph.from_edges(row.n, [tuple(map(int, e.split("-"))) for e in row.edges.split(";")])
 
 
 # Stirling set numbers S(m, k): how many ways to split m labeled items
@@ -134,3 +163,34 @@ class TestCensus:
         lines = text.strip().splitlines()
         assert lines[0] == "graph_id,n,m,edges,rc2_exact,rc2_constructive,is_cycle"
         assert lines[1] == "7,3,3,0-1;0-2;1-2,3,3,true"
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_csv_is_pinned(self, n):
+        text = census_csv(list(census_rows(n)))
+        assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_CSV_SHA256[n]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_row_matches_its_own_brute_force(self, n):
+        """The census reuses one brute force per isomorphism class; running
+        the oracle on every labeled graph must give the same minima."""
+        for row in census_rows(n):
+            assert brute_force_rc2(row_graph(row)) == row.rc2_exact, row.edges
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_one_key_per_isomorphism_class(self, n):
+        key = isomorphism_key(n)
+        keys = {key(row.graph_id) for row in census_rows(n)}
+        assert len(keys) == TWO_CONNECTED_CLASS_COUNTS[n]
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_key_survives_relabeling(self, data):
+        n = data.draw(st.sampled_from([4, 5]))
+        row = data.draw(st.sampled_from(census_rows(n)))
+        perm = data.draw(st.permutations(range(n)))
+        slots = list(combinations(range(n), 2))
+        relabeled = sum(
+            1 << slots.index(tuple(sorted((perm[u], perm[v])))) for u, v in row_graph(row).edges
+        )
+        key = isomorphism_key(n)
+        assert key(relabeled) == key(row.graph_id)
