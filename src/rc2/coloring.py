@@ -275,7 +275,7 @@ def _map_stretch(
             mapping[order[j - 1]] = offset + j - (1 if j < skip else 2)
 
 
-def color_base_subgraph(dec: EarDecomposition, g: Graph, d: VertexSet) -> TraceStep:
+def color_base_subgraph(dec: EarDecomposition, g: Graph) -> TraceStep:
     """The first level: the base cycle plus first ear, and its vertex color map.
 
     The working order w_1..w_L lists the base cycle from the first ear's
@@ -289,6 +289,7 @@ def color_base_subgraph(dec: EarDecomposition, g: Graph, d: VertexSet) -> TraceS
     so the doubled colors stay out of the map.  A stretch without a degree-2
     vertex is a failure of the decomposition conditions and raises.
     """
+    d = degree_two_set(g)
     first = dec.ears[0]
     rot = rooted_cycle(dec.base_cycle.vertices, first.first)
     order = rot + first.interior()
@@ -399,7 +400,7 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
         if with_trace:
             steps.append(step)
 
-    fold(color_base_subgraph(dec, g, d))
+    fold(color_base_subgraph(dec, g))
     for ear in dec.ears[1:]:
         fold(extend_with_ear(coloring, fmap, ear, d))
 

@@ -83,13 +83,14 @@ def exchange_bad_arc(
     return normalize_cycle(keep + tuple(reversed(ear.interior())))
 
 
-def _initial_cycle_and_first_ear(g: Graph, d: VertexSet) -> tuple[tuple[int, ...], Path, int]:
+def _initial_cycle_and_first_ear(g: Graph) -> tuple[tuple[int, ...], Path, int]:
     """A base cycle and first ear satisfying the arc condition (2).
 
     When an arc between the ear endpoints has no interior degree-2 vertex,
     the cycle is re-formed from the other arc plus the ear.  Each swap adds
     the ear's degree-2 interior to the cycle, so at most |d| swaps happen.
     """
+    d = degree_two_set(g)
     cycle = find_cycle(g)
     exchanges = 0
     while True:
@@ -122,7 +123,7 @@ def build_ear_decomposition(g: Graph) -> EarDecomposition:
     if not d:
         raise PreconditionViolated("a minimally 2-connected non-cycle has degree-2 vertices")
 
-    cycle, first_ear, exchanges = _initial_cycle_and_first_ear(g, d)
+    cycle, first_ear, exchanges = _initial_cycle_and_first_ear(g)
     covered = set(cycle) | set(first_ear.vertices)
     ears = [first_ear]
     # Covering only grows, so each ear starts at the smallest degree-2 vertex

@@ -305,7 +305,13 @@ def record_two_connected(g: Graph, verdict: bool) -> None:
 
 
 def degree_two_set(g: Graph) -> VertexSet:
-    return frozenset(v for v, nbrs in g.adjacency().items() if len(nbrs) == 2)
+    """The vertices of degree 2, kept on the graph like the 2-connectivity
+    verdict, so each layer that is driven by them reads one set."""
+    d = g.__dict__.get("_degree_two")
+    if d is None:
+        d = frozenset(v for v, nbrs in g.adjacency().items() if len(nbrs) == 2)
+        object.__setattr__(g, "_degree_two", d)
+    return d
 
 
 def is_cycle_graph(g: Graph) -> bool:
@@ -316,7 +322,7 @@ def is_cycle_graph(g: Graph) -> bool:
     """
     return (
         g.edge_count == g.vertex_count
-        and all(len(nbrs) == 2 for nbrs in g.adjacency().values())
+        and len(degree_two_set(g)) == g.vertex_count
         and is_two_connected(g)
     )
 

@@ -25,7 +25,6 @@ from bisect import insort
 from .errors import PreconditionViolated
 from .graphs import (
     Graph,
-    VertexSet,
     components,
     degree_two_set,
     is_cycle_graph,
@@ -84,40 +83,17 @@ def is_minimally_two_connected(g: Graph) -> bool:
     return not any(_removable(adj, u, v) for u, v in g.edges)
 
 
-def branch_forest_components(g: Graph, d: VertexSet) -> list[frozenset[int]]:
-    """Connected components of the subgraph induced by degree >= 3 vertices,
-    given the degree-2 set ``d`` of g."""
-    return components(g.adjacency(), set(range(g.vertex_count)) - d)
-
-
-def _degree_two_paths(g: Graph, d: VertexSet) -> list[tuple[int, ...]]:
-    """Components of the subgraph induced by the degree-2 set ``d`` of g,
-    each returned as a vertex sequence from its smaller end."""
-    adj = g.adjacency()
-    paths: list[tuple[int, ...]] = []
-    for comp in components(adj, d):
-        ends = sorted(x for x in comp if sum(1 for y in adj[x] if y in comp) <= 1)
-        # Degree-2 vertices induce paths and cycles.  A cycle among them has
-        # no edge leaving it, so it is the whole of a connected graph, and
-        # bollobas_structure_check refuses cycles before it gets here.
-        assert len(ends) == 2 or len(comp) == 1, f"degree-2 component {sorted(comp)} is not a path"
-        seq = [ends[0]]
-        prev = -1
-        while seq[-1] != ends[-1]:
-            cur = seq[-1]
-            nxt = next(y for y in adj[cur] if y in comp and y != prev)
-            prev = cur
-            seq.append(nxt)
-        paths.append(tuple(seq))
-    return paths
+def branch_forest_components(g: Graph) -> list[frozenset[int]]:
+    """Connected components of the subgraph induced by degree >= 3 vertices."""
+    return components(g.adjacency(), set(range(g.vertex_count)) - degree_two_set(g))
 
 
 def bollobas_structure_check(g: Graph) -> VerificationReport:
     """Structural sanity check for a minimally 2-connected non-cycle graph.
 
     The degree >= 3 vertices must induce a forest with at least two
-    components, the degree-2 vertices must induce disjoint paths, and each
-    such path must hook its two ends into different trees of the forest.
+    components, and each chain of degree-2 vertices must hook into two
+    different trees of the forest.
     """
     if is_cycle_graph(g):
         raise PreconditionViolated("structure check does not apply to cycles")
@@ -127,7 +103,7 @@ def bollobas_structure_check(g: Graph) -> VerificationReport:
     violations: list[Violation] = []
     d = degree_two_set(g)
     branch = sorted(set(range(g.vertex_count)) - d)
-    comps = branch_forest_components(g, d)
+    comps = branch_forest_components(g)
     tree_of = {v: i for i, comp in enumerate(comps) for v in comp}
 
     branch_edges = [e for e in sorted(g.edges) if e[0] in tree_of and e[1] in tree_of]
@@ -145,23 +121,19 @@ def bollobas_structure_check(g: Graph) -> VerificationReport:
         )
 
     adj = g.adjacency()
-    paths = _degree_two_paths(g, d)
-    for seq in paths:
-        if len(seq) == 1:
-            anchors = [y for y in adj[seq[0]] if y not in d]
-        else:
-            anchors = [y for end in (seq[0], seq[-1]) for y in adj[end] if y not in d]
-        if len(anchors) != 2:
-            violations.append(
-                Violation("bad-attachment", seq, f"path attaches at {sorted(anchors)}")
-            )
-            continue
-        a, b = anchors
-        if tree_of.get(a) == tree_of.get(b):
+    chains = components(adj, d)
+    for chain in chains:
+        # Every chain has exactly two anchors.  A lone degree-2 vertex has
+        # both neighbours outside d, or they would share its component; a
+        # longer chain is a path (a cycle of degree-2 vertices is a whole
+        # cycle graph, refused above), and each of its two ends has one
+        # neighbour in the chain and one outside d.
+        a, b = [y for x in chain for y in adj[x] if y not in d]
+        if tree_of[a] == tree_of[b]:
             violations.append(
                 Violation(
                     "same-tree-attachment",
-                    seq,
+                    tuple(sorted(chain)),
                     f"both ends attach to component of vertex {min(a, b)}",
                 )
             )
@@ -170,5 +142,5 @@ def bollobas_structure_check(g: Graph) -> VerificationReport:
         return failing("structure", violations)
     return passing(
         "structure",
-        [("branch_components", len(comps)), ("degree_two_paths", len(paths))],
+        [("branch_components", len(comps)), ("degree_two_paths", len(chains))],
     )

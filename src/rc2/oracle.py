@@ -3,9 +3,11 @@
 The search enumerates edge colorings in canonical form (first edge color 0,
 each later color at most one past the running maximum) so each partition of
 the edges into color classes is tested exactly once, split by the exact
-number of classes.  Feasibility goes through the same path machinery the
-verifier uses, via :class:`~rc2.verify.RainbowIndex`.  Only viable for tiny
-graphs; a budget caps the number of feasibility tests.
+number of classes.  Feasibility is tested by
+:class:`~rc2.verify.RainbowIndex`, which enumerates simple paths with its own
+walk, not the verifier's rainbow-path search, so the oracle stays an
+independent reference for the verifier.  Only viable for tiny graphs; a
+budget caps the number of feasibility tests.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ DEFAULT_BUDGET = 10**8
 
 def _exact_k_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
     """Canonical colorings of m edges using exactly the colors 0..k-1."""
-    if k > m:
-        return
     buf = [0] * m
 
     def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:

@@ -377,26 +377,19 @@ def check_induction_invariants(
 # ---------------------------------------------------------------------------
 # exhaustive feasibility index for the brute-force oracle
 
-INDEX_MAX_VERTICES = 10
-INDEX_MAX_EDGES = 28
-
-
 class RainbowIndex:
     """Precomputed simple paths for testing many colorings of one graph.
 
     Simple paths and their internally disjoint pairings depend only on the
     graph, so they are enumerated once; each candidate coloring then only
     pays for rainbow tests, memoized per path.  Intended for tiny graphs --
-    construction refuses anything past ``INDEX_MAX_VERTICES`` vertices or
-    ``INDEX_MAX_EDGES`` edges.
+    construction refuses anything past ``SizeGuard(10, 28)``.
     """
 
     def __init__(self, g: Graph):
-        if g.vertex_count > INDEX_MAX_VERTICES or g.edge_count > INDEX_MAX_EDGES:
-            raise PreconditionViolated(
-                f"graph with {g.vertex_count} vertices / {g.edge_count} edges "
-                "is too large to index exhaustively"
-            )
+        refusal = SizeGuard(10, 28).refusal(g.vertex_count, g.edge_count)
+        if refusal is not None:
+            raise PreconditionViolated(refusal)
         self.edge_list = sorted(g.edges)
         eid = {e: i for i, e in enumerate(self.edge_list)}
         adj = g.adjacency()

@@ -77,6 +77,21 @@ def test_gen_extra_parameter_exits_2(capsys):
     assert err == "error: complete takes no parameter 'ears'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["wheel", "--n", "3"], "wheel needs n >= 4"),
+        (["complete", "--n", "2"], "complete graph needs n >= 3 to be 2-connected"),
+        (["random", "--n", "2", "--ears", "0"], "need n >= 3"),
+    ],
+    ids=["wheel", "complete", "random"],
+)
+def test_gen_too_small_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, ["gen", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gen_unknown_family_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "petersen"])
@@ -292,8 +307,10 @@ def test_verify_rejects_bool_coloring_fields(capsys, tmp_path, key):
         ('{"n": 3, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}", "bad JSON"),
         ('{"n": ' + "9" * 5000 + ', "edges": []}', "bad JSON"),
         (b"\xff\xfe0 1\n", "not text"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2], [2, 5]]}', "edge (2, 5) out of range for n=3"),
+        ('{"n": 3, "edges": [[0, 1], [1, 2], [-1, 2]]}', "edge (-1, 2) out of range for n=3"),
     ],
-    ids=["deep-nesting", "5000-digit-int", "not-utf8"],
+    ids=["deep-nesting", "5000-digit-int", "not-utf8", "id-past-n", "negative-id"],
 )
 def test_unreadable_graph_input_exits_2(capsys, tmp_path, text, reason):
     path = tmp_path / "g.in"

@@ -101,7 +101,7 @@ class TestBaseColoring:
         """Working order (0, 2, 1, 3, 4): the ear starts at w_1 = 0 and its
         interior ends at w_L = 4, before the far endpoint w_3 = 1."""
         g = k23()
-        base = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
+        base = color_base_subgraph(build_ear_decomposition(g), g)
         assert base.colored == K23_COLORING
         assert base.mapped == K23_COLOR_MAP
         assert base.ear.vertices == (0, 4, 1)
@@ -109,14 +109,14 @@ class TestBaseColoring:
 
     def test_theta333_base_frozen(self):
         g = theta_graph(3, 3, 3)
-        base = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
+        base = color_base_subgraph(build_ear_decomposition(g), g)
         assert base.colored == THETA333_BASE_COLORING
         assert base.mapped == THETA333_BASE_COLOR_MAP
         assert base.ear.vertices == (0, 6, 7, 1)
 
     def test_map_never_hits_the_doubled_colors(self):
         g = k24()
-        base = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
+        base = color_base_subgraph(build_ear_decomposition(g), g)
         doubled = [c for c in base.colored.values()
                    if list(base.colored.values()).count(c) > 1]
         assert set(base.mapped.values()).isdisjoint(doubled)
@@ -128,7 +128,7 @@ class TestBaseColoring:
         g = k24()
         dec = EarDecomposition(Path((0, 1, 2, 3, 4)), (Path((0, 5, 3)),))
         with pytest.raises(PreconditionViolated, match=r"labeling implies missing edge \(0, 1\)"):
-            color_base_subgraph(dec, g, degree_two_set(g))
+            color_base_subgraph(dec, g)
 
     @pytest.mark.parametrize(
         "g, dec, message",
@@ -153,7 +153,7 @@ class TestBaseColoring:
     )
     def test_stretch_without_degree_two_vertex_rejected(self, g, dec, message):
         with pytest.raises(PreconditionViolated, match=message):
-            color_base_subgraph(dec, g, degree_two_set(g))
+            color_base_subgraph(dec, g)
 
     @given(minimal_noncycle_graphs())
     @example(four_hub())
@@ -163,7 +163,7 @@ class TestBaseColoring:
         vertex of the base level is mapped, and the map satisfies A4/A5.
         In the four-hub graph the ear interior starts at branch vertex 0."""
         d = degree_two_set(g)
-        base = color_base_subgraph(build_ear_decomposition(g), g, d)
+        base = color_base_subgraph(build_ear_decomposition(g), g)
         assert check_unique_color_map(EdgeColoring.from_assignment(base.colored), base.mapped).passed
         assert set(base.mapped) == {x for e in base.colored for x in e} - d
 
@@ -172,7 +172,7 @@ class TestExtendWithEar:
     def test_k24_extension_frozen(self):
         g = k24()
         d = degree_two_set(g)
-        base = color_base_subgraph(build_ear_decomposition(g), g, d)
+        base = color_base_subgraph(build_ear_decomposition(g), g)
         base_coloring = EdgeColoring.from_assignment(base.colored)
         base_map = dict(base.mapped)
         step = extend_with_ear(base_coloring, base_map, Path((0, 5, 1)), d)

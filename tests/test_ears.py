@@ -154,6 +154,11 @@ class TestCheckEarConditions:
         with pytest.raises(PreconditionViolated, match="missing edge"):
             check_ear_conditions(dec, k23())
 
+    def test_ear_with_missing_edge_rejected(self):
+        dec = EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 1)),))
+        with pytest.raises(PreconditionViolated, match=r"ear 0 uses missing edge \(0, 1\)"):
+            check_ear_conditions(dec, k23())
+
     def test_no_ears_rejected(self):
         dec = EarDecomposition(Path((0, 2, 1, 3)), ())
         with pytest.raises(PreconditionViolated, match="no ears"):
@@ -216,7 +221,7 @@ class TestSelectBaseLabeling:
     def test_k23_frozen(self):
         g = k23()
         d = degree_two_set(g)
-        step = color_base_subgraph(build_ear_decomposition(g), g, d)
+        step = color_base_subgraph(build_ear_decomposition(g), g)
         order = working_order(step)
         assert order == (0, 2, 1, 3, 4)
         s = len(order) - len(step.ear.interior())
@@ -231,7 +236,7 @@ class TestSelectBaseLabeling:
 
     def test_positions_are_one_based(self):
         g = k23()
-        step = color_base_subgraph(build_ear_decomposition(g), g, degree_two_set(g))
+        step = color_base_subgraph(build_ear_decomposition(g), g)
         order = working_order(step)
         assert order[0] == 0
         assert order[len(order) - 1] == 4

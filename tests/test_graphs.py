@@ -147,6 +147,16 @@ class TestJson:
         with pytest.raises(InvalidInput, match="isolated"):
             graph_from_json('{"n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}')
 
+    @pytest.mark.parametrize(
+        "edges, bad",
+        [("[[0, 1], [1, 2], [2, 5]]", "(2, 5)"), ("[[0, 1], [1, 2], [-1, 2]]", "(-1, 2)")],
+        ids=["past-n", "negative"],
+    )
+    def test_rejects_ids_out_of_range(self, edges, bad):
+        with pytest.raises(InvalidInput) as exc:
+            graph_from_json(f'{{"n": 3, "edges": {edges}}}')
+        assert str(exc.value) == f"edge {bad} out of range for n=3"
+
     def test_rejects_a_huge_n_without_per_vertex_work(self):
         with pytest.raises(InvalidInput, match="isolated"):
             graph_from_json('{"n": 1000000000, "edges": [[0, 1], [1, 2], [0, 2]]}')

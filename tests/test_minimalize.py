@@ -5,7 +5,6 @@ from rc2 import Graph, spanning_minimally_two_connected
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_graph, wheel_graph
 from rc2.graphs import (
-    degree_two_set,
     find_cycle,
     is_cycle_graph,
     is_two_connected,
@@ -18,8 +17,13 @@ from rc2.minimalize import (
     is_minimally_two_connected,
 )
 
-from .common import cycle, diamond, four_hub, k4, k23, prism, theta_grid, wheel
+from .common import c6_with_chord, cycle, diamond, four_hub, k4, k23, prism, theta_grid, wheel
 from .strategies import two_connected_graphs
+
+# (kind, reason) of each structure violation; a test appends the subject.
+NOT_FOREST = ("not-forest", "degree >= 3 vertices induce a cycle")
+SINGLE_TREE = ("single-tree", "expected at least two components of branch vertices")
+SAME_TREE = ("same-tree-attachment", "both ends attach to component of vertex 0")
 
 
 class TestSpanningMinimal:
@@ -103,7 +107,8 @@ class TestIsMinimal:
         assert is_minimally_two_connected(four_hub())
 
     def test_known_non_minimal(self):
-        for g in (k4(), diamond(), prism(), wheel(5), theta_grid()):
+        bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        for g in (k4(), diamond(), prism(), wheel(5), theta_grid(), bowtie):
             assert not is_minimally_two_connected(g)
 
 
@@ -123,8 +128,34 @@ class TestBollobasStructure:
 
     def test_branch_forest_components(self):
         g = four_hub()
-        comps = branch_forest_components(g, degree_two_set(g))
+        comps = branch_forest_components(g)
         assert sorted(sorted(c) for c in comps) == [[0, 1], [2], [3]]
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (k4(), [NOT_FOREST + ((0, 1, 2, 3),), SINGLE_TREE + ((0, 1, 2, 3),)]),
+            (diamond(), [SINGLE_TREE + ((0, 1),), SAME_TREE + ((2,),), SAME_TREE + ((3,),)]),
+            (
+                c6_with_chord(),
+                [SINGLE_TREE + ((0, 3),), SAME_TREE + ((1, 2),), SAME_TREE + ((4, 5),)],
+            ),
+            # The chain 0-4-2-3-1 runs 4, 2, 3 along the path; its subject
+            # lists its vertices in ascending order.
+            (
+                Graph.from_edges(6, [(0, 1), (0, 5), (1, 5), (0, 4), (2, 4), (2, 3), (1, 3)]),
+                [SINGLE_TREE + ((0, 1),), SAME_TREE + ((2, 3, 4),), SAME_TREE + ((5,),)],
+            ),
+        ],
+        ids=["k4", "diamond", "c6-chord", "unsorted-chain"],
+    )
+    def test_violations_with_minimality_stubbed(self, monkeypatch, g, expected):
+        """These graphs are not minimally 2-connected and break Plummer's
+        structure; with the precondition stubbed, each break is reported."""
+        monkeypatch.setattr("rc2.minimalize.is_minimally_two_connected", lambda g: True)
+        report = bollobas_structure_check(g)
+        got = [(v.kind, v.reason, v.subject) for v in report.violations]
+        assert got == expected
 
     def test_cycle_rejected(self):
         with pytest.raises(PreconditionViolated, match="does not apply to cycles"):

@@ -44,7 +44,7 @@ def row_graph(row):
 # partition exactly once.
 STIRLING = {
     (1, 1): 1,
-    (2, 1): 1, (2, 2): 1,
+    (2, 1): 1, (2, 2): 1, (2, 3): 0,
     (3, 1): 1, (3, 2): 3, (3, 3): 1,
     (4, 1): 1, (4, 2): 7, (4, 3): 6, (4, 4): 1,
 }

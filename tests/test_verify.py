@@ -299,7 +299,8 @@ class TestPairWitnessCheck:
 
 class TestRainbowIndexOracle:
     def test_size_limits(self):
-        with pytest.raises(PreconditionViolated, match="too large to index exhaustively"):
+        refusal = r"graph with 11 vertices / 11 edges exceeds the size guard \(10, 28\)"
+        with pytest.raises(PreconditionViolated, match=refusal):
             RainbowIndex(cycle(11))
 
     def test_feasible_matches_verifier_on_examples(self):
@@ -342,6 +343,11 @@ class TestFanAndLinkage:
         g, coloring = rainbow_c4()
         with pytest.raises(InvalidInput, match="three distinct vertices"):
             check_fan(g, coloring, 0, 0, 1)
+
+    def test_linkage_needs_distinct_vertices(self):
+        g, coloring = rainbow_c4()
+        with pytest.raises(InvalidInput, match="four distinct vertices"):
+            check_linkage(g, coloring, (0, 1, 2, 1))
 
     def test_fan_fails_on_mono(self):
         g, coloring = mono_c4()
