@@ -6,9 +6,10 @@ For every corpus member this colors the graph, checks the rainbow
 n-1 budget.  The per-family summary shows how much of the budget the
 construction actually spends.  Under the summary line it prints the sha256
 of the canonical coloring JSON, one line per corpus member, and the sha256
-of the traced coloring JSON (what ``rc2 color --trace`` writes), one line
-per corpus member, so two checkouts whose colorings and traces are
-byte-identical print the same digests.
+of the traced coloring JSON (what ``rc2 color --trace`` writes: the
+coloring plus one delta per construction level), one line per corpus
+member, so two checkouts whose colorings and traces are byte-identical
+print the same digests.
 
 Usage:
     python3 scripts/run_corpus.py [--csv out.csv]

@@ -89,9 +89,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    if args.trace and args.out is None:
-        print("--trace output is large; give it a destination with --out", file=sys.stderr)
-        return 2
     g = _load_graph(args.input, args.format)
     result = color_rc2(g, with_trace=args.trace)
     if args.dot is not None:

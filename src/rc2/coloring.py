@@ -12,7 +12,6 @@ verified pairs survive.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -23,6 +22,7 @@ from .graphs import (
     Graph,
     Path,
     VertexSet,
+    canonical_json,
     cycle_edges,
     degree_two_set,
     edge,
@@ -93,61 +93,14 @@ def trace_levels(trace: Iterable[TraceStep]) -> Iterator[TraceLevel]:
         )
 
 
-def _slot(keys: list, key) -> tuple[int, bool]:
-    """Where ``key`` sits in the sorted list ``keys``, and whether it is there."""
-    i = bisect_left(keys, key)
-    return i, i < len(keys) and keys[i] == key
-
-
-def _trace_texts(trace: Iterable[TraceStep]) -> Iterator[str]:
-    """Each level's canonical JSON object (see :meth:`ColoringResult.to_json_text`).
-
-    The snapshot's lists are kept sorted as fragments of JSON text, each
-    encoded once, when its level adds or recolors it; a level's text joins
-    them.  Color-map and color-name keys are strings, so they sort as
-    strings ("10" before "2"), as ``sort_keys`` orders them.
-    """
-    edge_keys: list[Edge] = []
-    edge_texts: list[str] = []
-    colored_texts: list[str] = []
-    vertex_keys: list[int] = []
-    vertex_texts: list[str] = []
-    map_keys: list[str] = []
-    map_texts: list[str] = []
-    for step in trace:
-        for e, c in step.colored.items():
-            u, v = e
-            i, present = _slot(edge_keys, e)
-            if present:
-                colored_texts[i] = f"[{u},{v},{c}]"
-                continue
-            edge_keys.insert(i, e)
-            edge_texts.insert(i, f"[{u},{v}]")
-            colored_texts.insert(i, f"[{u},{v},{c}]")
-            for x in e:
-                j, seen = _slot(vertex_keys, x)
-                if not seen:
-                    vertex_keys.insert(j, x)
-                    vertex_texts.insert(j, str(x))
-        for x, c in step.mapped.items():
-            key = str(x)
-            i, present = _slot(map_keys, key)
-            if present:
-                map_texts[i] = f'"{key}":{c}'
-            else:
-                map_keys.insert(i, key)
-                map_texts.insert(i, f'"{key}":{c}')
-        names = ",".join(
-            f'"{key}":{json.dumps(name)}'
-            for key, name in sorted((str(i), name) for i, name in step.color_names.items())
-        )
-        ear = "[" + ",".join(map(str, step.ear.vertices)) + "]"
-        recycled = "null" if step.recycled_color is None else str(step.recycled_color)
-        yield (
-            f'{{"color_map":{{{",".join(map_texts)}}},"color_names":{{{names}}},'
-            f'"coloring":[{",".join(colored_texts)}],"ear":{ear},"edges":[{",".join(edge_texts)}],'
-            f'"recycled_color":{recycled},"vertices":[{",".join(vertex_texts)}]}}'
-        )
+def _step_obj(step: TraceStep) -> dict:
+    return {
+        "ear": list(step.ear.vertices),
+        "recycled_color": step.recycled_color,
+        "colored": [[u, v, c] for (u, v), c in sorted(step.colored.items())],
+        "mapped": {str(x): c for x, c in step.mapped.items()},
+        "color_names": {str(i): name for i, name in step.color_names.items()},
+    }
 
 
 @dataclass
@@ -159,9 +112,11 @@ class ColoringResult:
     def to_json_text(self, include_trace: bool = False) -> str:
         """The result as canonical JSON text (sorted keys, no spaces).
 
-        The trace, when asked for and present, holds one full snapshot per
-        level: vertices, edges, coloring, color map, ear, recycled color and
-        the level's color names.
+        The trace, when asked for and present, holds one object per level:
+        its :class:`TraceStep`, with ``colored`` as sorted ``[u, v, c]``
+        triples and string keys in ``mapped`` and ``color_names``.  Folding
+        the levels in order, as :func:`trace_levels` folds the steps, gives
+        each level's snapshot.
         """
         assign = self.coloring.assignment
         edges = ",".join(
@@ -172,7 +127,7 @@ class ColoringResult:
             f'"strategy":{json.dumps(self.strategy)}'
         )
         if include_trace and self.trace is not None:
-            return head + ',"trace":[' + ",".join(_trace_texts(self.trace)) + "]}"
+            return head + ',"trace":' + canonical_json(list(map(_step_obj, self.trace))) + "}"
         return head + "}"
 
     def to_json_obj(self, include_trace: bool = False) -> dict:

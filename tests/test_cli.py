@@ -127,10 +127,12 @@ def test_color_writes_canonical_json(capsys, tmp_path):
     assert "trace" not in obj
 
 
-def test_color_trace_requires_out(capsys, tmp_path):
+def test_color_trace_to_stdout(capsys, tmp_path):
     code, out, err = run(capsys, ["color", "--input", graph_file(tmp_path, k23()), "--trace"])
-    assert code == 2 and out == ""
-    assert "--out" in err
+    assert code == 0 and err == ""
+    obj = json.loads(out)
+    assert obj["strategy"] == "ear_induction"
+    assert [level["ear"] for level in obj["trace"]] == [[0, 4, 1]]
 
 
 def test_color_trace_to_file(capsys, tmp_path):

@@ -1,9 +1,12 @@
 """The construction trace: per-level deltas, their snapshots, their text.
 
-``ColoringResult.to_json_text`` renders each level from fragments it keeps
-sorted as the deltas arrive.  Here it is compared with ``canonical_json`` of
-snapshot objects built directly from ``trace_levels``, and the deltas are
-checked to color each edge of the minimalized subgraph once.
+``ColoringResult.to_json_text`` writes each level of the trace as its
+delta.  Here the parsed deltas are folded level by level and compared with
+snapshot objects built directly from ``trace_levels``; the untraced head is
+compared with ``canonical_json`` of a reference object, and the deltas are
+checked to color each edge of the minimalized subgraph once.  The snapshot
+reference ``reference_obj`` is also what ``tests/test_pinned_colorings.py``
+hashes.
 """
 
 import dataclasses
@@ -22,35 +25,63 @@ from rc2.reports import DEFAULT_GUARD
 from rc2.verify import check_induction_invariants
 
 
-def snapshot_obj(step, level) -> dict:
-    assign = level.coloring.assignment
+def snapshot_obj(assign, color_map, ear, recycled_color, color_names) -> dict:
+    """One level's full snapshot: the colored subgraph so far, the color
+    map so far, and the level's own ear, recycled color and color names."""
     return {
         "vertices": sorted({x for e in assign for x in e}),
         "edges": [list(e) for e in sorted(assign)],
         "coloring": [[u, v, assign[u, v]] for u, v in sorted(assign)],
-        "color_map": {str(v): c for v, c in level.color_map.items()},
-        "ear": list(step.ear.vertices),
-        "recycled_color": step.recycled_color,
-        "color_names": {str(i): name for i, name in step.color_names.items()},
+        "color_map": {str(v): c for v, c in color_map.items()},
+        "ear": list(ear),
+        "recycled_color": recycled_color,
+        "color_names": {str(i): name for i, name in color_names.items()},
     }
 
 
 def reference_obj(result, include_trace: bool) -> dict:
+    """The result with one full snapshot per level of the trace."""
     obj = {
         "colors": result.coloring.color_count,
         "strategy": result.strategy,
         "edges": [{"u": u, "v": v, "color": c} for (u, v), c in sorted(result.coloring.assignment.items())],
     }
     if include_trace and result.trace is not None:
-        obj["trace"] = [snapshot_obj(s, lv) for s, lv in zip(result.trace, trace_levels(result.trace))]
+        obj["trace"] = [
+            snapshot_obj(lv.coloring.assignment, lv.color_map, s.ear.vertices, s.recycled_color, s.color_names)
+            for s, lv in zip(result.trace, trace_levels(result.trace))
+        ]
     return obj
 
 
+def fold_json_trace(trace: list) -> list[dict]:
+    """The snapshots of a parsed JSON trace, folded level by level."""
+    assign: dict[tuple[int, int], int] = {}
+    color_map: dict[str, int] = {}
+    snapshots = []
+    for level in trace:
+        assign.update({(u, v): c for u, v, c in level["colored"]})
+        color_map.update(level["mapped"])
+        snapshots.append(
+            snapshot_obj(assign, color_map, level["ear"], level["recycled_color"], level["color_names"])
+        )
+    return snapshots
+
+
 def assert_renders_like_the_reference(result):
-    for include_trace in (False, True):
-        expected = reference_obj(result, include_trace)
-        assert result.to_json_text(include_trace) == canonical_json(expected)
-        assert result.to_json_obj(include_trace) == expected
+    head = reference_obj(result, include_trace=False)
+    assert result.to_json_text() == canonical_json(head)
+    assert result.to_json_obj() == head
+    text = result.to_json_text(include_trace=True)
+    obj = json.loads(text)
+    assert text == canonical_json(obj)
+    assert result.to_json_obj(include_trace=True) == obj
+    trace = obj.pop("trace", None)
+    assert obj == head
+    assert (trace is None) == (result.trace is None)
+    if trace is not None:
+        assert all(level["colored"] == sorted(level["colored"]) for level in trace)
+        assert fold_json_trace(trace) == reference_obj(result, include_trace=True)["trace"]
 
 
 def string_order_differs(result) -> bool:
@@ -96,9 +127,12 @@ def test_damaged_last_level_renders_like_its_snapshot():
     assert level.coloring.assignment[older] == 99
     assert level.color_map[kept] == 98
     assert_renders_like_the_reference(broken)
-    text = json.loads(broken.to_json_text(include_trace=True))
-    assert [*older, 99] in text["trace"][-1]["coloring"]
-    assert [*older, first.colored[older]] in text["trace"][-2]["coloring"]
+    trace = broken.to_json_obj(include_trace=True)["trace"]
+    assert [*older, 99] in trace[-1]["colored"]
+    assert trace[-1]["mapped"][str(kept)] == 98
+    *_, before_last, last_level = fold_json_trace(trace)
+    assert [*older, 99] in last_level["coloring"]
+    assert [*older, first.colored[older]] in before_last["coloring"]
 
 
 def test_each_minimal_edge_is_colored_at_exactly_one_level():
