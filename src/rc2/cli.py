@@ -34,7 +34,7 @@ from .graphs import (
     parse_json,
 )
 from .minimalize import spanning_minimally_two_connected
-from .oracle import DEFAULT_BUDGET, brute_force_rc2, census_csv, census_small_graphs
+from .oracle import CENSUS_SIZES, DEFAULT_BUDGET, brute_force_rc2, census_csv, census_small_graphs
 from .reports import DEFAULT_GUARD, SizeGuard
 from .verify import is_rainbow_two_connected
 
@@ -236,7 +236,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("census", help="exact vs constructed counts for all tiny graphs")
-    p.add_argument("--n", type=int, required=True, help="vertex count (3..5)")
+    p.add_argument(
+        "--n",
+        type=int,
+        required=True,
+        help=f"vertex count ({CENSUS_SIZES[0]}..{CENSUS_SIZES[-1]})",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 

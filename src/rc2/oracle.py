@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .coloring import color_rc2
 from .errors import BudgetExceeded, InvalidInput, PreconditionViolated
-from .graphs import Graph, is_cycle_graph, is_two_connected
+from .graphs import Graph, edge, is_cycle_graph, is_two_connected
 from .verify import RainbowIndex
 
 DEFAULT_BUDGET = 10**8
@@ -69,9 +69,13 @@ def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     raise AssertionError("rc2(G) <= n for every 2-connected G, and m >= n, so k = n is feasible")
 
 
+CENSUS_SIZES = range(3, 7)
+
+
 @dataclass(frozen=True)
 class CensusRow:
     graph_id: int
+    class_id: int
     n: int
     m: int
     edges: str
@@ -80,64 +84,49 @@ class CensusRow:
     is_cycle: bool
 
 
-def isomorphism_key(n: int) -> Callable[[int], int]:
-    """Isomorphism-class key for graphs on n vertices given as edge-slot masks.
-
-    Bit b of a mask stands for the b-th pair of ``combinations(range(n), 2)``.
-    The key is the smallest mask over all n! relabelings, so two graphs get
-    the same key exactly when they are isomorphic.  Only viable for tiny n:
-    the relabeled slot tables are built once per call of this function.
-    """
-    slots = list(combinations(range(n), 2))
-    position = {e: b for b, e in enumerate(slots)}
-    tables = [
-        [1 << position[min(p[u], p[v]), max(p[u], p[v])] for u, v in slots]
-        for p in permutations(range(n))
-    ]
-
-    def key(mask: int) -> int:
-        bits = [b for b in range(len(slots)) if mask >> b & 1]
-        return min(sum(map(table.__getitem__, bits)) for table in tables)
-
-    return key
-
-
 def census_small_graphs(n: int) -> list[CensusRow]:
     """Exact vs constructed color counts over all labeled 2-connected graphs.
 
-    Enumerates every labeled graph on n vertices (n between 3 and 5; beyond
-    that the census explodes), keeps the 2-connected ones, and pairs the
-    brute-force minimum with the constructive count.  rc2 is a graph
-    invariant, so the minimum is brute-forced once per isomorphism class
-    (the first labeled graph of the class) and reused for the rest; the
-    construction depends on the labels, so it runs on every labeled graph.
+    Walks every labeled graph on n vertices (n in ``CENSUS_SIZES``) as an
+    edge-slot mask, bit b for the b-th pair of ``combinations(range(n), 2)``,
+    and keeps the 2-connected ones.  rc2 is a graph invariant, so it is
+    brute-forced once per isomorphism class: the masks ascend, so the first
+    member met of a class is its smallest mask, the ``class_id`` to which
+    the class's whole orbit of relabelings is mapped with its exact value.
+    The construction depends on the labels, so it runs on every labeled graph.
     """
-    if not 3 <= n <= 5:
-        raise InvalidInput("census covers 3 to 5 vertices")
+    if n not in CENSUS_SIZES:
+        raise InvalidInput(f"census covers {CENSUS_SIZES[0]} to {CENSUS_SIZES[-1]} vertices")
     slots = list(combinations(range(n), 2))
-    key = isomorphism_key(n)
-    exact_of: dict[int, int] = {}
+    position = {e: b for b, e in enumerate(slots)}
+    tables = [[1 << position[edge(p[u], p[v])] for u, v in slots] for p in permutations(range(n))]
+    class_of: dict[int, tuple[int, int]] = {}
     rows: list[CensusRow] = []
     for mask in range(1 << len(slots)):
-        edges = [e for b, e in enumerate(slots) if mask >> b & 1]
-        g = Graph.from_edges(n, edges)
+        bits = [b for b in range(len(slots)) if mask >> b & 1]
+        g = Graph.from_edges(n, [slots[b] for b in bits])
         if not is_two_connected(g):
             continue
-        cls = key(mask)
-        if cls not in exact_of:
-            exact_of[cls] = brute_force_rc2(g)
+        if mask not in class_of:
+            exact = brute_force_rc2(g)
+            for table in tables:
+                class_of[sum(map(table.__getitem__, bits))] = (mask, exact)
+        class_id, exact = class_of[mask]
         built = color_rc2(g)
         rows.append(
             CensusRow(
                 graph_id=mask,
+                class_id=class_id,
                 n=n,
-                m=len(edges),
+                m=len(bits),
                 edges=";".join(f"{u}-{v}" for u, v in sorted(g.edges)),
-                rc2_exact=exact_of[cls],
+                rc2_exact=exact,
                 rc2_constructive=built.coloring.color_count,
                 is_cycle=is_cycle_graph(g),
             )
         )
+    # Each class's orbit is exactly its labeled members.
+    assert len(class_of) == len(rows)
     return rows
 
 

@@ -50,6 +50,8 @@ def enumerate_rainbow_paths(
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
+    if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
+        raise InvalidInput(f"path endpoints {u} and {v} must be vertices 0..{g.vertex_count - 1}")
     adj = g.adjacency_toward(v)
     assign = coloring.assignment
     # Banned vertices are never on the path, so popping a path vertex never
@@ -225,9 +227,9 @@ def check_linkage(g: Graph, coloring: EdgeColoring, quad: Sequence[int]) -> tupl
     The three ways to split the four vertices into two pairs are tried in
     order; the first split admitting vertex-disjoint rainbow paths wins.
     """
-    a, b, c, d = sorted(quad)
-    if len({a, b, c, d}) != 4:
+    if len(quad) != 4 or len(set(quad)) != 4:
         raise InvalidInput("linkage check needs four distinct vertices")
+    a, b, c, d = sorted(quad)
     return _a3_linkage(
         lambda pair: list(_with_sets(enumerate_rainbow_paths(g, coloring, *pair))), (a, b, c, d)
     )

@@ -1,4 +1,4 @@
-"""Shared graphs and frozen expected values for the test suite.
+"""Shared graphs, the cached census and frozen expected values for the test suite.
 
 The colorings and decompositions recorded here were derived by hand from
 the construction rules and double-checked against the brute-force oracle
@@ -6,7 +6,9 @@ before being frozen.  Tests compare implementation output against these
 tables; none of them were generated by the code under test.
 """
 
-from rc2 import Graph
+from functools import cache
+
+from rc2 import Graph, census_small_graphs
 
 
 def k23() -> Graph:
@@ -72,6 +74,13 @@ def wheel(n: int) -> Graph:
     return Graph.from_edges(n, rim + [(0, i) for i in range(1, n)])
 
 
+@cache
+def census_rows(n: int):
+    """The census on n vertices, run once per test session (n = 6 takes
+    seconds)."""
+    return tuple(census_small_graphs(n))
+
+
 # ---------------------------------------------------------------------------
 # frozen expected values
 
@@ -126,10 +135,10 @@ EXACT_RC2 = {
     "w5": (2, 4),
 }
 
-# Labeled 2-connected graph counts on 3, 4, 5 vertices.  Independently
+# Labeled 2-connected graph counts on 3 to 6 vertices.  Independently
 # known (A013922); the census must reproduce them exactly.
-TWO_CONNECTED_COUNTS = {3: 1, 4: 10, 5: 238}
+TWO_CONNECTED_COUNTS = {3: 1, 4: 10, 5: 238, 6: 11368}
 
 # The same graphs up to isomorphism (A002218): the triangle; C4, the diamond
-# and K4; and ten classes on five vertices.
-TWO_CONNECTED_CLASS_COUNTS = {3: 1, 4: 3, 5: 10}
+# and K4; ten classes on five vertices and 56 on six.
+TWO_CONNECTED_CLASS_COUNTS = {3: 1, 4: 3, 5: 10, 6: 56}

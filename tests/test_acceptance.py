@@ -22,9 +22,11 @@ from rc2.minimalize import (
     is_minimally_two_connected,
     spanning_minimally_two_connected,
 )
-from rc2.oracle import brute_force_rc2, census_small_graphs
+from rc2.oracle import brute_force_rc2
 from rc2.reports import SizeGuard
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
+
+from .common import TWO_CONNECTED_COUNTS, census_rows
 
 
 @contextmanager
@@ -79,16 +81,14 @@ def test_cycle_color_count_is_sharp(capsys):
 
 def test_census_exact_vs_constructive_consistency(capsys):
     with criterion(capsys, "census-consistency"):
-        expected_rows = {4: 10, 5: 238}
-        for n, count in expected_rows.items():
-            rows = census_small_graphs(n)
-            assert len(rows) == count
+        for n in (4, 5, 6):
+            rows = census_rows(n)
+            assert len(rows) == TWO_CONNECTED_COUNTS[n]
             for row in rows:
                 assert row.rc2_exact <= row.rc2_constructive, row
                 if not row.is_cycle:
                     assert row.rc2_constructive <= row.n - 1, row
-                if row.rc2_exact == row.n:
-                    assert row.is_cycle, row
+                assert (row.rc2_exact == row.n) == row.is_cycle, row
 
 
 def test_induction_invariants_hold_on_minimal_graphs(minimalized, capsys):

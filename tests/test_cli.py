@@ -417,8 +417,8 @@ def test_census_n3_csv(capsys):
 
 
 def test_census_rejects_out_of_range_n(capsys):
-    code, _, err = run(capsys, ["census", "--n", "6"])
-    assert code == 2 and err.startswith("error:")
+    code, _, err = run(capsys, ["census", "--n", "7"])
+    assert code == 2 and err == "error: census covers 3 to 6 vertices\n"
 
 
 def test_corpus_listing(capsys):

@@ -1,5 +1,4 @@
 import hashlib
-from functools import cache
 from itertools import combinations
 
 import pytest
@@ -9,11 +8,12 @@ from hypothesis import strategies as st
 from rc2 import Graph, RainbowIndex, brute_force_rc2, census_csv, census_small_graphs, color_rc2
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.generators import theta_graph
-from rc2.oracle import _exact_k_colorings, isomorphism_key
+from rc2.oracle import _exact_k_colorings
 
 from .common import (
     TWO_CONNECTED_CLASS_COUNTS,
     TWO_CONNECTED_COUNTS,
+    census_rows,
     cycle,
     diamond,
     k4,
@@ -21,18 +21,15 @@ from .common import (
     wheel,
 )
 
-# sha256 of census_csv(census_small_graphs(n)), recorded when the census
-# still brute-forced every labeled graph.
+# sha256 of census_csv(census_small_graphs(n)).  n = 3..5 were recorded
+# when the census still brute-forced every labeled graph, n = 6 when it
+# keyed each graph by its smallest relabeling over all 720 permutations.
 CENSUS_CSV_SHA256 = {
     3: "df490ce4a8364ee71bc2bf4396c79ced75ecb71d61c6eae568829a566ee3e8bd",
     4: "390cc5531d3e9a7c808eac3be8acf3f0b01a270664f4303886472e0c4ff97c60",
     5: "ebf07372ddf308b5b142ba1033eab5593b29f033a45ce6a4832ab280b88edfff",
+    6: "446bd0a5f3646ec4530daecb464e50761d10ae06b8968677b070f30c1e66e1d9",
 }
-
-
-@cache
-def census_rows(n):
-    return tuple(census_small_graphs(n))
 
 
 def row_graph(row):
@@ -138,14 +135,13 @@ class TestCensus:
         assert row.rc2_exact == row.rc2_constructive == 3
         assert row.is_cycle
 
-    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("n", [4, 5, 6])
     def test_counts_match_known_sequence(self, n):
-        rows = census_small_graphs(n)
-        assert len(rows) == TWO_CONNECTED_COUNTS[n]
+        assert len(census_rows(n)) == TWO_CONNECTED_COUNTS[n]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_rows_are_internally_consistent(self, n):
-        for row in census_small_graphs(n):
+        for row in census_rows(n):
             assert row.rc2_exact <= row.rc2_constructive
             if row.is_cycle:
                 assert row.rc2_exact == row.n == row.rc2_constructive
@@ -153,9 +149,9 @@ class TestCensus:
                 assert row.rc2_constructive <= row.n - 1
 
     def test_out_of_range(self):
-        with pytest.raises(InvalidInput, match="census covers 3 to 5 vertices"):
-            census_small_graphs(6)
-        with pytest.raises(InvalidInput, match="census covers 3 to 5 vertices"):
+        with pytest.raises(InvalidInput, match="census covers 3 to 6 vertices"):
+            census_small_graphs(7)
+        with pytest.raises(InvalidInput, match="census covers 3 to 6 vertices"):
             census_small_graphs(2)
 
     def test_csv_shape(self):
@@ -164,7 +160,7 @@ class TestCensus:
         assert lines[0] == "graph_id,n,m,edges,rc2_exact,rc2_constructive,is_cycle"
         assert lines[1] == "7,3,3,0-1;0-2;1-2,3,3,true"
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_csv_is_pinned(self, n):
         text = census_csv(list(census_rows(n)))
         assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_CSV_SHA256[n]
@@ -176,21 +172,34 @@ class TestCensus:
         for row in census_rows(n):
             assert brute_force_rc2(row_graph(row)) == row.rc2_exact, row.edges
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_key_per_isomorphism_class(self, n):
-        key = isomorphism_key(n)
-        keys = {key(row.graph_id) for row in census_rows(n)}
-        assert len(keys) == TWO_CONNECTED_CLASS_COUNTS[n]
+        rows = census_rows(n)
+        assert len({row.class_id for row in rows}) == TWO_CONNECTED_CLASS_COUNTS[n]
+        # A class is named by its smallest member.
+        assert all(row.class_id <= row.graph_id for row in rows)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_key_survives_relabeling(self, data):
-        n = data.draw(st.sampled_from([4, 5]))
+        n = data.draw(st.sampled_from([4, 5, 6]))
         row = data.draw(st.sampled_from(census_rows(n)))
         perm = data.draw(st.permutations(range(n)))
         slots = list(combinations(range(n), 2))
         relabeled = sum(
             1 << slots.index(tuple(sorted((perm[u], perm[v])))) for u, v in row_graph(row).edges
         )
-        key = isomorphism_key(n)
-        assert key(relabeled) == key(row.graph_id)
+        twin = next(r for r in census_rows(n) if r.graph_id == relabeled)
+        assert (twin.class_id, twin.rc2_exact) == (row.class_id, row.rc2_exact)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_brute_force_runs_once_per_class(self, n, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return brute_force_rc2(g)
+
+        monkeypatch.setattr("rc2.oracle.brute_force_rc2", counted)
+        census_small_graphs(n)
+        assert len(calls) == TWO_CONNECTED_CLASS_COUNTS[n]

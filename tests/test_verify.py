@@ -28,7 +28,7 @@ from rc2 import (
 from rc2 import verify
 from rc2.corpus import standard_corpus
 from rc2.errors import InvalidInput, PreconditionViolated
-from rc2.generators import complete_graph
+from rc2.generators import complete_graph, theta_graph
 
 from .common import K23_COLORING, cycle, k23, k24
 from .strategies import colorings_of, two_connected_graphs
@@ -348,6 +348,26 @@ class TestFanAndLinkage:
         g, coloring = rainbow_c4()
         with pytest.raises(InvalidInput, match="four distinct vertices"):
             check_linkage(g, coloring, (0, 1, 2, 1))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda g, c: check_linkage(g, c, (0, 1, 2)), "four distinct vertices"),
+            (
+                lambda g, c: has_two_internally_disjoint_rainbow_paths(g, c, 0, 99),
+                "endpoints 0 and 99 must be vertices 0..7",
+            ),
+            (lambda g, c: check_fan(g, c, 0, 1, 99), "endpoints 0 and 99 must be vertices 0..7"),
+            (
+                lambda g, c: next(enumerate_rainbow_paths(g, c, -1, 2)),
+                "endpoints -1 and 2 must be vertices 0..7",
+            ),
+        ],
+    )
+    def test_bad_vertex_arguments_are_invalid_input(self, call, message):
+        g = theta_graph(2, 3, 4)
+        with pytest.raises(InvalidInput, match=message):
+            call(g, color_rc2(g).coloring)
 
     def test_fan_fails_on_mono(self):
         g, coloring = mono_c4()
