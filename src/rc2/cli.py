@@ -4,9 +4,12 @@ Subcommands: ``gen`` (family generators), ``color`` (produce a coloring),
 ``verify`` (check a coloring), ``minimalize``, ``decompose``, ``oracle``
 (brute-force minimum), ``census`` (exact-vs-constructed table for tiny n).
 
-Graphs come from ``--input`` or stdin, as JSON (``{"n": ..., "edges": ...}``)
-or whitespace edge lists.  Exit codes: 0 success, 1 a verification failed or
-a color bound was exceeded, 2 a refusal: ``InvalidInput`` (malformed input),
+Graphs come from ``--input`` (``--graph`` for ``verify``) or stdin.  A text
+whose first non-blank character is ``{`` is read as JSON
+(``{"n": ..., "edges": ...}``), any other as a whitespace edge list; an edge
+list that starts with ``{`` needs a ``#`` comment line first.  Exit codes: 0
+success, 1 a verification failed or a color bound was exceeded, 2 a usage
+error or a refusal: ``InvalidInput`` (malformed input),
 ``PreconditionViolated`` (well-formed input the command does not apply to),
 an unreadable path, or a graph over the verifier's size guard.
 """
@@ -38,6 +41,9 @@ from .oracle import CENSUS_SIZES, DEFAULT_BUDGET, brute_force_rc2, census_csv, c
 from .reports import DEFAULT_GUARD, SizeGuard
 from .verify import is_rainbow_two_connected
 
+# Family parameters: each is a ``gen`` option, passed on when given.
+_GEN_PARAMS = ("n", "a", "b", "c", "ears", "seed")
+
 _FAMILIES = {
     "cycle": "cycle",
     "theta": "theta",
@@ -57,11 +63,9 @@ def _read_text(path: str | None) -> str:
         raise InvalidInput(f"{path or 'stdin'} is not text: {exc}") from exc
 
 
-def _load_graph(path: str | None, fmt: str) -> Graph:
+def _load_graph(path: str | None) -> Graph:
     text = _read_text(path)
-    if fmt == "auto":
-        fmt = "json" if text.lstrip().startswith("{") else "edgelist"
-    if fmt == "json":
+    if text.lstrip().startswith("{"):
         return graph_from_json(text)
     return parse_edge_list(text)
 
@@ -74,11 +78,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    params = {}
-    for key in ("n", "a", "b", "c", "ears", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in _GEN_PARAMS if getattr(args, key) is not None}
     spec = FamilySpec(_FAMILIES[args.family], params)
     g = generate_family(spec)
     if args.format == "edgelist":
@@ -89,7 +89,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     result = color_rc2(g, with_trace=args.trace)
     if args.dot is not None:
         Path(args.dot).write_text(to_dot(g, result.coloring))
@@ -98,7 +98,7 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
     coloring = coloring_from_json_obj(parse_json(_read_text(args.coloring), "coloring JSON"))
     guard = SizeGuard(args.max_vertices, args.max_edges)
     report = is_rainbow_two_connected(g, coloring, guard)
@@ -131,21 +131,21 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_minimalize(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     h = spanning_minimally_two_connected(g)
     _emit(graph_to_json(h) + "\n", args.out)
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     dec = build_ear_decomposition(g)
     _emit(canonical_json(dec.to_json_obj()) + "\n", args.out)
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     try:
         payload = {"rc2": brute_force_rc2(g, budget=args.budget)}
     except BudgetExceeded as exc:
@@ -181,22 +181,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_io(p) -> None:
         p.add_argument("--input", default=None, help="input path (default: stdin)")
-        p.add_argument(
-            "--format",
-            choices=("auto", "json", "edgelist"),
-            default="auto",
-            help="input format (default: sniff)",
-        )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
 
     p = sub.add_parser("gen", help="generate a graph from a named family")
     p.add_argument("family", choices=sorted(_FAMILIES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--c", type=int)
-    p.add_argument("--ears", type=int)
-    p.add_argument("--seed", type=int)
+    for key in _GEN_PARAMS:
+        p.add_argument(f"--{key}", type=int)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -209,12 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a coloring for rainbow 2-connection")
     p.add_argument("--graph", required=True, help="graph file")
-    p.add_argument(
-        "--format",
-        choices=("auto", "json", "edgelist"),
-        default="auto",
-        help="graph format (default: sniff)",
-    )
     p.add_argument("--coloring", required=True, help="coloring JSON file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
     guard_help = "size guard (default %(default)s)"

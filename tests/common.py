@@ -7,8 +7,9 @@ tables; none of them were generated by the code under test.
 """
 
 from functools import cache
+from unittest import mock
 
-from rc2 import Graph, census_small_graphs
+from rc2 import Graph, brute_force_rc2, census_small_graphs
 
 
 def k23() -> Graph:
@@ -75,10 +76,16 @@ def wheel(n: int) -> Graph:
 
 
 @cache
-def census_rows(n: int):
+def census_run(n: int):
     """The census on n vertices, run once per test session (n = 6 takes
-    seconds)."""
-    return tuple(census_small_graphs(n))
+    seconds): its rows, and how many times it called the brute force."""
+    with mock.patch("rc2.oracle.brute_force_rc2", wraps=brute_force_rc2) as counted:
+        rows = tuple(census_small_graphs(n))
+    return rows, counted.call_count
+
+
+def census_rows(n: int):
+    return census_run(n)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -161,7 +161,7 @@ def test_color_dot_output(capsys, tmp_path):
 
 def test_color_reads_edgelist_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n2 3\n3 0\n"))
-    code, out, _ = run(capsys, ["color", "--format", "edgelist"])
+    code, out, _ = run(capsys, ["color"])
     assert code == 0
     assert json.loads(out)["strategy"] == "cycle"
 
@@ -180,8 +180,46 @@ def test_color_missing_file_exits_2(capsys, tmp_path):
 
 def test_color_rejects_non_two_connected_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1\n1 2\n"))
-    code, _, err = run(capsys, ["color", "--format", "edgelist"])
+    code, _, err = run(capsys, ["color"])
     assert code == 2 and err.startswith("error:")
+
+
+# The format is read from the text: JSON when its first non-blank character
+# is "{", an edge list otherwise.  An edge list whose first token starts with
+# "{" is read as JSON, and a leading comment line makes it an edge list.
+NAMED_TRIANGLE = "{a} b\nb c\nc {a}\n"
+
+
+def test_edge_list_starting_with_a_brace_is_read_as_json(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(NAMED_TRIANGLE))
+    code, out, err = run(capsys, ["color"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad JSON") and "Traceback" not in err
+
+
+def test_comment_line_makes_a_brace_edge_list_readable(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# named\n" + NAMED_TRIANGLE))
+    code, out, _ = run(capsys, ["color"])
+    assert code == 0
+    assert json.loads(out)["strategy"] == "cycle"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["color"],
+        ["verify", "--graph", "g.json", "--coloring", "c.json"],
+        ["minimalize"],
+        ["decompose"],
+        ["oracle"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_input_format_option_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 # --- verify ------------------------------------------------------------
@@ -331,6 +369,15 @@ def test_deeply_nested_coloring_json_exits_2(capsys, tmp_path):
     assert code == 2 and "bad coloring JSON" in err
 
 
+@pytest.mark.parametrize("text", ["[]", "{}", '{"edges": 3}'], ids=["list", "no-edges", "edges-not-a-list"])
+def test_coloring_without_an_edges_list_exits_2(capsys, tmp_path, text):
+    cpath = tmp_path / "col.json"
+    cpath.write_text(text)
+    code, out, err = run(capsys, ["verify", "--graph", graph_file(tmp_path, cycle(4)), "--coloring", str(cpath)])
+    assert code == 2 and out == ""
+    assert err == 'error: coloring JSON needs an "edges" list\n'
+
+
 def test_directory_as_input_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["color", "--input", str(tmp_path)])
     assert code == 2 and err.startswith("error:")
@@ -343,7 +390,7 @@ def test_verify_accepts_edgelist_graphs(capsys, tmp_path):
     cpath = coloring_file(tmp_path, {e: i for i, e in enumerate(sorted(g.edges))})
     code, out, _ = run(
         capsys,
-        ["verify", "--graph", str(gpath), "--format", "edgelist", "--coloring", cpath],
+        ["verify", "--graph", str(gpath), "--coloring", cpath],
     )
     assert code == 0 and out.splitlines()[-1] == "overall: pass"
 

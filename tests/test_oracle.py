@@ -14,6 +14,7 @@ from .common import (
     TWO_CONNECTED_CLASS_COUNTS,
     TWO_CONNECTED_COUNTS,
     census_rows,
+    census_run,
     cycle,
     diamond,
     k4,
@@ -193,13 +194,6 @@ class TestCensus:
         assert (twin.class_id, twin.rc2_exact) == (row.class_id, row.rc2_exact)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_brute_force_runs_once_per_class(self, n, monkeypatch):
-        calls = []
-
-        def counted(g):
-            calls.append(g)
-            return brute_force_rc2(g)
-
-        monkeypatch.setattr("rc2.oracle.brute_force_rc2", counted)
-        census_small_graphs(n)
-        assert len(calls) == TWO_CONNECTED_CLASS_COUNTS[n]
+    def test_brute_force_runs_once_per_class(self, n):
+        _, brute_force_calls = census_run(n)
+        assert brute_force_calls == TWO_CONNECTED_CLASS_COUNTS[n]
