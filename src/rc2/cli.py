@@ -55,12 +55,13 @@ _FAMILIES = {
 
 
 def _read_text(path: str | None) -> str:
+    """The text of ``path`` (stdin when None), without a leading UTF-8
+    byte-order mark, which would hide a JSON text's ``{``."""
     try:
-        if path is None:
-            return sys.stdin.read()
-        return Path(path).read_text()
+        text = sys.stdin.read() if path is None else Path(path).read_text()
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path or 'stdin'} is not text: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _load_graph(path: str | None) -> Graph:

@@ -186,19 +186,21 @@ def _checked_graph(
     """Check a parsed graph's edges once, then build the graph.
 
     Rows are ``(line, u, v)``, ``line`` an edge-list line number or None.  The
-    first self-loop, id outside ``0..n-1`` or repeated edge is refused; then
-    any vertex without edges (no 2-connected graph has one), in O(m), so a
-    huge ``n`` is refused before anything builds per-vertex structures.
+    first self-loop, id outside ``0..n-1`` or repeated edge is refused, naming
+    vertices by their labels when there are any; then any vertex without
+    edges (no 2-connected graph has one), in O(m), so a huge ``n`` is refused
+    before anything builds per-vertex structures.
     """
+    name = str if labels is None else labels.__getitem__
     seen: set[Edge] = set()
     for line, u, v in rows:
         e = edge(u, v)
         if u == v:
-            problem = f"self-loop at vertex {u}"
+            problem = f"self-loop at vertex {name(u)}"
         elif not (0 <= u < n and 0 <= v < n):
             problem = f"edge ({u}, {v}) out of range for n={n}"
         elif e in seen:
-            problem = f"duplicate edge {e}"
+            problem = f"duplicate edge ({name(e[0])}, {name(e[1])})"
         else:
             seen.add(e)
             continue

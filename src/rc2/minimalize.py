@@ -16,6 +16,26 @@ of ``menger``.  Each of its two searches stops at the first anchor it
 reaches, so only an essential edge pays for a search of everything u can
 still reach.  The sweep keeps H 2-connected, so the lemma applies at every
 step.
+
+The sweep runs these tests on a chain-contracted copy H' of H.  A chain is
+a maximal path of degree-2 vertices; H' keeps one representative vertex of
+degree 2 for each chain, adjacent to the two vertices the chain hangs from.
+Contraction lemma: let uv be an edge of H whose ends both have degree at
+least 3, so that both lie outside every chain and uv is an edge of H'.  Then
+H - uv has a 2-fan from u into N(v) - {u} exactly when H' - uv has a 2-fan
+from u into v's other neighbours in H'.  A fan path that enters a chain at
+one end leaves it at the other or stops inside it at an anchor, so two
+disjoint paths never share a chain, and putting each chain's representative
+in place of the chain maps the fans of H one-to-one onto those of H'.  An
+anchor w inside a chain is the chain's end next to v, as w's other
+neighbour is v.  A fan path reaches w only by running through the whole
+chain, and in H' it then stops at the representative, which is v's
+neighbour there: the representative becomes the anchor.  Deleting edges
+only lowers degrees, so a degree-2 vertex stays at degree 2 and its chain
+only grows.  When a deletion drops u or v to degree 2, that vertex is
+spliced together with the representatives next to it and becomes the new
+representative.  A splice that closes a chain on itself means H has become
+a cycle, where every edge has a degree-2 end and none is left to test.
 """
 
 from __future__ import annotations
@@ -38,9 +58,11 @@ from .reports import Violation, VerificationReport, failing, passing
 
 def _removable(adj: dict[int, list[int]], u: int, v: int) -> bool:
     """Whether the 2-connected graph with adjacency ``adj`` stays 2-connected
-    without the edge uv.  ``adj`` is left as it was found."""
-    if len(adj[u]) == 2 or len(adj[v]) == 2:
-        return False
+    without the edge uv.  ``adj`` is left as it was found.
+
+    Callers skip an edge with a degree-2 end, which is never removable; the
+    flows would say so too, after a search.
+    """
     if len(adj[u]) > len(adj[v]):
         # Either end works; from the smaller degree the search meets one of
         # the many anchors sooner.
@@ -54,20 +76,64 @@ def _removable(adj: dict[int, list[int]], u: int, v: int) -> bool:
         insort(adj[v], u)
 
 
+def _splice(adj: dict[int, list[int]], deg: list[int], x: int) -> None:
+    """Make x, a vertex of degree 2 in ``adj``, the representative of its
+    chain.
+
+    From x, each side is walked through the degree-2 vertices of ``adj``,
+    which leave it; x is then joined to the vertex the walk stops at, which
+    swaps one entry of that vertex's list and one of x's.  A walk that comes
+    back to x has gone round a cycle, which is all of H, and nothing more is
+    done.
+    """
+    nbrs = adj[x]
+    for i, y in enumerate(nbrs):
+        last = x
+        while deg[y] == 2:
+            a, b = adj.pop(y)
+            last, y = y, (b if a == last else a)
+            if y == x:
+                return
+        if last != x:
+            end = adj[y]
+            end.remove(last)
+            insort(end, x)
+            nbrs[i] = y
+    nbrs.sort()
+
+
 def spanning_minimally_two_connected(g: Graph) -> Graph:
     """Delete removable edges (smallest first) until none remain."""
     if not is_two_connected(g):
         raise PreconditionViolated("input must be 2-connected")
     adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
+    # The degrees of H itself; ``adj`` is H contracted, so it has no entry
+    # for a chain vertex other than the representative.
+    deg = [len(adj[x]) for x in range(g.vertex_count)]
+    for x in range(g.vertex_count):
+        if deg[x] == 2 and x in adj:
+            _splice(adj, deg, x)
+    removed = []
     # A single ascending sweep reaches a fixpoint: deleting edges never makes
     # a previously essential edge removable.  The closing assert checks that.
-    for u, v in sorted(g.edges):
-        if _removable(adj, u, v):
-            adj[u].remove(v)
-            adj[v].remove(u)
-    edges = frozenset((u, v) for u in adj for v in adj[u] if u < v)
-    # Every deletion above rests on the Menger lemma; a lowpoint scan of the
-    # result checks them all by a different algorithm.
+    for e in sorted(g.edges):
+        u, v = e
+        if deg[u] == 2 or deg[v] == 2 or not _removable(adj, u, v):
+            continue
+        adj[u].remove(v)
+        adj[v].remove(u)
+        removed.append(e)
+        deg[u] -= 1
+        deg[v] -= 1
+        # Both degrees fall first: a walk from u may run on through v, and
+        # then v is no longer in ``adj``.
+        if deg[u] == 2:
+            _splice(adj, deg, u)
+        if deg[v] == 2 and v in adj:
+            _splice(adj, deg, v)
+    edges = g.edges.difference(removed)
+    # Every deletion above rests on the Menger and contraction lemmas; a
+    # lowpoint scan of the result checks them all by a different algorithm.
     verdict = is_two_connected_sub(g.vertex_count, edges)
     assert verdict, "minimalizer output is not 2-connected"
     h = Graph(g.vertex_count, edges, g.labels)
@@ -80,7 +146,8 @@ def is_minimally_two_connected(g: Graph) -> bool:
     if not is_two_connected(g):
         return False
     adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
-    return not any(_removable(adj, u, v) for u, v in g.edges)
+    d = degree_two_set(g)
+    return not any(_removable(adj, u, v) for u, v in g.edges if u not in d and v not in d)
 
 
 def branch_forest_components(g: Graph) -> list[frozenset[int]]:

@@ -205,6 +205,23 @@ def test_comment_line_makes_a_brace_edge_list_readable(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ['{"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}', "0 1\n1 2\n2 0\n"],
+    ids=["json", "edgelist"],
+)
+def test_byte_order_mark_is_dropped(capsys, tmp_path, text):
+    """A UTF-8 byte-order mark would otherwise hide a JSON text's "{" and
+    become part of an edge list's first vertex name."""
+    path = tmp_path / "bom.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out, _ = run(capsys, ["color", "--input", str(path)])
+    assert code == 0
+    result = json.loads(out)
+    assert result["strategy"] == "cycle"
+    assert result["edges"][0] == {"color": 0, "u": 0, "v": 1}
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["color"],

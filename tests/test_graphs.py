@@ -186,6 +186,24 @@ def test_both_parsers_report_a_fault_alike(n, edges, line, message):
     assert str(from_text.value) == (message if line is None else f"line {line}: {message}")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a a\n", "line 1: self-loop at vertex a"),
+        ("b a\na a\n", "line 2: self-loop at vertex a"),
+        ("a b\nb c\nc a\na b\n", "line 4: duplicate edge (a, b)"),
+        ("b c\nc a\na b\nc b\n", "line 4: duplicate edge (b, c)"),
+    ],
+    ids=["self-loop", "self-loop-second-name", "duplicate", "duplicate-reversed"],
+)
+def test_named_edge_list_faults_name_the_vertices(text, message):
+    """A file that names its vertices is told about them by name, not by
+    the ids the parser gave them."""
+    with pytest.raises(InvalidInput) as exc:
+        parse_edge_list(text)
+    assert str(exc.value) == message
+
+
 def _two_connected_by_definition(g: Graph) -> bool:
     """Reference check: connected, 3+ vertices, and still connected after
     deleting any single vertex."""

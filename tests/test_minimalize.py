@@ -1,9 +1,13 @@
+import random
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rc2 import Graph, spanning_minimally_two_connected
+from rc2 import Graph, minimalize, spanning_minimally_two_connected
 from rc2.errors import PreconditionViolated
-from rc2.generators import complete_graph, wheel_graph
+from rc2.generators import complete_bipartite_graph, complete_graph, wheel_graph
 from rc2.graphs import (
     find_cycle,
     is_cycle_graph,
@@ -96,6 +100,134 @@ class TestRemovable:
             if is_two_connected_sub(8, edges - {e}):
                 edges.remove(e)
         self.assert_matches_definition(Graph.from_edges(8, edges))
+
+
+# Sweeps that grow long chains (a wheel loses its spokes, K_{3,k} the edges
+# of its degree-3 side) or start from many one-vertex chains (K_{2,k}, here
+# with the hub edge, which the sweep tests and removes).
+CHAIN_GRAPHS = [
+    *(wheel_graph(n) for n in (4, 5, 8, 13)),
+    *(Graph.from_edges(k + 2, complete_bipartite_graph(2, k).edges | {(0, 1)}) for k in (3, 9)),
+    *(complete_bipartite_graph(3, k) for k in (3, 4, 7)),
+    theta_grid(),
+    prism(),
+]
+
+
+def observed_sweep(g, on_test=None, on_flows=None):
+    """Minimalize g and call ``on_test(adj, u, v, h_edges)`` before each edge
+    test of the sweep, ``h_edges`` being H's edges at that point, and
+    ``on_flows(adj, anchors, v0, (u, v))`` at each flow search the test
+    makes.  The closing minimality check runs unobserved."""
+    real_removable, real_flows = minimalize._removable, minimalize._two_unit_flows
+    real_check = minimalize.is_minimally_two_connected
+    h_edges = set(g.edges)
+    tested = []
+    sweeping = True
+
+    def removable(adj, u, v):
+        if not sweeping:
+            return real_removable(adj, u, v)
+        if on_test:
+            on_test(adj, u, v, h_edges)
+        tested.append((u, v))
+        if real_removable(adj, u, v):
+            h_edges.remove((u, v))
+            return True
+        return False
+
+    def flows(adj, anchors, v0):
+        if sweeping and on_flows:
+            on_flows(adj, anchors, v0, tested[-1])
+        return real_flows(adj, anchors, v0)
+
+    def closing_check(h):
+        nonlocal sweeping
+        sweeping = False
+        return real_check(h)
+
+    with (
+        mock.patch.object(minimalize, "_removable", removable),
+        mock.patch.object(minimalize, "_two_unit_flows", flows),
+        mock.patch.object(minimalize, "is_minimally_two_connected", closing_check),
+    ):
+        h = spanning_minimally_two_connected(g)
+    assert h.edges == h_edges
+    return tested
+
+
+class TestContractedSweep:
+    """The sweep tests edges on H with each chain of degree-2 vertices
+    contracted to one vertex."""
+
+    @staticmethod
+    def assert_agrees_with_plain_adjacency(g, rnd):
+        """At random points of the sweep, every edge that could be tested
+        gets the same answer on the sweep's adjacency as on H's own."""
+        points = []
+
+        def compare(adj, u, v, h_edges):
+            if rnd.random() < 0.7:
+                return
+            points.append((u, v))
+            h = Graph(g.vertex_count, frozenset(h_edges))
+            plain = {x: list(nbrs) for x, nbrs in h.adjacency().items()}
+            for x, y in sorted(h_edges):
+                if len(plain[x]) > 2 and len(plain[y]) > 2:
+                    contracted = {z: list(nbrs) for z, nbrs in adj.items()}
+                    assert _removable(contracted, x, y) == _removable(plain, x, y), (u, v, x, y)
+
+        observed_sweep(g, on_test=compare)
+        return points
+
+    @given(two_connected_graphs(max_n=14), st.randoms(use_true_random=False))
+    @settings(max_examples=60)
+    def test_contracted_removable_matches_plain_on_random_graphs(self, g, rnd):
+        self.assert_agrees_with_plain_adjacency(g, rnd)
+
+    def test_contracted_removable_matches_plain_on_chain_graphs(self):
+        rnd = random.Random(1)
+        points = [self.assert_agrees_with_plain_adjacency(g, rnd) for g in CHAIN_GRAPHS]
+        assert sum(map(len, points)) >= 10
+
+    @staticmethod
+    def assert_flows_see_contracted_chains(g):
+        """With the tested edge put back, no two degree-2 vertices of the
+        flows' adjacency are adjacent, and each has two neighbours of degree
+        at least 3."""
+        calls = []
+
+        def check(adj, anchors, v0, uv):
+            calls.append(uv)
+            nbrs = {x: set(ys) for x, ys in adj.items()}
+            other = uv[1] if uv[0] == v0 else uv[0]
+            nbrs[v0].add(other)
+            nbrs[other].add(v0)
+            for x, ys in nbrs.items():
+                assert len(ys) >= 2, x
+                if len(ys) == 2:
+                    assert all(len(nbrs[y]) >= 3 for y in ys), (uv, x, sorted(ys))
+
+        observed_sweep(g, on_flows=check)
+        return calls
+
+    @given(two_connected_graphs(max_n=14))
+    @settings(max_examples=60)
+    def test_flows_run_on_contracted_chains_on_random_graphs(self, g):
+        self.assert_flows_see_contracted_chains(g)
+
+    def test_flows_run_on_contracted_chains_on_chain_graphs(self):
+        calls = [self.assert_flows_see_contracted_chains(g) for g in CHAIN_GRAPHS]
+        assert all(calls)
+
+    def test_only_edges_without_a_degree_two_end_are_tested(self):
+        """W9, hub 0 and rim 1..8: after six spokes go the hub has degree 2,
+        so its last two spokes and the rim edges with a degree-2 end are
+        never tested.  Deleting (7, 8) leaves a 9-cycle, where the splice
+        closes the chain on itself."""
+        g = wheel_graph(9)
+        assert observed_sweep(g) == [(0, j) for j in range(1, 7)] + [(7, 8)]
+        assert is_cycle_graph(spanning_minimally_two_connected(g))
 
 
 class TestIsMinimal:
