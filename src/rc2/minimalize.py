@@ -36,6 +36,16 @@ only grows.  When a deletion drops u or v to degree 2, that vertex is
 spliced together with the representatives next to it and becomes the new
 representative.  A splice that closes a chain on itself means H has become
 a cycle, where every edge has a degree-2 end and none is left to test.
+
+When G has more than 2n - 2 edges, the sweep starts from a sparse
+certificate C of G rather than from G itself.  Certificate lemma
+(Nagamochi and Ibaraki, Algorithmica 1992; Cheriyan, Kao and Thurimella,
+SIAM J. Comput. 1993): let F1 be a scan-first search forest of G and F2 one
+of G - F1; then C = F1 + F2 is 2-connected whenever G is.  Breadth-first
+search is a scan-first search, and each forest has at most n - 1 edges, so
+C has at most 2n - 2.  A minimally 2-connected spanning subgraph of C is one
+of G, since C spans G.  A graph with at most 2n - 2 edges skips the
+certificate, which need not drop any of its edges, and is swept as it is.
 """
 
 from __future__ import annotations
@@ -102,21 +112,55 @@ def _splice(adj: dict[int, list[int]], deg: list[int], x: int) -> None:
     nbrs.sort()
 
 
+def _certificate(g: Graph) -> Graph:
+    """The union of two breadth-first forests, F1 of g and F2 of g - F1.
+
+    Roots are taken, and adjacency lists scanned, in ascending id order.
+    """
+    n = g.vertex_count
+    adj = g.adjacency()
+    # parent[y] is y's parent in F1, or -1 for a root; an edge xy is in F1
+    # exactly when one end is the other's parent.
+    parent = [-1] * n
+    edges = []
+    for forest in (1, 2):
+        seen = [False] * n
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = [root]
+            for x in queue:
+                for y in adj[x]:
+                    if seen[y] or (forest == 2 and (parent[y] == x or parent[x] == y)):
+                        continue
+                    seen[y] = True
+                    queue.append(y)
+                    edges.append((x, y) if x < y else (y, x))
+                    if forest == 1:
+                        parent[y] = x
+    return Graph(n, frozenset(edges))
+
+
 def spanning_minimally_two_connected(g: Graph) -> Graph:
     """Delete removable edges (smallest first) until none remain."""
     if not is_two_connected(g):
         raise PreconditionViolated("input must be 2-connected")
-    adj = {x: list(nbrs) for x, nbrs in g.adjacency().items()}
+    n = g.vertex_count
+    # Both forests of the certificate lemma are forests of g, so they hold at
+    # most 2n - 2 edges; below that the certificate is not sure to drop one.
+    c = _certificate(g) if g.edge_count > 2 * n - 2 else g
+    adj = {x: list(nbrs) for x, nbrs in c.adjacency().items()}
     # The degrees of H itself; ``adj`` is H contracted, so it has no entry
     # for a chain vertex other than the representative.
-    deg = [len(adj[x]) for x in range(g.vertex_count)]
-    for x in range(g.vertex_count):
+    deg = [len(adj[x]) for x in range(n)]
+    for x in range(n):
         if deg[x] == 2 and x in adj:
             _splice(adj, deg, x)
     removed = []
     # A single ascending sweep reaches a fixpoint: deleting edges never makes
     # a previously essential edge removable.  The closing assert checks that.
-    for e in sorted(g.edges):
+    for e in sorted(c.edges):
         u, v = e
         if deg[u] == 2 or deg[v] == 2 or not _removable(adj, u, v):
             continue
@@ -131,12 +175,13 @@ def spanning_minimally_two_connected(g: Graph) -> Graph:
             _splice(adj, deg, u)
         if deg[v] == 2 and v in adj:
             _splice(adj, deg, v)
-    edges = g.edges.difference(removed)
-    # Every deletion above rests on the Menger and contraction lemmas; a
-    # lowpoint scan of the result checks them all by a different algorithm.
-    verdict = is_two_connected_sub(g.vertex_count, edges)
+    edges = c.edges.difference(removed)
+    # Every deletion above rests on the certificate, Menger and contraction
+    # lemmas; a lowpoint scan of the result checks them all by a different
+    # algorithm.
+    verdict = is_two_connected_sub(n, edges)
     assert verdict, "minimalizer output is not 2-connected"
-    h = Graph(g.vertex_count, edges, g.labels)
+    h = Graph(n, edges, g.labels)
     record_two_connected(h, verdict)
     assert is_minimally_two_connected(h)
     return h

@@ -1,5 +1,7 @@
 """Hypothesis strategies for graph-valued properties."""
 
+import itertools
+
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -15,6 +17,18 @@ def two_connected_graphs(draw, min_n: int = 4, max_n: int = 9):
     ears = draw(st.integers(1, n - 3))
     seed = draw(st.integers(0, 10**6))
     return random_two_connected(n, ears, seed)
+
+
+@st.composite
+def dense_two_connected_graphs(draw, min_n: int = 5, max_n: int = 14):
+    """Random 2-connected graphs with more than 2n - 2 edges, the graphs
+    whose minimalization starts from a sparse certificate: a drawn
+    2-connected graph with non-edges added, which keeps it 2-connected."""
+    g = draw(two_connected_graphs(min_n, max_n))
+    n = g.vertex_count
+    missing = [e for e in itertools.combinations(range(n), 2) if e not in g.edges]
+    extra = draw(st.lists(st.sampled_from(missing), min_size=2 * n - 1 - g.edge_count, unique=True))
+    return Graph.from_edges(n, g.edges | set(extra))
 
 
 @st.composite

@@ -15,6 +15,7 @@ from rc2.graphs import (
     is_two_connected_sub,
 )
 from rc2.minimalize import (
+    _certificate,
     _removable,
     bollobas_structure_check,
     branch_forest_components,
@@ -22,7 +23,7 @@ from rc2.minimalize import (
 )
 
 from .common import c6_with_chord, cycle, diamond, four_hub, k4, k23, prism, theta_grid, wheel
-from .strategies import two_connected_graphs
+from .strategies import dense_two_connected_graphs, two_connected_graphs
 
 # (kind, reason) of each structure violation; a test appends the subject.
 NOT_FOREST = ("not-forest", "degree >= 3 vertices induce a cycle")
@@ -61,7 +62,7 @@ class TestSpanningMinimal:
         with pytest.raises(PreconditionViolated, match="input must be 2-connected"):
             spanning_minimally_two_connected(Graph.from_edges(3, [(0, 1), (1, 2)]))
 
-    @given(two_connected_graphs())
+    @given(st.one_of(two_connected_graphs(), dense_two_connected_graphs(max_n=10)))
     @settings(max_examples=60)
     def test_result_is_spanning_minimal_subgraph(self, g):
         h = spanning_minimally_two_connected(g)
@@ -69,6 +70,44 @@ class TestSpanningMinimal:
         assert h.edges <= g.edges
         assert is_two_connected(h)
         assert is_minimally_two_connected(h)
+        # A minimally 2-connected graph on n >= 4 vertices has at most
+        # 2n - 4 edges (Dirac 1967; Plummer 1968).
+        if g.vertex_count >= 4:
+            assert h.edge_count <= 2 * g.vertex_count - 4
+
+    @pytest.mark.parametrize("n", range(8, 41))
+    def test_complete_graph_output_meets_the_edge_bound(self, n):
+        h = spanning_minimally_two_connected(complete_graph(n))
+        assert is_minimally_two_connected(h)
+        assert h.edge_count <= 2 * n - 4
+        if n == 40:
+            assert h.edge_count == 76
+
+
+class TestCertificate:
+    """The two-forest sparse certificate the sweep starts from on graphs with
+    more than 2n - 2 edges."""
+
+    @given(dense_two_connected_graphs())
+    @settings(max_examples=80)
+    def test_is_a_sparse_two_connected_subgraph(self, g):
+        c = _certificate(g)
+        assert c.vertex_count == g.vertex_count
+        assert c.edges <= g.edges
+        assert c.edge_count <= 2 * g.vertex_count - 2
+        assert is_two_connected_sub(c.vertex_count, c.edges)
+
+    @pytest.mark.parametrize("n", [5, 12, 30])
+    def test_complete_graph_sweep_tests_at_most_2n_minus_2_edges(self, n):
+        assert len(observed_sweep(complete_graph(n))) <= 2 * n - 2
+
+    def test_graphs_with_at_most_2n_minus_2_edges_are_swept_whole(self):
+        """W8 and K4 have exactly 2n - 2 edges, the prism fewer; each is
+        swept as it is, with no certificate built."""
+        for g in (wheel_graph(8), k4(), prism()):
+            with mock.patch.object(minimalize, "_certificate") as certificate:
+                spanning_minimally_two_connected(g)
+            certificate.assert_not_called()
 
 
 class TestRemovable:
@@ -118,12 +157,18 @@ def observed_sweep(g, on_test=None, on_flows=None):
     """Minimalize g and call ``on_test(adj, u, v, h_edges)`` before each edge
     test of the sweep, ``h_edges`` being H's edges at that point, and
     ``on_flows(adj, anchors, v0, (u, v))`` at each flow search the test
-    makes.  The closing minimality check runs unobserved."""
+    makes.  H starts as the sparse certificate when the sweep builds one, and
+    as g otherwise.  The closing minimality check runs unobserved."""
     real_removable, real_flows = minimalize._removable, minimalize._two_unit_flows
-    real_check = minimalize.is_minimally_two_connected
+    real_check, real_certificate = minimalize.is_minimally_two_connected, minimalize._certificate
     h_edges = set(g.edges)
     tested = []
     sweeping = True
+
+    def certificate(g):
+        c = real_certificate(g)
+        h_edges.intersection_update(c.edges)
+        return c
 
     def removable(adj, u, v):
         if not sweeping:
@@ -150,6 +195,7 @@ def observed_sweep(g, on_test=None, on_flows=None):
         mock.patch.object(minimalize, "_removable", removable),
         mock.patch.object(minimalize, "_two_unit_flows", flows),
         mock.patch.object(minimalize, "is_minimally_two_connected", closing_check),
+        mock.patch.object(minimalize, "_certificate", certificate),
     ):
         h = spanning_minimally_two_connected(g)
     assert h.edges == h_edges

@@ -9,9 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rc2 import Graph, spanning_minimally_two_connected
+from rc2.generators import complete_bipartite_graph, complete_graph
 from rc2.graphs import is_cycle_graph, is_two_connected
+from rc2.minimalize import _certificate
 
-from .strategies import two_connected_graphs
+from .strategies import dense_two_connected_graphs, two_connected_graphs
 
 nx = pytest.importorskip("networkx")
 
@@ -72,6 +74,29 @@ def test_minimalizer_output_is_minimal_by_networkx(g):
 def test_minimalized_complete_graph_is_minimal_by_networkx(n):
     g = Graph.from_edges(n, itertools.combinations(range(n), 2))
     assert_minimally_two_connected(spanning_minimally_two_connected(g))
+
+
+def assert_biconnected_certificate(g: Graph):
+    c = _certificate(g)
+    assert c.edges <= g.edges
+    assert c.edge_count <= 2 * g.vertex_count - 2
+    assert nx.is_biconnected(to_nx(c))
+
+
+@pytest.mark.parametrize("n", [5, 6, 9, 16])
+def test_complete_graph_certificate_is_biconnected_by_networkx(n):
+    assert_biconnected_certificate(complete_graph(n))
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (3, 5), (4, 4), (4, 7), (6, 6)])
+def test_complete_bipartite_certificate_is_biconnected_by_networkx(a, b):
+    assert_biconnected_certificate(complete_bipartite_graph(a, b))
+
+
+@given(dense_two_connected_graphs())
+@settings(max_examples=80)
+def test_dense_graph_certificate_is_biconnected_by_networkx(g):
+    assert_biconnected_certificate(g)
 
 
 def assert_nearest_first(g: Graph, target: int):

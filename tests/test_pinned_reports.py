@@ -14,7 +14,12 @@ when the replay's B2 check began to require the recycled color on the
 ear's last edge: four shifted traces (corpus graphs 107, 131, 133 and 148)
 fail B2 there, where they used to pass.  Since the trace became per-level
 deltas, the merged coloring is applied as the last level's delta, which
-recolors every edge and gives the same snapshot.  A1 witnesses are not
+recolors every edge and gives the same snapshot.  ``BROKEN_DIGEST`` was recorded again when the
+minimalizer began to sweep a sparse certificate of graphs with more than
+2n - 2 edges: the seven such corpus graphs (K5, K6, K7, K_{3,5}, K_{4,4},
+K_{4,5}, K_{5,5}) get new colorings, so their broken reports name other
+subjects, and merging two classes now breaks K_{3,5}'s coloring and no
+longer breaks K_{5,5}'s.  ``PINNED_DIGEST`` held.  A1 witnesses are not
 part of the reports, so the order in which the pair search finds them
 affects neither digest.
 """
@@ -28,7 +33,7 @@ from rc2.graphs import canonical_json
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 PINNED_DIGEST = "ac32210ecc0b39daa0e08a7df36e68f8943bab35acbcb3ce667d14105c15b78d"
-BROKEN_DIGEST = "f4b9af79663113e24999b64207b998424e6c79a1f896b37c3f1d0b93af8d8820"
+BROKEN_DIGEST = "719cdeac2b51c25364694f6f40908c8fc987dc3c551683c2b712fc0c007e3cce"
 
 
 def merge_last_two_classes(coloring: EdgeColoring) -> EdgeColoring:

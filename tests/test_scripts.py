@@ -13,8 +13,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COLORINGS_SHA256 = "1a306bb36a3ed0f395be68df1f88c0681c984ee5e4704eade38a2bd6250ee48c"
-TRACES_SHA256 = "c7fbb91d4f29b171598c6c49e102237ad177e9d3fec7f4aeb071a8df6ac0c346"
+COLORINGS_SHA256 = "ff2e2bf817e56458dc68ff86cfb49332c6d3c613049b774068da0aa56a7e9504"
+TRACES_SHA256 = "ade442f1cdf77f413fe3419cc6e93a0598fdd1dce6cd000d61dc8eb495a4e13f"
 
 
 def run_script(name, *args):
