@@ -374,14 +374,16 @@ def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
     if is_cycle_graph(g):
         return color_cycle(g)
     h = spanning_minimally_two_connected(g)
+    dropped = g.edges - h.edges
     if is_cycle_graph(h):
-        chord = min(g.edges - h.edges)
+        chord = min(dropped)
         result = color_hamiltonian_with_chord(g, find_cycle(h), chord)
     else:
         result = color_minimally_two_connected(h, with_trace)
     assign = result.coloring.assignment
-    for e in sorted(g.edges - assign.keys()):
-        assign[e] = 0
+    # The chord already has its color.
+    for e in dropped:
+        assign.setdefault(e, 0)
     return result
 
 

@@ -240,16 +240,28 @@ def graph_from_json(text: str) -> Graph:
 # connectivity
 
 
-def _lowpoint_scan(g: Graph) -> bool:
-    """Whether g is 2-connected, by iterative lowpoint search over
-    ``g.adjacency()``: at least 3 vertices, a DFS from vertex 0 that reaches
-    every vertex, and no cut vertex.  Stops at the first cut vertex found."""
+def _lowpoint_scan(g: Graph) -> frozenset[Edge] | None:
+    """The carving of g when g is 2-connected, and None otherwise.
+
+    One iterative lowpoint search over ``g.adjacency()`` from vertex 0,
+    which stops at the first cut vertex.  As each vertex w leaves the stack,
+    the Khuller-Vishkin carving gains the tree edge to w's parent p and,
+    when p is not the root and the kept back edges from w's subtree reach no
+    vertex above p, the first back edge met that attains low(w).  The
+    carving lemma is in ``rc2.minimalize``.
+    """
     n = g.vertex_count
     if n < 3:
-        return False
+        return None
     adj = g.adjacency()
     disc = [-1] * n
     low = [0] * n
+    # low_edge[v] is the back edge from v's subtree that attains low[v], and
+    # reach[v] the smallest discovery time that v or an edge of K from v's
+    # subtree reaches.
+    low_edge: list[Edge] = [(0, 0)] * n
+    reach = [0] * n
+    carving: list[Edge] = []
     disc[0] = 0
     timer = 1
     stack: list[tuple[int, int, Iterator[int]]] = [(0, -1, iter(adj[0]))]
@@ -258,13 +270,14 @@ def _lowpoint_scan(g: Graph) -> bool:
         advanced = False
         for w in nbrs:
             if disc[w] < 0:
-                disc[w] = low[w] = timer
+                disc[w] = low[w] = reach[w] = timer
                 timer += 1
                 stack.append((w, v, iter(adj[w])))
                 advanced = True
                 break
             if w != parent and disc[w] < low[v]:
                 low[v] = disc[w]
+                low_edge[v] = edge(v, w)
         if advanced:
             continue
         stack.pop()
@@ -272,31 +285,42 @@ def _lowpoint_scan(g: Graph) -> bool:
             # The root's first child is done.  If its subtree missed a
             # vertex, the root is a cut vertex or g is not connected;
             # otherwise the root has one child and the DFS covered g.
-            return timer == n
+            carving.append((0, v))
+            return frozenset(carving) if timer == n else None
         if parent > 0:
             if low[v] >= disc[parent]:
-                return False
+                return None
+            carving.append(edge(parent, v))
+            if reach[v] >= disc[parent]:
+                carving.append(low_edge[v])
+                reach[v] = low[v]
+            if reach[v] < reach[parent]:
+                reach[parent] = reach[v]
             if low[v] < low[parent]:
                 low[parent] = low[v]
+                low_edge[parent] = low_edge[v]
     # Vertex 0 has no neighbours.
-    return False
+    return None
 
 
 def is_two_connected_sub(vertex_count: int, edges: Iterable[Edge]) -> bool:
     """2-connectivity of the graph on ``0..vertex_count-1`` with these edges.
     It scans a throwaway Graph, so no verdict is kept."""
-    return _lowpoint_scan(Graph(vertex_count, frozenset(edges)))
+    return _lowpoint_scan(Graph(vertex_count, frozenset(edges))) is not None
 
 
 def is_two_connected(g: Graph) -> bool:
     """True when g has at least 3 vertices, is connected, and has no cut vertex.
 
     The verdict is kept on the graph, so the pipeline's layers can each
-    check their precondition without repeating the scan.
+    check their precondition without repeating the scan.  The scan's carving
+    is kept next to it, for :func:`carving`.
     """
     verdict = g.__dict__.get("_two_connected")
     if verdict is None:
-        verdict = _lowpoint_scan(g)
+        c = _lowpoint_scan(g)
+        object.__setattr__(g, "_carving", c)
+        verdict = c is not None
         record_two_connected(g, verdict)
     return verdict
 
@@ -304,6 +328,22 @@ def is_two_connected(g: Graph) -> bool:
 def record_two_connected(g: Graph, verdict: bool) -> None:
     """Keep a verdict already computed for g, as is_two_connected would."""
     object.__setattr__(g, "_two_connected", verdict)
+
+
+def carving(g: Graph) -> frozenset[Edge]:
+    """The edges of the Khuller-Vishkin carving of a 2-connected g: a
+    2-connected spanning subgraph with at most 2n - 3 edges.
+
+    It is the one :func:`is_two_connected` kept on g; a graph with only a
+    recorded verdict is scanned here, and its carving kept.
+    """
+    c = g.__dict__.get("_carving")
+    if c is None:
+        c = _lowpoint_scan(g)
+        if c is None:
+            raise PreconditionViolated("a carving needs a 2-connected graph")
+        object.__setattr__(g, "_carving", c)
+    return c
 
 
 def degree_two_set(g: Graph) -> VertexSet:

@@ -37,15 +37,19 @@ spliced together with the representatives next to it and becomes the new
 representative.  A splice that closes a chain on itself means H has become
 a cycle, where every edge has a degree-2 end and none is left to test.
 
-When G has more than 2n - 2 edges, the sweep starts from a sparse
-certificate C of G rather than from G itself.  Certificate lemma
-(Nagamochi and Ibaraki, Algorithmica 1992; Cheriyan, Kao and Thurimella,
-SIAM J. Comput. 1993): let F1 be a scan-first search forest of G and F2 one
-of G - F1; then C = F1 + F2 is 2-connected whenever G is.  Breadth-first
-search is a scan-first search, and each forest has at most n - 1 edges, so
-C has at most 2n - 2.  A minimally 2-connected spanning subgraph of C is one
-of G, since C spans G.  A graph with at most 2n - 2 edges skips the
-certificate, which need not drop any of its edges, and is swept as it is.
+The sweep starts from the carving C of G that the 2-connectivity scan keeps
+(``graphs.carving``), not from G itself.  Carving lemma (Khuller and
+Vishkin, J. ACM 1994): let T be a DFS tree of G with root r, and let K hold,
+for each vertex w whose parent p is not r, the back edge that attains low(w)
+whenever the edges of K from w's subtree, chosen before it in post-order,
+reach no vertex above p.  Then T + K is 2-connected.  Every edge of T + K
+joins an ancestor to a descendant, so T is a DFS tree of T + K, where the
+lowpoint test reads: r has one child, and for every such w some edge from
+w's subtree reaches above p.  r has one child because G is 2-connected, and
+the rule gives each w its edge, since low(w) lies above p in G.  K holds at
+most one edge for each of the n - 2 vertices other than r and its child, so
+C has at most 2n - 3 edges.  A minimally 2-connected spanning subgraph of C
+is one of G, since C spans G.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ from bisect import insort
 from .errors import PreconditionViolated
 from .graphs import (
     Graph,
+    carving,
     components,
     degree_two_set,
     is_cycle_graph,
@@ -112,44 +117,12 @@ def _splice(adj: dict[int, list[int]], deg: list[int], x: int) -> None:
     nbrs.sort()
 
 
-def _certificate(g: Graph) -> Graph:
-    """The union of two breadth-first forests, F1 of g and F2 of g - F1.
-
-    Roots are taken, and adjacency lists scanned, in ascending id order.
-    """
-    n = g.vertex_count
-    adj = g.adjacency()
-    # parent[y] is y's parent in F1, or -1 for a root; an edge xy is in F1
-    # exactly when one end is the other's parent.
-    parent = [-1] * n
-    edges = []
-    for forest in (1, 2):
-        seen = [False] * n
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = [root]
-            for x in queue:
-                for y in adj[x]:
-                    if seen[y] or (forest == 2 and (parent[y] == x or parent[x] == y)):
-                        continue
-                    seen[y] = True
-                    queue.append(y)
-                    edges.append((x, y) if x < y else (y, x))
-                    if forest == 1:
-                        parent[y] = x
-    return Graph(n, frozenset(edges))
-
-
 def spanning_minimally_two_connected(g: Graph) -> Graph:
     """Delete removable edges (smallest first) until none remain."""
     if not is_two_connected(g):
         raise PreconditionViolated("input must be 2-connected")
     n = g.vertex_count
-    # Both forests of the certificate lemma are forests of g, so they hold at
-    # most 2n - 2 edges; below that the certificate is not sure to drop one.
-    c = _certificate(g) if g.edge_count > 2 * n - 2 else g
+    c = Graph(n, carving(g))
     adj = {x: list(nbrs) for x, nbrs in c.adjacency().items()}
     # The degrees of H itself; ``adj`` is H contracted, so it has no entry
     # for a chain vertex other than the representative.

@@ -128,9 +128,12 @@ C6_CHORD_COLORING = {
     (0, 1): 0, (3, 4): 0, (0, 5): 1, (2, 3): 1, (1, 2): 2, (4, 5): 3, (0, 3): 4,
 }
 
-# K4 minimalizes to the 4-cycle (0,2,1,3); chord (0,1) drives the scheme.
+# K4 carves to the 4-cycle (0,1,2,3), its DFS path from 0 closed by the back
+# edge (0,3); chord (0,2), the smaller dropped edge, drives the scheme.  From
+# the rotation (0,1,2,3) the chord ends at position j = 3: (0,1) and (2,3)
+# take 0, (0,3) and (1,2) take 1, the chord takes 2 and (1,3) reuses 0.
 K4_COLORING = {
-    (0, 2): 0, (1, 3): 0, (0, 3): 1, (1, 2): 1, (0, 1): 2, (2, 3): 0,
+    (0, 1): 0, (2, 3): 0, (0, 3): 1, (1, 2): 1, (0, 2): 2, (1, 3): 0,
 }
 
 # Exact minima from the brute-force oracle, next to what the construction

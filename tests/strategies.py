@@ -21,8 +21,8 @@ def two_connected_graphs(draw, min_n: int = 4, max_n: int = 9):
 
 @st.composite
 def dense_two_connected_graphs(draw, min_n: int = 5, max_n: int = 14):
-    """Random 2-connected graphs with more than 2n - 2 edges, the graphs
-    whose minimalization starts from a sparse certificate: a drawn
+    """Random 2-connected graphs with more than 2n - 2 edges, so that the
+    carving the minimalizer starts from drops at least one: a drawn
     2-connected graph with non-edges added, which keeps it 2-connected."""
     g = draw(two_connected_graphs(min_n, max_n))
     n = g.vertex_count

@@ -2,20 +2,20 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rc2 import Graph, minimalize, spanning_minimally_two_connected
 from rc2.errors import PreconditionViolated
-from rc2.generators import complete_bipartite_graph, complete_graph, wheel_graph
+from rc2.generators import complete_bipartite_graph, complete_graph, theta_graph, wheel_graph
 from rc2.graphs import (
+    carving,
     find_cycle,
     is_cycle_graph,
     is_two_connected,
     is_two_connected_sub,
 )
 from rc2.minimalize import (
-    _certificate,
     _removable,
     bollobas_structure_check,
     branch_forest_components,
@@ -23,7 +23,7 @@ from rc2.minimalize import (
 )
 
 from .common import c6_with_chord, cycle, diamond, four_hub, k4, k23, prism, theta_grid, wheel
-from .strategies import dense_two_connected_graphs, two_connected_graphs
+from .strategies import dense_two_connected_graphs, minimal_noncycle_graphs, two_connected_graphs
 
 # (kind, reason) of each structure violation; a test appends the subject.
 NOT_FOREST = ("not-forest", "degree >= 3 vertices induce a cycle")
@@ -33,8 +33,10 @@ SAME_TREE = ("same-tree-attachment", "both ends attach to component of vertex 0"
 
 class TestSpanningMinimal:
     def test_k4_drops_to_four_cycle(self):
+        """The DFS from 0 runs 0-1-2-3; 3 keeps its back edge (0, 3), and
+        the carving is already the 4-cycle."""
         h = spanning_minimally_two_connected(k4())
-        assert h.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
+        assert h.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
         assert is_cycle_graph(h)
 
     def test_diamond_drops_chord(self):
@@ -42,17 +44,23 @@ class TestSpanningMinimal:
         assert h.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
 
     def test_wheel6_drops_to_six_cycle(self):
+        """The DFS from hub 0 runs 0-1-2-3-4-5 along the rim; 5 keeps its
+        spoke (0, 5), and the carving is already a Hamiltonian cycle."""
         h = spanning_minimally_two_connected(wheel(6))
         assert is_cycle_graph(h)
         assert h.edges == frozenset(
-            {(0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (3, 4)}
+            {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)}
         )
 
     def test_theta_grid_minimalizes_to_hamiltonian_cycle(self):
+        """The DFS tree is the path 0-1-2-3-4-5-7 with 6 hung from 4 and 8
+        from 3.  In post-order, 7 keeps (2, 7), 6 keeps (1, 6) and 8 keeps
+        (0, 8), and (0, 5) is not carved.  The sweep then removes (1, 2),
+        leaving a theta on 3 and 4, and (3, 4)."""
         h = spanning_minimally_two_connected(theta_grid())
         assert is_cycle_graph(h)
-        assert find_cycle(h) == (0, 5, 7, 2, 1, 6, 4, 3, 8)
-        assert theta_grid().edges - h.edges == {(0, 1), (2, 3), (4, 5)}
+        assert find_cycle(h) == (0, 1, 6, 4, 5, 7, 2, 3, 8)
+        assert theta_grid().edges - h.edges == {(0, 5), (1, 2), (3, 4)}
 
     def test_already_minimal_is_unchanged(self):
         g = k23()
@@ -81,33 +89,75 @@ class TestSpanningMinimal:
         assert is_minimally_two_connected(h)
         assert h.edge_count <= 2 * n - 4
         if n == 40:
-            assert h.edge_count == 76
+            # K40 carves to its Hamiltonian cycle 0..39 (TestCarving).
+            assert h.edge_count == 40
 
 
-class TestCertificate:
-    """The two-forest sparse certificate the sweep starts from on graphs with
-    more than 2n - 2 edges."""
+class TestCarving:
+    """The Khuller-Vishkin carving the sweep starts from: a DFS tree plus,
+    in post-order, the back edge that attains low(w) for each vertex w whose
+    subtree's kept edges reach no higher than its parent."""
 
-    @given(dense_two_connected_graphs())
+    @given(st.one_of(two_connected_graphs(), dense_two_connected_graphs()))
     @settings(max_examples=80)
-    def test_is_a_sparse_two_connected_subgraph(self, g):
-        c = _certificate(g)
-        assert c.vertex_count == g.vertex_count
-        assert c.edges <= g.edges
-        assert c.edge_count <= 2 * g.vertex_count - 2
-        assert is_two_connected_sub(c.vertex_count, c.edges)
+    def test_is_a_sparse_two_connected_spanning_subgraph(self, g):
+        c = carving(g)
+        n = g.vertex_count
+        assert {x for e in c for x in e} == set(range(n))
+        assert c <= g.edges
+        assert len(c) <= 2 * n - 3
+        assert is_two_connected_sub(n, c)
 
-    @pytest.mark.parametrize("n", [5, 12, 30])
-    def test_complete_graph_sweep_tests_at_most_2n_minus_2_edges(self, n):
-        assert len(observed_sweep(complete_graph(n))) <= 2 * n - 2
+    @pytest.mark.parametrize("n", [4, 5, 12, 30])
+    def test_complete_graph_carves_to_its_hamiltonian_cycle(self, n):
+        """The DFS from 0 runs 0-1-...-(n-1), and only n - 1 keeps an edge,
+        its back edge to 0, so the sweep has nothing to test."""
+        g = complete_graph(n)
+        assert carving(g) == frozenset((i, i + 1) for i in range(n - 1)) | {(0, n - 1)}
+        assert observed_sweep(g) == []
 
-    def test_graphs_with_at_most_2n_minus_2_edges_are_swept_whole(self):
-        """W8 and K4 have exactly 2n - 2 edges, the prism fewer; each is
-        swept as it is, with no certificate built."""
-        for g in (wheel_graph(8), k4(), prism()):
-            with mock.patch.object(minimalize, "_certificate") as certificate:
-                spanning_minimally_two_connected(g)
-            certificate.assert_not_called()
+    @given(minimal_noncycle_graphs())
+    @settings(max_examples=40)
+    @example(k23())
+    @example(complete_bipartite_graph(2, 9))
+    @example(theta_graph(2, 3, 4))
+    @example(four_hub())
+    @example(cycle(7))
+    def test_minimally_two_connected_graphs_carve_to_themselves(self, g):
+        """A 2-connected spanning subgraph of a minimally 2-connected graph
+        is the whole graph: any edge it left out could be deleted."""
+        assert carving(g) == g.edges
+
+    def test_prism_carving(self):
+        """The DFS runs 0-1-2-5-3-4.  4 keeps (1, 4); 2 keeps (0, 2), the
+        back edge met first at low 0, since its subtree reaches only 1, its
+        parent.  (0, 3) and (4, 5) are left out."""
+        assert prism().edges - carving(prism()) == {(0, 3), (4, 5)}
+
+    def test_recorded_verdict_alone_is_scanned(self):
+        """The minimalizer's output carries only a verdict; asking for its
+        carving runs the scan then, and keeps what it finds."""
+        h = spanning_minimally_two_connected(complete_graph(6))
+        assert "_carving" not in h.__dict__
+        assert carving(h) == h.edges
+        assert carving(h) is h.__dict__["_carving"]
+
+    def test_rejects_a_graph_that_is_not_two_connected(self):
+        with pytest.raises(PreconditionViolated, match="a carving needs a 2-connected graph"):
+            carving(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+
+    @pytest.mark.parametrize("g", [complete_graph(9), wheel_graph(12), theta_grid(), k23()])
+    def test_input_is_scanned_once_per_coloring(self, g):
+        """One lowpoint scan of the input gives color_rc2 both the verdict
+        and the carving; the other scans are of new graphs."""
+        from rc2 import graphs
+        from rc2.coloring import color_rc2
+
+        scanned = []
+        real = graphs._lowpoint_scan
+        with mock.patch.object(graphs, "_lowpoint_scan", lambda h: scanned.append(h) or real(h)):
+            color_rc2(g)
+        assert sum(h is g for h in scanned) == 1
 
 
 class TestRemovable:
@@ -141,13 +191,30 @@ class TestRemovable:
         self.assert_matches_definition(Graph.from_edges(8, edges))
 
 
-# Sweeps that grow long chains (a wheel loses its spokes, K_{3,k} the edges
-# of its degree-3 side) or start from many one-vertex chains (K_{2,k}, here
-# with the hub edge, which the sweep tests and removes).
+def looped_legs(legs: int, length: int) -> Graph:
+    """Hubs 0 and 1 joined by an edge, and ``legs`` paths of ``length``
+    vertices with consecutive ids; each path's first vertex a is joined to
+    both hubs, its last vertex b to hub 1.
+
+    Its carving is the whole graph.  The DFS from 0 enters 1 and then runs
+    down each path in turn.  In post-order, b keeps its back edge (1, b), and
+    a, whose parent is 1, keeps (0, a), the one edge that reaches above 1.
+    """
+    edges = [(0, 1)]
+    for i in range(legs):
+        path = range(2 + i * length, 2 + (i + 1) * length)
+        a, b = path[0], path[-1]
+        edges += [(0, a), (1, a), (1, b), *zip(path, path[1:])]
+    return Graph.from_edges(2 + legs * length, edges)
+
+
+# Sweeps that grow long chains (each path of ``looped_legs`` joins a chain
+# through 0 or 1 once the hubs lose their edges) or start from many
+# one-vertex chains (K_{2,k}, here with the hub edge, which the sweep tests
+# and removes).  Each graph is swept from a carving that is not yet minimal.
 CHAIN_GRAPHS = [
-    *(wheel_graph(n) for n in (4, 5, 8, 13)),
+    *(looped_legs(*shape) for shape in ((2, 2), (2, 5), (3, 3), (4, 2), (4, 5), (6, 3), (8, 2))),
     *(Graph.from_edges(k + 2, complete_bipartite_graph(2, k).edges | {(0, 1)}) for k in (3, 9)),
-    *(complete_bipartite_graph(3, k) for k in (3, 4, 7)),
     theta_grid(),
     prism(),
 ]
@@ -157,18 +224,13 @@ def observed_sweep(g, on_test=None, on_flows=None):
     """Minimalize g and call ``on_test(adj, u, v, h_edges)`` before each edge
     test of the sweep, ``h_edges`` being H's edges at that point, and
     ``on_flows(adj, anchors, v0, (u, v))`` at each flow search the test
-    makes.  H starts as the sparse certificate when the sweep builds one, and
-    as g otherwise.  The closing minimality check runs unobserved."""
+    makes.  H starts as g's carving.  The closing minimality check runs
+    unobserved."""
     real_removable, real_flows = minimalize._removable, minimalize._two_unit_flows
-    real_check, real_certificate = minimalize.is_minimally_two_connected, minimalize._certificate
-    h_edges = set(g.edges)
+    real_check = minimalize.is_minimally_two_connected
+    h_edges = set(carving(g))
     tested = []
     sweeping = True
-
-    def certificate(g):
-        c = real_certificate(g)
-        h_edges.intersection_update(c.edges)
-        return c
 
     def removable(adj, u, v):
         if not sweeping:
@@ -195,7 +257,6 @@ def observed_sweep(g, on_test=None, on_flows=None):
         mock.patch.object(minimalize, "_removable", removable),
         mock.patch.object(minimalize, "_two_unit_flows", flows),
         mock.patch.object(minimalize, "is_minimally_two_connected", closing_check),
-        mock.patch.object(minimalize, "_certificate", certificate),
     ):
         h = spanning_minimally_two_connected(g)
     assert h.edges == h_edges
@@ -267,13 +328,17 @@ class TestContractedSweep:
         assert all(calls)
 
     def test_only_edges_without_a_degree_two_end_are_tested(self):
-        """W9, hub 0 and rim 1..8: after six spokes go the hub has degree 2,
-        so its last two spokes and the rim edges with a degree-2 end are
-        never tested.  Deleting (7, 8) leaves a 9-cycle, where the splice
-        closes the chain on itself."""
-        g = wheel_graph(9)
-        assert observed_sweep(g) == [(0, j) for j in range(1, 7)] + [(7, 8)]
-        assert is_cycle_graph(spanning_minimally_two_connected(g))
+        """Two looped legs 2-3-4 and 5-6-7, swept whole: deleting (0, 1)
+        leaves 0 with degree 2, so (0, 2) and (0, 5) are never tested, and
+        deleting (1, 2) leaves 2 with degree 2.  The edges at 3, 4, 6 and 7
+        have a degree-2 end from the start.  Deleting (1, 5) leaves the
+        8-cycle 0-2-3-4-1-7-6-5, where the splice closes the chain on
+        itself."""
+        g = looped_legs(2, 3)
+        assert observed_sweep(g) == [(0, 1), (1, 2), (1, 5)]
+        h = spanning_minimally_two_connected(g)
+        assert is_cycle_graph(h)
+        assert find_cycle(h) == (0, 2, 3, 4, 1, 7, 6, 5)
 
 
 class TestIsMinimal:

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from rc2 import Graph, spanning_minimally_two_connected
 from rc2.generators import complete_bipartite_graph, complete_graph
-from rc2.graphs import is_cycle_graph, is_two_connected
-from rc2.minimalize import _certificate
+from rc2.graphs import carving, is_cycle_graph, is_two_connected
 
 from .strategies import dense_two_connected_graphs, two_connected_graphs
 
@@ -77,9 +76,11 @@ def test_minimalized_complete_graph_is_minimal_by_networkx(n):
 
 
 def assert_biconnected_certificate(g: Graph):
-    c = _certificate(g)
+    """The carving is a sparse certificate of g's 2-connectivity: a spanning
+    subgraph with at most 2n - 3 edges that networkx finds biconnected."""
+    c = Graph(g.vertex_count, carving(g))
     assert c.edges <= g.edges
-    assert c.edge_count <= 2 * g.vertex_count - 2
+    assert c.edge_count <= 2 * g.vertex_count - 3
     assert nx.is_biconnected(to_nx(c))
 
 
@@ -96,6 +97,12 @@ def test_complete_bipartite_certificate_is_biconnected_by_networkx(a, b):
 @given(dense_two_connected_graphs())
 @settings(max_examples=80)
 def test_dense_graph_certificate_is_biconnected_by_networkx(g):
+    assert_biconnected_certificate(g)
+
+
+@given(two_connected_graphs(max_n=14))
+@settings(max_examples=80)
+def test_sparse_graph_certificate_is_biconnected_by_networkx(g):
     assert_biconnected_certificate(g)
 
 

@@ -150,4 +150,4 @@ def test_each_minimal_edge_is_colored_at_exactly_one_level():
             report = check_induction_invariants(result, g)
             assert dict(report.witnesses)["levels_checked"] == len(result.trace)
             replayed += 1
-    assert replayed == 97
+    assert replayed == 98

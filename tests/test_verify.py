@@ -521,19 +521,19 @@ class TestInductionInvariants:
         assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 0, 5, 0))]
 
     def test_recycled_color_off_the_ears_last_edge_is_B2(self):
-        """Corpus graph 107: the last ear (0, 9, 6) puts recycled color 4 on
-        its edge (6, 9).  Color 5 also sits on one prior edge at vertex 0,
-        (0, 3), so only the ear's own edge tells a claimed 5 from the 4."""
-        _, g = list(standard_corpus())[107]
+        """Corpus graph 131: the last ear (2, 8, 9) puts recycled color 4 on
+        its edge (8, 9).  Color 5 also sits on one prior edge at vertex 2,
+        (0, 2), so only the ear's own edge tells a claimed 5 from the 4."""
+        _, g = list(standard_corpus())[131]
         res = color_rc2(g, with_trace=True)
         first, last = res.trace
-        assert (last.ear.vertices, last.recycled_color) == ((0, 9, 6), 4)
+        assert (last.ear.vertices, last.recycled_color) == ((2, 8, 9), 4)
         base = next(trace_levels(res.trace))
-        assert [e for e, c in base.coloring.assignment.items() if c == 5] == [(0, 3)]
+        assert [e for e, c in base.coloring.assignment.items() if c == 5] == [(0, 2)]
         wrong = dataclasses.replace(last, recycled_color=5)
         broken = dataclasses.replace(res, trace=(first, wrong))
         report = check_induction_invariants(broken, g)
-        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 6, 5))]
+        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 9, 5))]
 
     @pytest.mark.parametrize("wrong", [1, 2])
     def test_wrong_recycled_color_is_B2(self, wrong):
