@@ -3,7 +3,10 @@
 The search enumerates edge colorings in canonical form (first edge color 0,
 each later color at most one past the running maximum) so each partition of
 the edges into color classes is tested exactly once, split by the exact
-number of classes.  Feasibility is tested by
+number of classes.  For each class count the colorings come in
+lexicographic order, each made from the one before by an iterative
+successor step, so a budget counts the same feasibility tests in the same
+order as a recursive enumeration would.  Feasibility is tested by
 :class:`~rc2.verify.RainbowIndex`, which enumerates simple paths with its own
 walk, not the verifier's rainbow-path search, so the oracle stays an
 independent reference for the verifier.  Only viable for tiny graphs; a
@@ -25,21 +28,40 @@ DEFAULT_BUDGET = 10**8
 
 
 def _exact_k_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Canonical colorings of m edges using exactly the colors 0..k-1."""
-    buf = [0] * m
-
-    def rec(i: int, mx: int) -> Iterator[tuple[int, ...]]:
-        if k - 1 - mx > m - i:
-            return  # not enough positions left to introduce the missing colors
-        if i == m:
-            if mx == k - 1:
-                yield tuple(buf)
+    """Canonical colorings of m edges using exactly the colors 0..k-1, in
+    lexicographic order."""
+    if not 1 <= k <= m:
+        return
+    if k == 1:
+        yield (0,) * m
+        return
+    # The first is all zeros but for a closing run 1..k-1; top[i] is the
+    # largest color among colors[:i + 1].
+    colors = [0] * (m - k + 1) + list(range(1, k))
+    top = list(colors)
+    last = m - 1
+    while True:
+        yield tuple(colors)
+        # Once the rest holds every color, the last entry takes each value
+        # from here on; otherwise it must be the one missing color.
+        if top[last - 1] == k - 1:
+            for c in range(colors[last] + 1, k):
+                colors[last] = c
+                yield tuple(colors)
+        # Bump the last earlier entry that can grow: one that is neither a
+        # new maximum nor the last color.  Such an entry leaves the entries
+        # after it room for every missing color, so they become their
+        # smallest completion: zeros, then the missing colors in order.
+        i = last - 1
+        while i and (colors[i] > top[i - 1] or colors[i] == k - 1):
+            i -= 1
+        if not i:
             return
-        for c in range(min(mx + 1, k - 1) + 1):
-            buf[i] = c
-            yield from rec(i + 1, max(mx, c))
-
-    yield from rec(1, 0)
+        c = colors[i] + 1
+        mx = max(top[i - 1], c)
+        zeros = m - i - k + mx
+        colors[i:] = [c] + [0] * zeros + list(range(mx + 1, k))
+        top[i:] = [mx] * (zeros + 1) + list(range(mx + 1, k))
 
 
 def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:

@@ -44,19 +44,34 @@ def enumerate_rainbow_paths(
     order (BFS hop distance to v, then id), so the paths come in
     lexicographic order of their per-vertex keys ``(dist(x, v), x)``.
     Edges missing from the coloring are unusable.  ``forbidden_vertices``
-    bans vertices outright (do not ban the endpoints).  The search keeps an
-    explicit stack of neighbour iterators, so path length is not bounded by
-    the recursion limit.
+    bans vertices outright (do not ban the endpoints).
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
     if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
         raise InvalidInput(f"path endpoints {u} and {v} must be vertices 0..{g.vertex_count - 1}")
-    adj = g.adjacency_toward(v)
-    assign = coloring.assignment
+    return _rainbow_walk(g.adjacency_toward(v), coloring.assignment, u, {u, *forbidden_vertices}, v)
+
+
+def _rainbow_walk(
+    adj: Mapping[int, Sequence[int]],
+    assign: Mapping[tuple[int, int], int],
+    u: int,
+    blocked: set[int],
+    target: int,
+    every: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """The one rainbow-path DFS: rainbow paths from u over ``adj``, in its
+    neighbour order, avoiding the ``blocked`` vertices (u among them).
+
+    A path that reaches ``target`` is yielded and never extended.  With
+    ``every``, each path is also yielded as it is extended, so a walk with a
+    target that is no vertex yields every rainbow path from u.  The search
+    keeps an explicit stack of neighbour iterators, so path length is not
+    bounded by the recursion limit.
+    """
     # Banned vertices are never on the path, so popping a path vertex never
     # lifts a ban.
-    blocked = {u, *forbidden_vertices}
     spent: set[int] = set()
     path = [u]
     colors: list[int] = []
@@ -69,14 +84,16 @@ def enumerate_rainbow_paths(
             color = assign.get(edge(cur, nxt))
             if color is None or color in spent:
                 continue
-            if nxt == v:
-                yield (*path, v)
+            if nxt == target:
+                yield (*path, target)
                 continue
             blocked.add(nxt)
             spent.add(color)
             path.append(nxt)
             colors.append(color)
             stack.append(iter(adj[nxt]))
+            if every:
+                yield tuple(path)
             break
         else:
             stack.pop()
@@ -280,12 +297,22 @@ def check_unique_color_map(
 def _all_pair_paths(
     sub: Graph, coloring: EdgeColoring, verts: list[int]
 ) -> dict[tuple[int, int], list[PathEntry]]:
-    """All rainbow paths per vertex pair with their vertex sets, shortest first."""
-    cache = {}
-    for u, v in combinations(verts, 2):
-        paths = sorted(enumerate_rainbow_paths(sub, coloring, u, v), key=lambda p: (len(p), p))
-        cache[(u, v)] = list(_with_sets(paths))
-    return cache
+    """All rainbow paths per vertex pair with their vertex sets, shortest first.
+
+    One walk per source u records every rainbow path at its far end x > u.
+    """
+    adj = sub.adjacency()
+    by_pair: dict[tuple[int, int], list] = {pair: [] for pair in combinations(verts, 2)}
+    # The largest vertex is no pair's smaller end, so it needs no walk.
+    for u in verts[:-1]:
+        # -1 is no vertex, so the walk stops nowhere and yields every path.
+        for p in _rainbow_walk(adj, coloring.assignment, u, {u}, -1, every=True):
+            if p[-1] > u:
+                by_pair[u, p[-1]].append(p)
+    return {
+        pair: list(_with_sets(sorted(paths, key=lambda p: (len(p), p))))
+        for pair, paths in by_pair.items()
+    }
 
 
 def check_induction_invariants(
@@ -383,9 +410,14 @@ class RainbowIndex:
     """Precomputed simple paths for testing many colorings of one graph.
 
     Simple paths and their internally disjoint pairings depend only on the
-    graph, so they are enumerated once; each candidate coloring then only
-    pays for rainbow tests, memoized per path.  Intended for tiny graphs --
-    construction refuses anything past ``SizeGuard(10, 28)``.
+    graph, so they are enumerated once, by the index's own walk rather than
+    the verifier's rainbow-path search.  Each pairing is then kept as a
+    conflict mask over edge pairs: bit ``f*m + e`` stands for the edge pair
+    e < f, and a pairing's mask holds the edge pairs of both its paths.  A
+    coloring's conflict mask holds its pairs of same-colored edges, and a
+    pairing is rainbow exactly when the two masks share no bit.  Intended
+    for tiny graphs -- construction refuses anything past
+    ``SizeGuard(10, 28)``.
     """
 
     def __init__(self, g: Graph):
@@ -434,22 +466,39 @@ class RainbowIndex:
                 for j in gids[a + 1 :]
                 if not (path_internal[i] & path_internal[j])
             ]
+
+        m = len(self.edge_list)
+        path_mask = [
+            sum(1 << (f * m + e) for e, f in combinations(sorted(eids), 2))
+            for eids in self.path_edges
+        ]
+        # Fewest edge pairs first: those pairings are the likeliest rainbow.
+        pair_masks = {
+            pair: sorted({path_mask[i] | path_mask[j] for i, j in ij}, key=int.bit_count)
+            for pair, ij in self.disjoint_pairs.items()
+        }
         # Check stingiest pairs first: fewer options means faster failures.
-        self.pair_order = sorted(self.disjoint_pairs, key=lambda p: (len(self.disjoint_pairs[p]), p))
+        self._masks = sorted(pair_masks.values(), key=len)
+        # Edge f's own bit, and the shift of its row of edge pairs.
+        self._rows = [(1 << f, f * m) for f in range(m)]
 
     def feasible(self, colors: Sequence[int]) -> bool:
-        """Does this edge coloring (indexed like ``edge_list``) make the
-        graph rainbow-2-connected?"""
-        memo: list[int] = [-1] * len(self.path_edges)
-
-        def rainbow(gid: int) -> bool:
-            if memo[gid] < 0:
-                eids = self.path_edges[gid]
-                cs = {colors[e] for e in eids}
-                memo[gid] = 1 if len(cs) == len(eids) else 0
-            return memo[gid] == 1
-
-        for pair in self.pair_order:
-            if not any(rainbow(i) and rainbow(j) for i, j in self.disjoint_pairs[pair]):
+        """Does this edge coloring (indexed like ``edge_list``, any
+        non-negative color ids) make the graph rainbow-2-connected?"""
+        # ``earlier[c]`` holds the edges already seen with color c.
+        conflict = 0
+        earlier: dict[int, int] = {}
+        for c, (bit, row) in zip(colors, self._rows, strict=True):
+            same = earlier.get(c)
+            if same is None:
+                earlier[c] = bit
+            else:
+                conflict |= same << row
+                earlier[c] = same | bit
+        for masks in self._masks:
+            for mask in masks:
+                if not mask & conflict:
+                    break
+            else:
                 return False
         return True

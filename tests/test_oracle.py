@@ -1,5 +1,5 @@
 import hashlib
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -64,6 +64,24 @@ class TestExactKColorings:
     def test_total_is_bell_number(self):
         assert sum(len(list(_exact_k_colorings(4, k))) for k in range(1, 5)) == 15
 
+    @pytest.mark.parametrize("m", range(8))
+    def test_order_is_that_of_product(self, m):
+        """Exactly the canonical strings among all strings, in the order
+        ``itertools.product`` lists them: first entry 0, each entry at most
+        one past the largest before it, all k colors used."""
+
+        def canonical(colors, k):
+            top = -1
+            for c in colors:
+                if c > top + 1:
+                    return False
+                top = max(top, c)
+            return bool(colors) and colors[0] == 0 and top == k - 1
+
+        for k in range(m + 2):
+            expected = [t for t in product(range(k), repeat=m) if canonical(t, k)]
+            assert list(_exact_k_colorings(m, k)) == expected, (m, k)
+
 
 class TestBruteForce:
     def test_cycles_need_all_colors(self):
@@ -95,6 +113,18 @@ class TestBruteForce:
             brute_force_rc2(k23(), budget=3)
         assert exc.value.lower_bound == 2
         assert "budget" in str(exc.value)
+
+    # Feasibility tests on theta(2,3,4) until the answer 7: the S(9,1..6) =
+    # 1 + 255 + 3,025 + 7,770 + 6,951 + 2,646 = 20,648 colorings with 1..6
+    # colors, then 108 of those with 7 up to the first feasible one.
+    THETA_TESTS = 20_756
+
+    def test_theta_budget_boundary(self):
+        g = theta_graph(2, 3, 4)
+        with pytest.raises(BudgetExceeded) as exc:
+            brute_force_rc2(g, budget=self.THETA_TESTS - 1)
+        assert exc.value.lower_bound == 7
+        assert brute_force_rc2(g, budget=self.THETA_TESTS) == 7
 
     def test_negative_budget_is_invalid_input(self):
         with pytest.raises(InvalidInput, match="budget must be at least 0, got -5"):

@@ -312,6 +312,14 @@ class TestRainbowIndexOracle:
         vec = [coloring.assignment[e] for e in RainbowIndex(g).edge_list]
         assert RainbowIndex(g).feasible(vec) is True
 
+    def test_feasible_needs_one_color_per_edge(self):
+        g, coloring = rainbow_c4()
+        index = RainbowIndex(g)
+        vec = [coloring.assignment[e] for e in index.edge_list]
+        for wrong in (vec[:-1], vec + [0]):
+            with pytest.raises(ValueError):
+                index.feasible(wrong)
+
     @given(two_connected_graphs(max_n=6))
     @settings(max_examples=40)
     def test_index_and_verifier_agree_on_arbitrary_colorings(self, g):
@@ -331,6 +339,25 @@ class TestRainbowIndexOracle:
             vec = [coloring.assignment[e] for e in index.edge_list]
             report = is_rainbow_two_connected(g, coloring)
             assert report.passed == index.feasible(vec)
+
+    @given(two_connected_graphs(max_n=6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_feasible_matches_a_naive_check_on_any_color_ids(self, g, data):
+        """Every vertex pair needs some internally disjoint pair of paths,
+        both with distinct colors on their edges.  Color ids may be past the
+        edge count or far apart, so none of them may index a list."""
+        index = RainbowIndex(g)
+        ids = data.draw(st.sampled_from([[0, 1], [0, 10**6], [3, 7, 64], [5, 0, 2, 10**9]]))
+        colors = data.draw(st.lists(st.sampled_from(ids), min_size=g.edge_count, max_size=g.edge_count))
+
+        def rainbow(gid):
+            eids = index.path_edges[gid]
+            return len({colors[e] for e in eids}) == len(eids)
+
+        naive = all(
+            any(rainbow(i) and rainbow(j) for i, j in pairs) for pairs in index.disjoint_pairs.values()
+        )
+        assert index.feasible(colors) is naive
 
 
 class TestFanAndLinkage:
@@ -456,6 +483,43 @@ class TestUniqueColorMapCheck:
         report = check_unique_color_map(coloring, {1: 1})
         assert not report.passed
         assert any(v.kind == "A5" for v in report.violations)
+
+
+def sorted_paths_per_pair(sub, coloring, verts):
+    return {
+        (u, v): [
+            (p, frozenset(p))
+            for p in sorted(enumerate_rainbow_paths(sub, coloring, u, v), key=lambda p: (len(p), p))
+        ]
+        for u, v in combinations(verts, 2)
+    }
+
+
+class TestAllPairPaths:
+    """The replay's per-source walk lists, per pair, exactly the paths the
+    pair search finds, sorted the same way."""
+
+    @given(two_connected_graphs(max_n=7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_pair_search(self, g, data):
+        coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=3)))
+        verts = list(range(g.vertex_count))
+        assert verify._all_pair_paths(g, coloring, verts) == sorted_paths_per_pair(g, coloring, verts)
+
+    def test_level_subgraph_leaves_vertices_out(self):
+        """K_{2,4}'s base level is a K_{2,3} on five of its six vertices."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        seen = []
+        for level in trace_levels(res.trace):
+            assign = level.coloring.assignment
+            sub = Graph(g.vertex_count, frozenset(assign))
+            verts = sorted({x for e in assign for x in e})
+            seen.append(len(verts))
+            got = verify._all_pair_paths(sub, level.coloring, verts)
+            assert got == sorted_paths_per_pair(sub, level.coloring, verts)
+            assert list(got) == list(combinations(verts, 2))
+        assert seen == [5, 6]
 
 
 class TestInductionInvariants:
