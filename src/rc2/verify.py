@@ -5,7 +5,9 @@ check, :func:`is_rainbow_two_connected`, confirms that every vertex pair is
 joined by two rainbow paths sharing only their endpoints.  The checks are
 exhaustive path enumerations, so a :class:`~rc2.reports.SizeGuard` refuses
 inputs that would blow up; a refused check comes back as a skipped report,
-never as a silent pass.
+never as a silent pass.  The headline check searches only the pairs that no
+earlier witness's cycle joins by two rainbow arcs, and re-checks every
+pair's witness, reused or searched, with :func:`pair_witness_error`.
 
 :func:`check_induction_invariants` replays a traced construction level by
 level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
@@ -150,8 +152,58 @@ def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad
     return None
 
 
+class _CycleStore:
+    """The cycles closed by the witnesses of one verification call.
+
+    A witness (p, q) closes the cycle p + reversed(q), and the two arcs
+    between any x and y on it are a witness for (x, y) when both are
+    rainbow.  A cycle is kept as its doubled vertex ring (an arc is one
+    slice), ``pos`` (vertex -> position) and ``reach``: the arc from
+    position i stays rainbow for ``reach[i]`` edges.
+    """
+
+    def __init__(self, assign: Mapping[tuple[int, int], int]):
+        self._assign = assign
+        # vertex -> the cycles through it, oldest first.
+        self._by_vertex: dict[int, list[tuple[tuple[int, ...], dict[int, int], list[int]]]] = {}
+
+    def add(self, p: tuple[int, ...], q: tuple[int, ...]) -> None:
+        ring = p + q[-2:0:-1]
+        size = len(ring)
+        colors = [self._assign[edge(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])]
+        # One sliding window over the doubled color sequence: the window
+        # [start, end) is rainbow, and ``end`` never moves back.
+        reach: list[int] = []
+        window: set[int] = set()
+        end = 0
+        for start in range(size):
+            while end < start + size and colors[end % size] not in window:
+                window.add(colors[end % size])
+                end += 1
+            reach.append(end - start)
+            window.discard(colors[start])
+        entry = (ring + ring, {x: i for i, x in enumerate(ring)}, reach)
+        for x in ring:
+            self._by_vertex.setdefault(x, []).append(entry)
+
+    def witness(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Two rainbow u-v arcs of the newest stored cycle that has them, or
+        None."""
+        at_u, at_v = self._by_vertex.get(u, ()), self._by_vertex.get(v, ())
+        for ring, pos, reach in reversed(at_u if len(at_u) <= len(at_v) else at_v):
+            i, j = pos.get(u), pos.get(v)
+            if i is None or j is None:
+                continue
+            # The arc from u on to v has d edges; the one from v on to u the rest.
+            size = len(reach)
+            d = (j - i) % size
+            if reach[i] >= d and reach[j] >= size - d:
+                return ring[i : i + d + 1], ring[j : j + size - d + 1][::-1]
+        return None
+
+
 def has_two_internally_disjoint_rainbow_paths(
-    g: Graph, coloring: EdgeColoring, u: int, v: int
+    g: Graph, coloring: EdgeColoring, u: int, v: int, cycles: _CycleStore | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two rainbow u-v paths that share only their endpoints, or None.
 
@@ -159,12 +211,23 @@ def has_two_internally_disjoint_rainbow_paths(
     :func:`enumerate_rainbow_paths`, that has such a partner, with its first
     partner in that order.  Each path's partner is sought by one search that
     bans the path's interior, so the paths are never stored and compared.
+
+    With a store of ``cycles``, a pair that two rainbow arcs of a stored
+    cycle join gets those arcs and runs no search, and a searched witness
+    adds its cycle.  Without one, every call searches.
     """
+    if cycles is not None:
+        reused = cycles.witness(u, v)
+        if reused is not None:
+            return reused
 
     def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
         return enumerate_rainbow_paths(g, coloring, a, b, forbidden_vertices=banned)
 
-    return _a1_pair(find, u, v)
+    witness = _a1_pair(find, u, v)
+    if cycles is not None and witness is not None:
+        cycles.add(*witness)
+    return witness
 
 
 def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str | None:
@@ -202,16 +265,23 @@ def is_rainbow_two_connected(
 ) -> VerificationReport:
     """Exhaustively verify the headline property over all vertex pairs.
 
-    Each pair's witness is re-checked by :func:`pair_witness_error`, so a
-    fault in the path search cannot produce a pass.
+    Pairs are checked in order, one
+    :func:`has_two_internally_disjoint_rainbow_paths` call each, sharing one
+    store of witness cycles.  A pair with no witness lies on no cycle with
+    two rainbow arcs, so the first failing pair is the one a search of
+    every pair finds.  Each witness, reused or searched, is re-checked by
+    :func:`pair_witness_error`, so a fault in the search or the store
+    cannot produce a pass.
     """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")
     refusal = guard.refusal(g.vertex_count, g.edge_count)
     if refusal is not None:
         return skipped("A1", refusal)
+    cycles = _CycleStore(coloring.assignment)
     for u, v in combinations(range(g.vertex_count), 2):
-        witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
+        # The store goes by position, so a stand-in taking ``*args`` still fits.
+        witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
         if witness is None:
             return failing(
                 "A1",

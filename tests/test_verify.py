@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
+import pathlib
 import random
+import sys
 from collections import deque
 from itertools import combinations
 
@@ -28,7 +31,7 @@ from rc2 import (
 from rc2 import verify
 from rc2.corpus import standard_corpus
 from rc2.errors import InvalidInput, PreconditionViolated
-from rc2.generators import complete_graph, theta_graph
+from rc2.generators import complete_graph, theta_graph, wheel_graph
 
 from .common import K23_COLORING, cycle, k23, k24
 from .strategies import colorings_of, two_connected_graphs
@@ -247,6 +250,32 @@ class TestIsRainbowTwoConnected:
         assert report.passed == (first is None)
         assert [v.subject for v in report.violations] == ([] if first is None else [first])
 
+    @given(two_connected_graphs(max_n=7), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_cycle_reuse_matches_searching_every_pair(self, g, data):
+        """The verdict and the first violation equal those of searching
+        every pair in order, with no store, on random colorings (most fail)
+        and on constructed ones (which pass)."""
+        if data.draw(st.booleans()):
+            coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=4)))
+        else:
+            coloring = color_rc2(g).coloring
+        expect = None
+        for u, v in combinations(range(g.vertex_count), 2):
+            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
+            if witness is None:
+                expect = ("A1", (u, v), "no two internally disjoint rainbow paths")
+                break
+            error = verify.pair_witness_error(coloring, u, v, witness)
+            if error is not None:
+                expect = ("A1", (u, v), f"witness rejected: {error}")
+                break
+        report = is_rainbow_two_connected(g, coloring)
+        assert report.passed == (expect is None)
+        assert [(v.kind, v.subject, v.reason) for v in report.violations] == (
+            [] if expect is None else [expect]
+        )
+
     @given(two_connected_graphs(max_n=8))
     @settings(max_examples=40)
     def test_constructed_colorings_always_verify(self, g):
@@ -295,6 +324,128 @@ class TestPairWitnessCheck:
         _, coloring = rainbow_c4()
         error = verify.pair_witness_error(coloring, 0, 2, ((0, 1, 2), (0, 2)))
         assert error == "(0, 2) uses a non-edge"
+
+
+def hand_cycle():
+    """A 6-cycle stored from the witness ((1, 4, 0, 5), (1, 3, 2, 5)), so its
+    ring reads 1 4 0 5 2 3.  Color 0 sits on (1, 4) and again on (5, 2), so
+    two ring vertices have two rainbow arcs exactly when one is in
+    {4, 0, 5} and the other in {2, 3, 1}.  Vertex 6 hangs off 0 and 4 with
+    fresh colors, so the pair (0, 4) has a witness only off the ring."""
+    ring = [(1, 4), (0, 4), (0, 5), (2, 5), (2, 3), (1, 3)]
+    g = Graph.from_edges(7, ring + [(0, 6), (4, 6)])
+    colors = dict(zip(ring, (0, 1, 2, 0, 3, 4))) | {(0, 6): 5, (4, 6): 6}
+    coloring = EdgeColoring.from_assignment(colors)
+    store = verify._CycleStore(coloring.assignment)
+    store.add((1, 4, 0, 5), (1, 3, 2, 5))
+    return g, coloring, store
+
+
+def spy_on(monkeypatch, name):
+    """The argument tuples of every call of ``verify.<name>``, as a list that
+    fills while the test runs."""
+    calls = []
+    original = getattr(verify, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, spy)
+    return calls
+
+
+def load_workloads():
+    """The benchmark's workload module, read from its file."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+
+
+class TestCycleStore:
+    """Pairs on an earlier witness's cycle take its two rainbow arcs."""
+
+    @pytest.mark.parametrize(
+        "u, v, expect",
+        [
+            # u at position 2, after v at position 0: the slice wraps.
+            (0, 1, ((0, 5, 2, 3, 1), (0, 4, 1))),
+            # u at position 0, before v.
+            (1, 5, ((1, 4, 0, 5), (1, 3, 2, 5))),
+            # u after v, with the long arc exactly rainbow.
+            (2, 5, ((2, 3, 1, 4, 0, 5), (2, 5))),
+            # u before v, both arcs short of their reach.
+            (0, 3, ((0, 5, 2, 3), (0, 4, 1, 3))),
+        ],
+    )
+    def test_two_rainbow_arcs_are_a_witness(self, u, v, expect):
+        _, coloring, store = hand_cycle()
+        assert store.witness(u, v) == expect
+        assert verify.pair_witness_error(coloring, u, v, expect) is None
+
+    def test_a_pair_is_covered_iff_the_repeat_splits_its_arcs(self):
+        _, coloring, store = hand_cycle()
+        side = {4: 0, 0: 0, 5: 0, 2: 1, 3: 1, 1: 1}
+        for u, v in combinations(sorted(side), 2):
+            witness = store.witness(u, v)
+            assert (witness is not None) == (side[u] != side[v]), (u, v)
+            if witness is not None:
+                assert verify.pair_witness_error(coloring, u, v, witness) is None
+        assert store.witness(0, 6) is None
+
+    def test_an_uncovered_pair_falls_through_to_the_search(self, monkeypatch):
+        g, coloring, store = hand_cycle()
+        searched = spy_on(monkeypatch, "enumerate_rainbow_paths")
+        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1, store) == (
+            (0, 5, 2, 3, 1),
+            (0, 4, 1),
+        )
+        assert searched == []
+        # Both arcs of (0, 4) repeat color 0; the path through 6 is off the ring.
+        assert store.witness(0, 4) is None
+        found = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 4, store)
+        assert found == has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 4)
+        assert found is not None and searched != []
+        # The searched witness's cycle now serves its other pairs.
+        assert store.witness(4, 6) is not None
+        assert verify.pair_witness_error(coloring, 4, 6, store.witness(4, 6)) is None
+
+
+class TestPairCallContract:
+    """The benchmark counts checked pairs by wrapping
+    ``verify.has_two_internally_disjoint_rainbow_paths``, so every checked
+    pair is one call of it, reused or searched."""
+
+    def test_a_pass_calls_once_per_pair_and_searches_few(self, monkeypatch):
+        g = wheel_graph(30)
+        coloring = color_rc2(g).coloring
+        calls = spy_on(monkeypatch, "has_two_internally_disjoint_rainbow_paths")
+        searched = spy_on(monkeypatch, "enumerate_rainbow_paths")
+        n = g.vertex_count
+        assert is_rainbow_two_connected(g, coloring, SizeGuard(n, g.edge_count)).passed
+        assert [args[2:4] for args in calls] == list(combinations(range(n), 2))
+        assert len({args[2:4] for args in searched}) <= 2 * n
+
+    @pytest.mark.parametrize("k, at", WORKLOADS.FAIL_WHEELS)
+    def test_a_broken_ear_fails_at_its_pair(self, monkeypatch, k, at):
+        g = WORKLOADS._wheel_with_ear(k, at)
+        obj = WORKLOADS._break_chain(g, color_rc2(g).to_json_obj(), [at, at + 1])
+        coloring = EdgeColoring.from_assignment(
+            {(e["u"], e["v"]): e["color"] for e in obj["edges"]}
+        )
+        calls = spy_on(monkeypatch, "has_two_internally_disjoint_rainbow_paths")
+        report = is_rainbow_two_connected(g, coloring, SizeGuard(g.vertex_count, g.edge_count))
+        assert (at, at + 1) == (11, 12)
+        assert [(v.kind, v.subject) for v in report.violations] == [("A1", (11, 12))]
+        pairs = list(combinations(range(g.vertex_count), 2))
+        assert [args[2:4] for args in calls] == pairs[: pairs.index((11, 12)) + 1]
 
 
 class TestRainbowIndexOracle:
