@@ -149,7 +149,7 @@ def spanning_minimally_two_connected(g: Graph) -> Graph:
         if deg[v] == 2 and v in adj:
             _splice(adj, deg, v)
     edges = c.edges.difference(removed)
-    # Every deletion above rests on the certificate, Menger and contraction
+    # Every deletion above rests on the carving, Menger and contraction
     # lemmas; a lowpoint scan of the result checks them all by a different
     # algorithm.
     verdict = is_two_connected_sub(n, edges)

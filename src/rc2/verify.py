@@ -6,8 +6,10 @@ joined by two rainbow paths sharing only their endpoints.  The checks are
 exhaustive path enumerations, so a :class:`~rc2.reports.SizeGuard` refuses
 inputs that would blow up; a refused check comes back as a skipped report,
 never as a silent pass.  The headline check searches only the pairs that no
-earlier witness's cycle joins by two rainbow arcs, and re-checks every
-pair's witness, reused or searched, with :func:`pair_witness_error`.
+earlier witness's cycle joins by two rainbow arcs.  Every witness is
+checked apart from the search: two arcs of an accepted witness's cycle by
+the color parity of each arc, in a fixed number of steps, and any other
+witness by :func:`pair_witness_error`.
 
 :func:`check_induction_invariants` replays a traced construction level by
 level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
@@ -120,21 +122,26 @@ def _a1_pair(find: Finder, u: int, v: int):
     return None
 
 
-# A2 and A3 read lists of paths, each with its vertex set, and return the
+def _mask(vertices: Iterable[int]) -> int:
+    """The vertices as one int, bit x standing for vertex x."""
+    return sum(map((1).__lshift__, vertices))
+
+
+# A2 and A3 read lists of paths, each with its vertex mask, and return the
 # first witness in the order the paths are given.
-PathEntry = tuple[tuple[int, ...], frozenset[int]]
+PathEntry = tuple[tuple[int, ...], int]
 
 
-def _with_sets(paths: Iterable[tuple[int, ...]]) -> Iterator[PathEntry]:
-    return ((p, frozenset(p)) for p in paths)
+def _with_masks(paths: Iterable[tuple[int, ...]]) -> Iterator[PathEntry]:
+    return ((p, _mask(p)) for p in paths)
 
 
 def _a2_fan(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], center: int):
     """A2: the first pair across two lists meeting only at ``center``."""
-    only = frozenset((center,))
-    for p, pset in entries1:
-        for q, qset in entries2:
-            if pset & qset == only:
+    only = 1 << center
+    for p, pm in entries1:
+        for q, qm in entries2:
+            if pm & qm == only:
                 return p, q
     return None
 
@@ -145,9 +152,9 @@ def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad
     a, b, c, d = quad
     for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
         entries2 = paths_of(pair2)
-        for p, pset in paths_of(pair1):
-            for q, qset in entries2:
-                if pset.isdisjoint(qset):
+        for p, pm in paths_of(pair1):
+            for q, qm in entries2:
+                if not pm & qm:
                     return pair1, pair2, p, q
     return None
 
@@ -260,6 +267,59 @@ def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str |
     return None
 
 
+class _CheckedCycles:
+    """The cycles of the witnesses one verification call has accepted.
+
+    A witness (p, q) whose ring p + q[-2:0:-1] is a kept cycle, rotated, is
+    two arcs of it.  A cycle is kept rotated to start at its smallest vertex,
+    with the parity prefix masks ``x`` of its doubled ring: ``x[k]`` XORs one
+    bit per color over the first k edges.  The d edges from position i are
+    rainbow exactly when ``x[i + d] ^ x[i]`` has d bits set: it keeps the
+    colors used an odd number of times, at most d of them, and d only when
+    each color occurs once.  Reads only witnesses and the coloring, never a
+    :class:`_CycleStore`.
+    """
+
+    def __init__(self, coloring: EdgeColoring):
+        self._coloring = coloring
+        # color -> its bit, numbered densely in order of first sight.
+        self._bits: dict[int, int] = {}
+        self._masks: dict[tuple[int, ...], list[int]] = {}
+
+    def error(self, u: int, v: int, witness) -> str | None:
+        """:func:`pair_witness_error` of ``witness``, which two arcs of a
+        kept cycle pass in a fixed number of steps."""
+        key = None
+        if isinstance(witness, tuple) and len(witness) == 2:
+            p, q = witness
+            if (
+                isinstance(p, tuple)
+                and isinstance(q, tuple)
+                and p[:1] == q[:1] == (u,)
+                and p[-1:] == q[-1:] == (v,)
+            ):
+                ring = p + q[-2:0:-1]
+                start = ring.index(min(ring))
+                key = ring[start:] + ring[:start]
+                x = self._masks.get(key)
+                if x is not None:
+                    # p is the arc of d edges from u's position i, q the rest.
+                    size, d = len(key), len(p) - 1
+                    i = -start % size
+                    arc_p, arc_q = x[i + d] ^ x[i], x[i + size] ^ x[i + d]
+                    if arc_p.bit_count() == d and arc_q.bit_count() == size - d:
+                        return None
+        error = pair_witness_error(self._coloring, u, v, witness)
+        if error is None:
+            # The witness passed, so ``key`` is a simple cycle of colored edges.
+            assign, bits, x = self._coloring.assignment, self._bits, [0]
+            colors = [assign[edge(a, b)] for a, b in zip(key, key[1:] + key[:1])]
+            for c in colors + colors:
+                x.append(x[-1] ^ bits.setdefault(c, 1 << len(bits)))
+            self._masks[key] = x
+        return error
+
+
 def is_rainbow_two_connected(
     g: Graph, coloring: EdgeColoring, guard: SizeGuard = DEFAULT_GUARD
 ) -> VerificationReport:
@@ -269,16 +329,18 @@ def is_rainbow_two_connected(
     :func:`has_two_internally_disjoint_rainbow_paths` call each, sharing one
     store of witness cycles.  A pair with no witness lies on no cycle with
     two rainbow arcs, so the first failing pair is the one a search of
-    every pair finds.  Each witness, reused or searched, is re-checked by
-    :func:`pair_witness_error`, so a fault in the search or the store
-    cannot produce a pass.
+    every pair finds.  A witness that is two arcs of a cycle already
+    accepted is checked by :class:`_CheckedCycles` with two XORs and two
+    popcounts; every other witness, and one that fails that test, goes
+    through :func:`pair_witness_error`.  Neither reads the search or the
+    store, so a fault in either cannot produce a pass.
     """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")
     refusal = guard.refusal(g.vertex_count, g.edge_count)
     if refusal is not None:
         return skipped("A1", refusal)
-    cycles = _CycleStore(coloring.assignment)
+    cycles, checked = _CycleStore(coloring.assignment), _CheckedCycles(coloring)
     for u, v in combinations(range(g.vertex_count), 2):
         # The store goes by position, so a stand-in taking ``*args`` still fits.
         witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
@@ -287,7 +349,7 @@ def is_rainbow_two_connected(
                 "A1",
                 [Violation("A1", (u, v), "no two internally disjoint rainbow paths")],
             )
-        error = pair_witness_error(coloring, u, v, witness)
+        error = checked.error(u, v, witness)
         if error is not None:
             return failing("A1", [Violation("A1", (u, v), f"witness rejected: {error}")])
     return passing("A1", [("pairs_checked", g.vertex_count * (g.vertex_count - 1) // 2)])
@@ -301,8 +363,8 @@ def check_fan(
     if len({center, t1, t2}) != 3:
         raise InvalidInput("fan check needs three distinct vertices")
     return _a2_fan(
-        _with_sets(enumerate_rainbow_paths(g, coloring, center, t1)),
-        list(_with_sets(enumerate_rainbow_paths(g, coloring, center, t2))),
+        _with_masks(enumerate_rainbow_paths(g, coloring, center, t1)),
+        list(_with_masks(enumerate_rainbow_paths(g, coloring, center, t2))),
         center,
     )
 
@@ -318,7 +380,7 @@ def check_linkage(g: Graph, coloring: EdgeColoring, quad: Sequence[int]) -> tupl
         raise InvalidInput("linkage check needs four distinct vertices")
     a, b, c, d = sorted(quad)
     return _a3_linkage(
-        lambda pair: list(_with_sets(enumerate_rainbow_paths(g, coloring, *pair))), (a, b, c, d)
+        lambda pair: list(_with_masks(enumerate_rainbow_paths(g, coloring, *pair))), (a, b, c, d)
     )
 
 
@@ -367,7 +429,7 @@ def check_unique_color_map(
 def _all_pair_paths(
     sub: Graph, coloring: EdgeColoring, verts: list[int]
 ) -> dict[tuple[int, int], list[PathEntry]]:
-    """All rainbow paths per vertex pair with their vertex sets, shortest first.
+    """All rainbow paths per vertex pair with their vertex masks, shortest first.
 
     One walk per source u records every rainbow path at its far end x > u.
     """
@@ -380,7 +442,7 @@ def _all_pair_paths(
             if p[-1] > u:
                 by_pair[u, p[-1]].append(p)
     return {
-        pair: list(_with_sets(sorted(paths, key=lambda p: (len(p), p))))
+        pair: list(_with_masks(sorted(paths, key=lambda p: (len(p), p))))
         for pair, paths in by_pair.items()
     }
 
@@ -448,7 +510,8 @@ def check_induction_invariants(
         cache = _all_pair_paths(sub, level.coloring, verts)
 
         def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
-            return (p for p, pset in cache[a, b] if pset.isdisjoint(banned))
+            banned_mask = _mask(banned)
+            return (p for p, pm in cache[a, b] if not pm & banned_mask)
 
         for u, v in cache:
             if _a1_pair(find, u, v) is None:

@@ -38,6 +38,13 @@ def test_run_corpus_prints_the_pinned_digests():
     assert f"traces sha256 {TRACES_SHA256}" in lines
 
 
+def test_readme_quotes_the_pinned_digests():
+    """The README quotes the first 8 hex digits of both digests above."""
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert f"colorings sha256 `{COLORINGS_SHA256[:8]}…`" in readme
+    assert f"traces sha256 `{TRACES_SHA256[:8]}…`" in readme
+
+
 def test_run_census_counts_graphs_and_classes():
     done = run_script("run_census.py", "--n", "4")
     assert done.returncode == 0, done.stderr

@@ -448,6 +448,132 @@ class TestPairCallContract:
         assert [args[2:4] for args in calls] == pairs[: pairs.index((11, 12)) + 1]
 
 
+def over_reach(extra):
+    """A ``_CycleStore.add`` that over-reports each new cycle's ``reach`` by
+    ``extra`` edges, so the store hands out arcs that repeat a color."""
+    add = verify._CycleStore.add
+
+    def faulty(self, p, q):
+        add(self, p, q)
+        reach = self._by_vertex[p[0]][-1][2]
+        reach[:] = [r + extra for r in reach]
+
+    return faulty
+
+
+class TestCheckedCycles:
+    """A witness that is two arcs of an accepted witness's cycle is checked
+    by the color parity of each arc; every verdict is the one
+    ``pair_witness_error`` gives."""
+
+    @given(st.lists(st.integers(0, 12), max_size=16))
+    def test_parity_has_one_bit_per_entry_iff_entries_are_distinct(self, colors):
+        parity = 0
+        for c in colors:
+            parity ^= 1 << c
+        assert (parity.bit_count() == len(colors)) == (len(set(colors)) == len(colors))
+
+    @given(two_connected_graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_pair_witness_error(self, g, data):
+        """On the store-backed loop's witnesses, their swaps and every pair
+        of arcs of their cycles, also claimed for the wrong pair, under
+        colorings with arbitrary color ids."""
+        edges = sorted(g.edges)
+        if data.draw(st.booleans()):
+            values = data.draw(st.lists(st.integers(-3, 3), min_size=len(edges), max_size=len(edges)))
+        else:
+            built = color_rc2(g).coloring
+            values = [built.assignment[e] for e in edges]
+            if data.draw(st.booleans()):
+                # Merge two color classes, so some arcs repeat a color.
+                values = [min(c, 1) for c in values]
+        ids = [10**12 - 7 * c for c in values]
+        coloring = EdgeColoring(dict(zip(edges, ids)), len(set(ids)))
+        store, checked = verify._CycleStore(coloring.assignment), verify._CheckedCycles(coloring)
+
+        def agree(u, v, witness):
+            assert checked.error(u, v, witness) == verify.pair_witness_error(coloring, u, v, witness)
+
+        for u, v in combinations(range(g.vertex_count), 2):
+            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, store)
+            if witness is None:
+                continue
+            agree(u, v, witness)
+            agree(u, v, witness[::-1])
+            ring = witness[0] + witness[1][-2:0:-1]
+            size, doubled = len(ring), ring + ring
+            for i, j in combinations(range(size), 2):
+                x, y = ring[i], ring[j]
+                p, q = ring[i : j + 1], doubled[j : i + size + 1][::-1]
+                agree(x, y, (p, q))
+                agree(y, x, (q[::-1], p[::-1]))
+                # Arcs of the cycle claimed for a pair they do not join, and
+                # with an end of q moved off the cycle, to the non-vertex -1,
+                # alone or with the pair they are claimed for.
+                agree(ring[i - 1], y, (p, q))
+                agree(x, ring[j - 1], (p, q))
+                agree(x, y, (p, (-1,) + q[1:]))
+                agree(x, y, (p, q[:-1] + (-1,)))
+                agree(-1, y, (p, (-1,) + q[1:]))
+                agree(x, -1, (p, q[:-1] + (-1,)))
+
+    @pytest.mark.parametrize(
+        "u, v, witness, error",
+        [
+            # Rotated to start at 0: the first arc repeats color 0.
+            (0, 4, ((0, 5, 2, 3, 1, 4), (0, 4)), "(0, 5, 2, 3, 1, 4) is not rainbow"),
+            # Rotated to start at 4: the second arc repeats color 0.
+            (4, 5, ((4, 0, 5), (4, 1, 3, 2, 5)), "(4, 1, 3, 2, 5) is not rainbow"),
+        ],
+    )
+    def test_a_rotation_with_a_repeated_color_is_rejected(self, u, v, witness, error):
+        _, coloring, _ = hand_cycle()
+        checked = verify._CheckedCycles(coloring)
+        assert checked.error(1, 5, ((1, 4, 0, 5), (1, 3, 2, 5))) is None
+        assert checked.error(u, v, witness) == error
+        assert verify.pair_witness_error(coloring, u, v, witness) == error
+
+    @pytest.mark.parametrize("witness", [((0, 1), 5), ([0, 1], (0, 3, 2, 1)), ((0, 1),), None])
+    def test_a_malformed_witness_gets_the_message_of_pair_witness_error(self, witness):
+        _, coloring = rainbow_c4()
+        checked = verify._CheckedCycles(coloring)
+        assert checked.error(0, 1, ((0, 1), (0, 3, 2, 1))) is None
+        error = checked.error(0, 1, witness)
+        assert error is not None and error == verify.pair_witness_error(coloring, 0, 1, witness)
+
+    @pytest.mark.parametrize("extra, at", [(1, (0, 5)), (6, (0, 4))])
+    def test_a_store_that_over_reports_reach_cannot_pass(self, monkeypatch, extra, at):
+        """With ``reach`` one edge too long, or long enough for every arc,
+        the report fails at the first pair whose handed-out arcs repeat a
+        color, with the message ``pair_witness_error`` gives there.  (0, 1)
+        stores the ring 0 4 1 3 2 5; one edge too many covers (0, 5), the
+        true first failure, and every arc covers (0, 4) before it."""
+        g, coloring, _ = hand_cycle()
+        report = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
+        assert [v.subject for v in report.violations] == [(0, 5)]
+        monkeypatch.setattr(verify._CycleStore, "add", over_reach(extra))
+        store, expect = verify._CycleStore(coloring.assignment), None
+        for u, v in combinations(range(g.vertex_count), 2):
+            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, store)
+            error = verify.pair_witness_error(coloring, u, v, witness)
+            if error is not None:
+                expect = ("A1", (u, v), f"witness rejected: {error}")
+                break
+        assert expect[1] == at and expect[2].endswith(" is not rainbow")
+        report = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
+        assert [(v.kind, v.subject, v.reason) for v in report.violations] == [expect]
+
+    def test_only_searched_pairs_reach_pair_witness_error(self, monkeypatch):
+        g = wheel_graph(30)
+        coloring = color_rc2(g).coloring
+        searched = spy_on(monkeypatch, "enumerate_rainbow_paths")
+        slow = spy_on(monkeypatch, "pair_witness_error")
+        assert is_rainbow_two_connected(g, coloring, SizeGuard(31, 60)).passed
+        assert [args[1:3] for args in slow] == sorted({args[2:4] for args in searched})
+        assert 0 < len(slow) < 60
+
+
 class TestRainbowIndexOracle:
     def test_size_limits(self):
         refusal = r"graph with 11 vertices / 11 edges exceeds the size guard \(10, 28\)"
@@ -639,7 +765,7 @@ class TestUniqueColorMapCheck:
 def sorted_paths_per_pair(sub, coloring, verts):
     return {
         (u, v): [
-            (p, frozenset(p))
+            (p, sum(1 << x for x in p))
             for p in sorted(enumerate_rainbow_paths(sub, coloring, u, v), key=lambda p: (len(p), p))
         ]
         for u, v in combinations(verts, 2)
