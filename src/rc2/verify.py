@@ -6,10 +6,10 @@ joined by two rainbow paths sharing only their endpoints.  The checks are
 exhaustive path enumerations, so a :class:`~rc2.reports.SizeGuard` refuses
 inputs that would blow up; a refused check comes back as a skipped report,
 never as a silent pass.  The headline check searches only the pairs that no
-earlier witness's cycle joins by two rainbow arcs.  Every witness is
-checked apart from the search: two arcs of an accepted witness's cycle by
-the color parity of each arc, in a fixed number of steps, and any other
-witness by :func:`pair_witness_error`.
+accepted witness's cycle joins by two rainbow arcs.  Every witness is
+checked apart from the search and that lookup: two arcs of an accepted
+cycle by the color parity of each arc, in a fixed number of steps, and any
+other witness by :func:`pair_witness_error`.
 
 :func:`check_induction_invariants` replays a traced construction level by
 level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
@@ -18,7 +18,8 @@ level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .coloring import ColoringResult, EdgeColoring, trace_levels
@@ -159,58 +160,8 @@ def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad
     return None
 
 
-class _CycleStore:
-    """The cycles closed by the witnesses of one verification call.
-
-    A witness (p, q) closes the cycle p + reversed(q), and the two arcs
-    between any x and y on it are a witness for (x, y) when both are
-    rainbow.  A cycle is kept as its doubled vertex ring (an arc is one
-    slice), ``pos`` (vertex -> position) and ``reach``: the arc from
-    position i stays rainbow for ``reach[i]`` edges.
-    """
-
-    def __init__(self, assign: Mapping[tuple[int, int], int]):
-        self._assign = assign
-        # vertex -> the cycles through it, oldest first.
-        self._by_vertex: dict[int, list[tuple[tuple[int, ...], dict[int, int], list[int]]]] = {}
-
-    def add(self, p: tuple[int, ...], q: tuple[int, ...]) -> None:
-        ring = p + q[-2:0:-1]
-        size = len(ring)
-        colors = [self._assign[edge(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])]
-        # One sliding window over the doubled color sequence: the window
-        # [start, end) is rainbow, and ``end`` never moves back.
-        reach: list[int] = []
-        window: set[int] = set()
-        end = 0
-        for start in range(size):
-            while end < start + size and colors[end % size] not in window:
-                window.add(colors[end % size])
-                end += 1
-            reach.append(end - start)
-            window.discard(colors[start])
-        entry = (ring + ring, {x: i for i, x in enumerate(ring)}, reach)
-        for x in ring:
-            self._by_vertex.setdefault(x, []).append(entry)
-
-    def witness(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """Two rainbow u-v arcs of the newest stored cycle that has them, or
-        None."""
-        at_u, at_v = self._by_vertex.get(u, ()), self._by_vertex.get(v, ())
-        for ring, pos, reach in reversed(at_u if len(at_u) <= len(at_v) else at_v):
-            i, j = pos.get(u), pos.get(v)
-            if i is None or j is None:
-                continue
-            # The arc from u on to v has d edges; the one from v on to u the rest.
-            size = len(reach)
-            d = (j - i) % size
-            if reach[i] >= d and reach[j] >= size - d:
-                return ring[i : i + d + 1], ring[j : j + size - d + 1][::-1]
-        return None
-
-
 def has_two_internally_disjoint_rainbow_paths(
-    g: Graph, coloring: EdgeColoring, u: int, v: int, cycles: _CycleStore | None = None
+    g: Graph, coloring: EdgeColoring, u: int, v: int, cycles: _AcceptedCycles | None = None
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two rainbow u-v paths that share only their endpoints, or None.
 
@@ -219,10 +170,12 @@ def has_two_internally_disjoint_rainbow_paths(
     partner in that order.  Each path's partner is sought by one search that
     bans the path's interior, so the paths are never stored and compared.
 
-    With a store of ``cycles``, a pair that two rainbow arcs of a stored
-    cycle join gets those arcs and runs no search, and a searched witness
-    adds its cycle.  Without one, every call searches.
+    With a record of accepted ``cycles``, a pair that two rainbow arcs of a
+    recorded cycle join gets those arcs and runs no search.  The call
+    records nothing, and without a record every call searches.
     """
+    if u == v:
+        raise InvalidInput("path endpoints must differ")
     if cycles is not None:
         reused = cycles.witness(u, v)
         if reused is not None:
@@ -231,10 +184,7 @@ def has_two_internally_disjoint_rainbow_paths(
     def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
         return enumerate_rainbow_paths(g, coloring, a, b, forbidden_vertices=banned)
 
-    witness = _a1_pair(find, u, v)
-    if cycles is not None and witness is not None:
-        cycles.add(*witness)
-    return witness
+    return _a1_pair(find, u, v)
 
 
 def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str | None:
@@ -267,29 +217,50 @@ def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str |
     return None
 
 
-class _CheckedCycles:
+class _AcceptedCycles:
     """The cycles of the witnesses one verification call has accepted.
 
-    A witness (p, q) whose ring p + q[-2:0:-1] is a kept cycle, rotated, is
-    two arcs of it.  A cycle is kept rotated to start at its smallest vertex,
-    with the parity prefix masks ``x`` of its doubled ring: ``x[k]`` XORs one
-    bit per color over the first k edges.  The d edges from position i are
-    rainbow exactly when ``x[i + d] ^ x[i]`` has d bits set: it keeps the
-    colors used an odd number of times, at most d of them, and d only when
-    each color occurs once.  Reads only witnesses and the coloring, never a
-    :class:`_CycleStore`.
+    A witness (p, q) closes the cycle p + q[-2:0:-1]; two rainbow arcs of
+    it are a witness for their ends.  :meth:`error` records each cycle it
+    accepts once, rotated to start at its smallest vertex, in two forms
+    built apart.  :meth:`witness` reads the doubled ring (an arc is one
+    slice), ``pos`` (vertex -> position) and ``reach``: the arc from
+    position i stays rainbow for ``reach[i]`` edges.  Of the record,
+    :meth:`error` reads only the parity prefix masks ``x``: ``x[k]`` XORs
+    one bit per color over the first k edges of the doubled ring, and the
+    d edges from i are rainbow exactly when ``x[i + d] ^ x[i]`` has d bits
+    set (it keeps the colors used an odd number of times: at most d, and d
+    only when each occurs once).  So a fault in the lookup cannot produce
+    a pass.
     """
 
     def __init__(self, coloring: EdgeColoring):
         self._coloring = coloring
-        # color -> its bit, numbered densely in order of first sight.
-        self._bits: dict[int, int] = {}
+        # vertex -> the lookup forms of the cycles through it, oldest first.
+        self._by_vertex: dict[int, list[tuple[tuple[int, ...], dict[int, int], list[int]]]] = {}
+        # rotated ring -> its masks.
         self._masks: dict[tuple[int, ...], list[int]] = {}
+
+    def witness(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """Two rainbow u-v arcs of the newest recorded cycle that has them,
+        or None."""
+        at_u, at_v = self._by_vertex.get(u, ()), self._by_vertex.get(v, ())
+        for ring, pos, reach in reversed(at_u if len(at_u) <= len(at_v) else at_v):
+            i, j = pos.get(u), pos.get(v)
+            if i is None or j is None:
+                continue
+            # The arc from u on to v has d edges; the one from v on to u the rest.
+            size = len(reach)
+            d = (j - i) % size
+            if reach[i] >= d and reach[j] >= size - d:
+                return ring[i : i + d + 1], ring[j : j + size - d + 1][::-1]
+        return None
 
     def error(self, u: int, v: int, witness) -> str | None:
         """:func:`pair_witness_error` of ``witness``, which two arcs of a
-        kept cycle pass in a fixed number of steps."""
-        key = None
+        recorded cycle pass in a fixed number of steps.  An accepted
+        witness's cycle is recorded."""
+        key = x = None
         if isinstance(witness, tuple) and len(witness) == 2:
             p, q = witness
             if (
@@ -310,14 +281,34 @@ class _CheckedCycles:
                     if arc_p.bit_count() == d and arc_q.bit_count() == size - d:
                         return None
         error = pair_witness_error(self._coloring, u, v, witness)
-        if error is None:
-            # The witness passed, so ``key`` is a simple cycle of colored edges.
-            assign, bits, x = self._coloring.assignment, self._bits, [0]
-            colors = [assign[edge(a, b)] for a, b in zip(key, key[1:] + key[:1])]
-            for c in colors + colors:
-                x.append(x[-1] ^ bits.setdefault(c, 1 << len(bits)))
-            self._masks[key] = x
+        if error is None and x is None:
+            self._record(key)
         return error
+
+    def _record(self, key: tuple[int, ...]) -> None:
+        """Keep an accepted witness's rotated ring ``key``, a simple cycle of
+        colored edges, in both forms."""
+        assign = self._coloring.assignment
+        hops = list(zip(key, key[1:] + key[:1]))
+        # Each color of the cycle gets a bit, in order of first sight.
+        bits: dict[int, int] = {}
+        ones = [bits.setdefault(assign[edge(a, b)], 1 << len(bits)) for a, b in hops]
+        self._masks[key] = list(accumulate(ones + ones, xor, initial=0))
+        # One sliding window over the doubled color sequence: the window
+        # [start, end) is rainbow, and ``end`` never moves back.
+        size, colors = len(key), [assign[edge(a, b)] for a, b in hops]
+        reach: list[int] = []
+        window: set[int] = set()
+        end = 0
+        for start in range(size):
+            while end < start + size and colors[end % size] not in window:
+                window.add(colors[end % size])
+                end += 1
+            reach.append(end - start)
+            window.discard(colors[start])
+        entry = (key + key, {y: i for i, y in enumerate(key)}, reach)
+        for y in key:
+            self._by_vertex.setdefault(y, []).append(entry)
 
 
 def is_rainbow_two_connected(
@@ -327,29 +318,27 @@ def is_rainbow_two_connected(
 
     Pairs are checked in order, one
     :func:`has_two_internally_disjoint_rainbow_paths` call each, sharing one
-    store of witness cycles.  A pair with no witness lies on no cycle with
-    two rainbow arcs, so the first failing pair is the one a search of
-    every pair finds.  A witness that is two arcs of a cycle already
-    accepted is checked by :class:`_CheckedCycles` with two XORs and two
-    popcounts; every other witness, and one that fails that test, goes
-    through :func:`pair_witness_error`.  Neither reads the search or the
-    store, so a fault in either cannot produce a pass.
+    :class:`_AcceptedCycles` record.  A pair with no witness lies on no
+    accepted cycle with two rainbow arcs, so the first failing pair is the
+    one a search of every pair finds.  Every witness is checked by the
+    record's :meth:`~_AcceptedCycles.error`, which reads neither the search
+    nor the lookup, so a fault in either cannot produce a pass.
     """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")
     refusal = guard.refusal(g.vertex_count, g.edge_count)
     if refusal is not None:
         return skipped("A1", refusal)
-    cycles, checked = _CycleStore(coloring.assignment), _CheckedCycles(coloring)
+    cycles = _AcceptedCycles(coloring)
     for u, v in combinations(range(g.vertex_count), 2):
-        # The store goes by position, so a stand-in taking ``*args`` still fits.
+        # The record goes by position, so a stand-in taking ``*args`` still fits.
         witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
         if witness is None:
             return failing(
                 "A1",
                 [Violation("A1", (u, v), "no two internally disjoint rainbow paths")],
             )
-        error = checked.error(u, v, witness)
+        error = cycles.error(u, v, witness)
         if error is not None:
             return failing("A1", [Violation("A1", (u, v), f"witness rejected: {error}")])
     return passing("A1", [("pairs_checked", g.vertex_count * (g.vertex_count - 1) // 2)])

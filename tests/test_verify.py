@@ -327,18 +327,19 @@ class TestPairWitnessCheck:
 
 
 def hand_cycle():
-    """A 6-cycle stored from the witness ((1, 4, 0, 5), (1, 3, 2, 5)), so its
-    ring reads 1 4 0 5 2 3.  Color 0 sits on (1, 4) and again on (5, 2), so
-    two ring vertices have two rainbow arcs exactly when one is in
-    {4, 0, 5} and the other in {2, 3, 1}.  Vertex 6 hangs off 0 and 4 with
-    fresh colors, so the pair (0, 4) has a witness only off the ring."""
+    """A 6-cycle recorded from the accepted witness ((1, 4, 0, 5),
+    (1, 3, 2, 5)), so its ring, rotated to start at 0, reads 0 5 2 3 1 4.
+    Color 0 sits on (1, 4) and again on (5, 2), so two ring vertices have
+    two rainbow arcs exactly when one is in {4, 0, 5} and the other in
+    {2, 3, 1}.  Vertex 6 hangs off 0 and 4 with fresh colors, so the pair
+    (0, 4) has a witness only off the ring."""
     ring = [(1, 4), (0, 4), (0, 5), (2, 5), (2, 3), (1, 3)]
     g = Graph.from_edges(7, ring + [(0, 6), (4, 6)])
     colors = dict(zip(ring, (0, 1, 2, 0, 3, 4))) | {(0, 6): 5, (4, 6): 6}
     coloring = EdgeColoring.from_assignment(colors)
-    store = verify._CycleStore(coloring.assignment)
-    store.add((1, 4, 0, 5), (1, 3, 2, 5))
-    return g, coloring, store
+    cycles = verify._AcceptedCycles(coloring)
+    assert cycles.error(1, 5, ((1, 4, 0, 5), (1, 3, 2, 5))) is None
+    return g, coloring, cycles
 
 
 def spy_on(monkeypatch, name):
@@ -370,14 +371,15 @@ WORKLOADS = load_workloads()
 
 
 class TestCycleStore:
-    """Pairs on an earlier witness's cycle take its two rainbow arcs."""
+    """The record's lookup: pairs on an accepted witness's cycle take its two
+    rainbow arcs, and only accepted witnesses add cycles."""
 
     @pytest.mark.parametrize(
         "u, v, expect",
         [
-            # u at position 2, after v at position 0: the slice wraps.
+            # u at position 0, before v at position 4.
             (0, 1, ((0, 5, 2, 3, 1), (0, 4, 1))),
-            # u at position 0, before v.
+            # u at position 4, after v at position 1: the slice wraps.
             (1, 5, ((1, 4, 0, 5), (1, 3, 2, 5))),
             # u after v, with the long arc exactly rainbow.
             (2, 5, ((2, 3, 1, 4, 0, 5), (2, 5))),
@@ -386,36 +388,68 @@ class TestCycleStore:
         ],
     )
     def test_two_rainbow_arcs_are_a_witness(self, u, v, expect):
-        _, coloring, store = hand_cycle()
-        assert store.witness(u, v) == expect
+        _, coloring, cycles = hand_cycle()
+        assert cycles.witness(u, v) == expect
         assert verify.pair_witness_error(coloring, u, v, expect) is None
 
     def test_a_pair_is_covered_iff_the_repeat_splits_its_arcs(self):
-        _, coloring, store = hand_cycle()
+        _, coloring, cycles = hand_cycle()
         side = {4: 0, 0: 0, 5: 0, 2: 1, 3: 1, 1: 1}
         for u, v in combinations(sorted(side), 2):
-            witness = store.witness(u, v)
+            witness = cycles.witness(u, v)
             assert (witness is not None) == (side[u] != side[v]), (u, v)
             if witness is not None:
                 assert verify.pair_witness_error(coloring, u, v, witness) is None
-        assert store.witness(0, 6) is None
+        assert cycles.witness(0, 6) is None
 
     def test_an_uncovered_pair_falls_through_to_the_search(self, monkeypatch):
-        g, coloring, store = hand_cycle()
+        g, coloring, cycles = hand_cycle()
         searched = spy_on(monkeypatch, "enumerate_rainbow_paths")
-        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1, store) == (
+        assert has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 1, cycles) == (
             (0, 5, 2, 3, 1),
             (0, 4, 1),
         )
         assert searched == []
         # Both arcs of (0, 4) repeat color 0; the path through 6 is off the ring.
-        assert store.witness(0, 4) is None
-        found = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 4, store)
+        assert cycles.witness(0, 4) is None
+        found = has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 4, cycles)
         assert found == has_two_internally_disjoint_rainbow_paths(g, coloring, 0, 4)
         assert found is not None and searched != []
-        # The searched witness's cycle now serves its other pairs.
-        assert store.witness(4, 6) is not None
-        assert verify.pair_witness_error(coloring, 4, 6, store.witness(4, 6)) is None
+        # The search records nothing; accepting the witness records its cycle.
+        assert cycles.witness(4, 6) is None
+        assert cycles.error(0, 4, found) is None
+        assert cycles.witness(4, 6) is not None
+        assert verify.pair_witness_error(coloring, 4, 6, cycles.witness(4, 6)) is None
+
+    @pytest.mark.parametrize(
+        "u, v, witness, error",
+        [
+            # The ring 0 5 2 3 1 4 with color 0 twice on the first arc.
+            (0, 4, ((0, 5, 2, 3, 1, 4), (0, 4)), "(0, 5, 2, 3, 1, 4) is not rainbow"),
+            # The ring 0 5 2 with the non-edge (0, 2).
+            (0, 2, ((0, 5, 2), (0, 2)), "(0, 2) uses a non-edge"),
+            # A rainbow walk through 0 twice.
+            (0, 5, ((0, 4, 6, 0, 5), (0, 5)), "(0, 4, 6, 0, 5) is not simple"),
+        ],
+    )
+    def test_a_rejected_witness_never_enters_the_record(self, u, v, witness, error):
+        _, coloring, _ = hand_cycle()
+        cycles = verify._AcceptedCycles(coloring)
+        assert cycles.error(u, v, witness) == error
+        ring = set(witness[0] + witness[1])
+        assert all(cycles.witness(x, y) is None for x, y in combinations(sorted(ring), 2))
+
+    def test_a_vertex_paired_with_itself_is_refused_with_or_without_a_record(self):
+        """A record holding a rainbow cycle through the vertex would hand out
+        the vertex alone and the whole cycle; the call refuses first."""
+        g = cycle(5)
+        coloring = EdgeColoring.from_assignment({e: i for i, e in enumerate(sorted(g.edges))})
+        cycles = verify._AcceptedCycles(coloring)
+        assert cycles.error(0, 2, ((0, 1, 2), (0, 4, 3, 2))) is None
+        assert cycles.witness(2, 3) is not None
+        for record in (None, cycles):
+            with pytest.raises(InvalidInput, match="path endpoints must differ"):
+                has_two_internally_disjoint_rainbow_paths(g, coloring, 2, 2, record)
 
 
 class TestPairCallContract:
@@ -449,22 +483,23 @@ class TestPairCallContract:
 
 
 def over_reach(extra):
-    """A ``_CycleStore.add`` that over-reports each new cycle's ``reach`` by
-    ``extra`` edges, so the store hands out arcs that repeat a color."""
-    add = verify._CycleStore.add
+    """An ``_AcceptedCycles._record`` that over-reports each new cycle's
+    ``reach`` by ``extra`` edges, so the lookup hands out arcs that repeat a
+    color."""
+    record = verify._AcceptedCycles._record
 
-    def faulty(self, p, q):
-        add(self, p, q)
-        reach = self._by_vertex[p[0]][-1][2]
+    def faulty(self, key):
+        record(self, key)
+        reach = self._by_vertex[key[0]][-1][2]
         reach[:] = [r + extra for r in reach]
 
     return faulty
 
 
 class TestCheckedCycles:
-    """A witness that is two arcs of an accepted witness's cycle is checked
-    by the color parity of each arc; every verdict is the one
-    ``pair_witness_error`` gives."""
+    """The record's check: a witness that is two arcs of an accepted
+    witness's cycle is checked by the color parity of each arc; every
+    verdict is the one ``pair_witness_error`` gives."""
 
     @given(st.lists(st.integers(0, 12), max_size=16))
     def test_parity_has_one_bit_per_entry_iff_entries_are_distinct(self, colors):
@@ -476,9 +511,10 @@ class TestCheckedCycles:
     @given(two_connected_graphs(max_n=8), st.data())
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_pair_witness_error(self, g, data):
-        """On the store-backed loop's witnesses, their swaps and every pair
+        """On the record-backed loop's witnesses, their swaps and every pair
         of arcs of their cycles, also claimed for the wrong pair, under
-        colorings with arbitrary color ids."""
+        colorings with arbitrary color ids.  The record keeps every witness
+        it accepts, swaps (the cycle run backwards) among them."""
         edges = sorted(g.edges)
         if data.draw(st.booleans()):
             values = data.draw(st.lists(st.integers(-3, 3), min_size=len(edges), max_size=len(edges)))
@@ -490,13 +526,13 @@ class TestCheckedCycles:
                 values = [min(c, 1) for c in values]
         ids = [10**12 - 7 * c for c in values]
         coloring = EdgeColoring(dict(zip(edges, ids)), len(set(ids)))
-        store, checked = verify._CycleStore(coloring.assignment), verify._CheckedCycles(coloring)
+        cycles = verify._AcceptedCycles(coloring)
 
         def agree(u, v, witness):
-            assert checked.error(u, v, witness) == verify.pair_witness_error(coloring, u, v, witness)
+            assert cycles.error(u, v, witness) == verify.pair_witness_error(coloring, u, v, witness)
 
         for u, v in combinations(range(g.vertex_count), 2):
-            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, store)
+            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
             if witness is None:
                 continue
             agree(u, v, witness)
@@ -528,18 +564,16 @@ class TestCheckedCycles:
         ],
     )
     def test_a_rotation_with_a_repeated_color_is_rejected(self, u, v, witness, error):
-        _, coloring, _ = hand_cycle()
-        checked = verify._CheckedCycles(coloring)
-        assert checked.error(1, 5, ((1, 4, 0, 5), (1, 3, 2, 5))) is None
-        assert checked.error(u, v, witness) == error
+        _, coloring, cycles = hand_cycle()
+        assert cycles.error(u, v, witness) == error
         assert verify.pair_witness_error(coloring, u, v, witness) == error
 
     @pytest.mark.parametrize("witness", [((0, 1), 5), ([0, 1], (0, 3, 2, 1)), ((0, 1),), None])
     def test_a_malformed_witness_gets_the_message_of_pair_witness_error(self, witness):
         _, coloring = rainbow_c4()
-        checked = verify._CheckedCycles(coloring)
-        assert checked.error(0, 1, ((0, 1), (0, 3, 2, 1))) is None
-        error = checked.error(0, 1, witness)
+        cycles = verify._AcceptedCycles(coloring)
+        assert cycles.error(0, 1, ((0, 1), (0, 3, 2, 1))) is None
+        error = cycles.error(0, 1, witness)
         assert error is not None and error == verify.pair_witness_error(coloring, 0, 1, witness)
 
     @pytest.mark.parametrize("extra, at", [(1, (0, 5)), (6, (0, 4))])
@@ -547,19 +581,21 @@ class TestCheckedCycles:
         """With ``reach`` one edge too long, or long enough for every arc,
         the report fails at the first pair whose handed-out arcs repeat a
         color, with the message ``pair_witness_error`` gives there.  (0, 1)
-        stores the ring 0 4 1 3 2 5; one edge too many covers (0, 5), the
+        records the ring 0 4 1 3 2 5; one edge too many covers (0, 5), the
         true first failure, and every arc covers (0, 4) before it."""
         g, coloring, _ = hand_cycle()
         report = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
         assert [v.subject for v in report.violations] == [(0, 5)]
-        monkeypatch.setattr(verify._CycleStore, "add", over_reach(extra))
-        store, expect = verify._CycleStore(coloring.assignment), None
+        monkeypatch.setattr(verify._AcceptedCycles, "_record", over_reach(extra))
+        cycles, expect = verify._AcceptedCycles(coloring), None
         for u, v in combinations(range(g.vertex_count), 2):
-            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, store)
+            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
             error = verify.pair_witness_error(coloring, u, v, witness)
             if error is not None:
                 expect = ("A1", (u, v), f"witness rejected: {error}")
                 break
+            # Admit the accepted witness's cycle, as the verifier does.
+            assert cycles.error(u, v, witness) is None
         assert expect[1] == at and expect[2].endswith(" is not rainbow")
         report = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
         assert [(v.kind, v.subject, v.reason) for v in report.violations] == [expect]
