@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, PreconditionViolated
@@ -55,16 +56,7 @@ class Graph:
 
         Built once and kept on the graph; callers must not mutate them.
         """
-        adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            adj = {v: [] for v in range(self.vertex_count)}
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            for nbrs in adj.values():
-                nbrs.sort()
-            object.__setattr__(self, "_adjacency", adj)
-        return adj
+        return self._adjacency
 
     def adjacency_toward(self, target: int) -> dict[int, list[int]]:
         """Adjacency lists ordered nearest to ``target`` first: by BFS hop
@@ -74,11 +66,7 @@ class Graph:
         One BFS and one sort per target, kept on the graph; callers must not
         mutate the lists.
         """
-        memo = self.__dict__.get("_toward")
-        if memo is None:
-            memo = {}
-            object.__setattr__(self, "_toward", memo)
-        toward = memo.get(target)
+        toward = self._toward.get(target)
         if toward is None:
             adj = self.adjacency()
             n = self.vertex_count
@@ -98,8 +86,32 @@ class Graph:
             for y in sorted(range(n), key=dist.__getitem__):
                 for x in adj[y]:
                     toward[x].append(y)
-            memo[target] = toward
+            self._toward[target] = toward
         return toward
+
+    # Facts kept on a graph are private cached_properties, stored in its
+    # __dict__, which the frozen dataclass's equality and hash never read.
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
+        adj = {v: [] for v in range(self.vertex_count)}
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in adj.values():
+            nbrs.sort()
+        return adj
+
+    @cached_property
+    def _toward(self) -> dict[int, dict[int, list[int]]]:
+        return {}
+
+    @cached_property
+    def _scan(self) -> frozenset[Edge] | None:
+        return _lowpoint_scan(self)
+
+    @cached_property
+    def _degree_two(self) -> VertexSet:
+        return frozenset(v for v, nbrs in self.adjacency().items() if len(nbrs) == 2)
 
     def to_json_obj(self) -> dict:
         return {"n": self.vertex_count, "edges": [list(e) for e in sorted(self.edges)]}
@@ -305,62 +317,47 @@ def _lowpoint_scan(g: Graph) -> frozenset[Edge] | None:
 
 def is_two_connected_sub(vertex_count: int, edges: Iterable[Edge]) -> bool:
     """2-connectivity of the graph on ``0..vertex_count-1`` with these edges.
-    It scans a throwaway Graph, so no verdict is kept."""
+    It scans a throwaway Graph, so nothing is kept."""
     return _lowpoint_scan(Graph(vertex_count, frozenset(edges))) is not None
 
 
 def is_two_connected(g: Graph) -> bool:
     """True when g has at least 3 vertices, is connected, and has no cut vertex.
 
-    The verdict is kept on the graph, so the pipeline's layers can each
-    check their precondition without repeating the scan.  The scan's carving
-    is kept next to it, for :func:`carving`.
+    The scan's result is kept on the graph, so the pipeline's layers can
+    each check their precondition without repeating it.
     """
-    verdict = g.__dict__.get("_two_connected")
-    if verdict is None:
-        c = _lowpoint_scan(g)
-        object.__setattr__(g, "_carving", c)
-        verdict = c is not None
-        record_two_connected(g, verdict)
-    return verdict
+    return g._scan is not None
 
 
-def record_two_connected(g: Graph, verdict: bool) -> None:
-    """Keep a verdict already computed for g, as is_two_connected would."""
-    object.__setattr__(g, "_two_connected", verdict)
+def record_carving(g: Graph, c: frozenset[Edge]) -> None:
+    """Keep c as the carving of a g known to be 2-connected, as its scan would."""
+    g.__dict__["_scan"] = c
 
 
 def carving(g: Graph) -> frozenset[Edge]:
     """The edges of the Khuller-Vishkin carving of a 2-connected g: a
     2-connected spanning subgraph with at most 2n - 3 edges.
 
-    It is the one :func:`is_two_connected` kept on g; a graph with only a
-    recorded verdict is scanned here, and its carving kept.
+    It is read from the same kept scan result as :func:`is_two_connected`.
     """
-    c = g.__dict__.get("_carving")
+    c = g._scan
     if c is None:
-        c = _lowpoint_scan(g)
-        if c is None:
-            raise PreconditionViolated("a carving needs a 2-connected graph")
-        object.__setattr__(g, "_carving", c)
+        raise PreconditionViolated("a carving needs a 2-connected graph")
     return c
 
 
 def degree_two_set(g: Graph) -> VertexSet:
-    """The vertices of degree 2, kept on the graph like the 2-connectivity
-    verdict, so each layer that is driven by them reads one set."""
-    d = g.__dict__.get("_degree_two")
-    if d is None:
-        d = frozenset(v for v, nbrs in g.adjacency().items() if len(nbrs) == 2)
-        object.__setattr__(g, "_degree_two", d)
-    return d
+    """The vertices of degree 2, kept on the graph like the scan's result,
+    so each layer that is driven by them reads one set."""
+    return g._degree_two
 
 
 def is_cycle_graph(g: Graph) -> bool:
     """True when g is exactly one simple cycle covering all its vertices.
 
     A 2-regular graph is one cycle exactly when it is connected, which for
-    n >= 3 is the same as 2-connected; the kept verdict answers that.
+    n >= 3 is the same as 2-connected; the kept scan answers that.
     """
     return (
         g.edge_count == g.vertex_count

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import pytest
@@ -134,28 +137,80 @@ class TestCarving:
         parent.  (0, 3) and (4, 5) are left out."""
         assert prism().edges - carving(prism()) == {(0, 3), (4, 5)}
 
-    def test_recorded_verdict_alone_is_scanned(self):
-        """The minimalizer's output carries only a verdict; asking for its
-        carving runs the scan then, and keeps what it finds."""
-        h = spanning_minimally_two_connected(complete_graph(6))
-        assert "_carving" not in h.__dict__
-        assert carving(h) == h.edges
-        assert carving(h) is h.__dict__["_carving"]
+    @staticmethod
+    def counting_scans():
+        """A list, and a patch of the lowpoint scan that appends to it each
+        graph scanned while the patch is active."""
+        from rc2 import graphs
+
+        scanned = []
+        real = graphs._lowpoint_scan
+
+        def spy(h):
+            scanned.append(h)
+            return real(h)
+
+        return scanned, mock.patch.object(graphs, "_lowpoint_scan", spy)
+
+    def test_minimalizer_output_is_its_own_carving_without_a_scan(self):
+        """The minimalizer records its output as its own carving, since a
+        minimally 2-connected graph is one, so the output is never scanned:
+        only the input and the closing check's throwaway copy are."""
+        g = complete_graph(6)
+        scanned, patch = self.counting_scans()
+        with patch:
+            h = spanning_minimally_two_connected(g)
+            assert carving(h) == h.edges
+            assert is_two_connected(h)
+        assert len(scanned) == 2 and scanned[0] is g
+        assert all(x is not h for x in scanned)
+
+    def test_output_that_fails_the_closing_scan_gets_no_carving_under_dash_o(self):
+        """python -O strips the closing asserts, so the carving the
+        minimalizer records must not rest on them: with the closing scan
+        made to fail, the output keeps nothing and is scanned when asked."""
+        code = textwrap.dedent(
+            """
+            from unittest import mock
+            from rc2 import graphs, minimalize
+            from rc2.generators import complete_graph
+
+            with mock.patch.object(minimalize, "is_two_connected_sub", lambda n, edges: False):
+                h = minimalize.spanning_minimally_two_connected(complete_graph(6))
+            scanned = []
+            real = graphs._lowpoint_scan
+            with mock.patch.object(graphs, "_lowpoint_scan", lambda g: scanned.append(g) or real(g)):
+                graphs.is_two_connected(h)
+            print(len(scanned))
+            """
+        )
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "1\n", "")
 
     def test_rejects_a_graph_that_is_not_two_connected(self):
         with pytest.raises(PreconditionViolated, match="a carving needs a 2-connected graph"):
             carving(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
+    def test_a_graph_is_scanned_once_whatever_the_verdict(self):
+        """is_two_connected and carving read one kept scan result, and a
+        graph that is not 2-connected keeps its None as well."""
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        scanned, patch = self.counting_scans()
+        with patch:
+            assert not is_two_connected(path)
+            for _ in range(2):
+                with pytest.raises(PreconditionViolated, match="a carving needs a 2-connected graph"):
+                    carving(path)
+        assert scanned == [path]
+
     @pytest.mark.parametrize("g", [complete_graph(9), wheel_graph(12), theta_grid(), k23()])
     def test_input_is_scanned_once_per_coloring(self, g):
         """One lowpoint scan of the input gives color_rc2 both the verdict
         and the carving; the other scans are of new graphs."""
-        from rc2 import graphs
         from rc2.coloring import color_rc2
 
-        scanned = []
-        real = graphs._lowpoint_scan
-        with mock.patch.object(graphs, "_lowpoint_scan", lambda h: scanned.append(h) or real(h)):
+        scanned, patch = self.counting_scans()
+        with patch:
             color_rc2(g)
         assert sum(h is g for h in scanned) == 1
 
