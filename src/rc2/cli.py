@@ -24,7 +24,7 @@ from pathlib import Path
 from .coloring import color_rc2, coloring_from_json_obj, to_dot
 from .corpus import standard_corpus
 from .ears import build_ear_decomposition
-from .errors import BudgetExceeded, InvalidInput, Rc2Error
+from .errors import BudgetExceeded, InvalidInput, PreconditionViolated, Rc2Error
 from .generators import FamilySpec, generate_family
 from .graphs import (
     Graph,
@@ -100,6 +100,9 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_graph(args.graph)
+    if g.vertex_count == 0:
+        # The bound of n - 1 colors would read -1.
+        raise PreconditionViolated("the graph has no vertices, so there is nothing to verify")
     coloring = coloring_from_json_obj(parse_json(_read_text(args.coloring), "coloring JSON"))
     guard = SizeGuard(args.max_vertices, args.max_edges)
     report = is_rainbow_two_connected(g, coloring, guard)

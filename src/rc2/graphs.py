@@ -411,37 +411,24 @@ def cycle_edges(seq: Sequence[int]) -> list[Edge]:
 
 
 def find_cycle(g: Graph) -> tuple[int, ...]:
-    """Some cycle of g in canonical form, found by DFS (deterministic)."""
+    """The first cycle closed by the walk from vertex 0 that steps to the
+    smallest neighbour other than the one it came from, in canonical form.
+
+    The domain is a graph in which every vertex the walk reaches has a
+    second neighbour, such as any 2-connected graph.  At a vertex with none,
+    vertex 0 of an edgeless graph included, PreconditionViolated is raised.
+    """
     adj = g.adjacency()
-    visited: set[int] = set()
-    for root in range(g.vertex_count):
-        if root in visited:
-            continue
-        visited.add(root)
-        parent = {root: -1}
-        pos = {root: 0}
-        chain = [root]
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
-        while stack:
-            v, nbrs = stack[-1]
-            advanced = False
-            for w in nbrs:
-                if w not in visited:
-                    visited.add(w)
-                    parent[w] = v
-                    pos[w] = len(chain)
-                    chain.append(w)
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w != parent[v] and w in pos:
-                    return normalize_cycle(chain[pos[w]:])
-            if advanced:
-                continue
-            stack.pop()
-            del pos[v]
-            chain.pop()
-    raise PreconditionViolated("graph has no cycle")
+    pos: dict[int, int] = {}  # the walk so far, in order, with each vertex's place
+    last, v = -1, 0
+    while v not in pos:
+        pos[v] = len(pos)
+        nbrs = adj.get(v, ())
+        i = 1 if nbrs and nbrs[0] == last else 0  # the lists are sorted
+        if i == len(nbrs):
+            raise PreconditionViolated(f"the walk for a cycle is stuck at vertex {v}")
+        last, v = v, nbrs[i]
+    return normalize_cycle(list(pos)[pos[v]:])
 
 
 def arcs_between(cycle: Sequence[int], a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

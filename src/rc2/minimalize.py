@@ -91,7 +91,7 @@ def _removable(adj: dict[int, list[int]], u: int, v: int) -> bool:
         insort(adj[v], u)
 
 
-def _splice(adj: dict[int, list[int]], deg: list[int], x: int) -> None:
+def _splice(adj: dict[int, list[int]], x: int) -> None:
     """Make x, a vertex of degree 2 in ``adj``, the representative of its
     chain.
 
@@ -104,7 +104,7 @@ def _splice(adj: dict[int, list[int]], deg: list[int], x: int) -> None:
     nbrs = adj[x]
     for i, y in enumerate(nbrs):
         last = x
-        while deg[y] == 2:
+        while len(adj[y]) == 2:
             a, b = adj.pop(y)
             last, y = y, (b if a == last else a)
             if y == x:
@@ -124,30 +124,27 @@ def spanning_minimally_two_connected(g: Graph) -> Graph:
     n = g.vertex_count
     c = Graph(n, carving(g))
     adj = {x: list(nbrs) for x, nbrs in c.adjacency().items()}
-    # The degrees of H itself; ``adj`` is H contracted, so it has no entry
-    # for a chain vertex other than the representative.
-    deg = [len(adj[x]) for x in range(n)]
+    # ``adj`` is H contracted: a chain vertex other than the representative
+    # has no entry, and every other vertex keeps its degree in H as the
+    # length of its list.  No list holds a vertex twice, since in a
+    # 2-connected H that is not a cycle a chain's two ends are distinct.
     for x in range(n):
-        if deg[x] == 2 and x in adj:
-            _splice(adj, deg, x)
+        if len(adj.get(x, ())) == 2:
+            _splice(adj, x)
     removed = []
     # A single ascending sweep reaches a fixpoint: deleting edges never makes
     # a previously essential edge removable.  The closing assert checks that.
     for e in sorted(c.edges):
         u, v = e
-        if deg[u] == 2 or deg[v] == 2 or not _removable(adj, u, v):
+        if len(adj.get(u, ())) < 3 or len(adj.get(v, ())) < 3 or not _removable(adj, u, v):
             continue
         adj[u].remove(v)
         adj[v].remove(u)
         removed.append(e)
-        deg[u] -= 1
-        deg[v] -= 1
-        # Both degrees fall first: a walk from u may run on through v, and
-        # then v is no longer in ``adj``.
-        if deg[u] == 2:
-            _splice(adj, deg, u)
-        if deg[v] == 2 and v in adj:
-            _splice(adj, deg, v)
+        if len(adj[u]) == 2:
+            _splice(adj, u)
+        if v in adj and len(adj[v]) == 2:
+            _splice(adj, v)
     edges = c.edges.difference(removed)
     # Every deletion above rests on the carving, Menger and contraction
     # lemmas; a lowpoint scan of the result checks them all by a different

@@ -337,6 +337,17 @@ def test_verify_graph_with_isolated_vertex_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and "isolated" in err
 
 
+@pytest.mark.parametrize("text", ['{"n": 0, "edges": []}', "# no edges\n"], ids=["json", "edgelist"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json-report"])
+def test_verify_empty_graph_exits_2(capsys, tmp_path, text, flags):
+    gpath = tmp_path / "g.in"
+    gpath.write_text(text)
+    cpath = coloring_file(tmp_path, {})
+    code, out, err = run(capsys, ["verify", "--graph", str(gpath), "--coloring", cpath, *flags])
+    assert code == 2 and out == ""
+    assert err == "error: the graph has no vertices, so there is nothing to verify\n"
+
+
 def test_verify_bad_coloring_json_exits_2(capsys, tmp_path):
     gpath = graph_file(tmp_path, cycle(4))
     bad = tmp_path / "broken.json"

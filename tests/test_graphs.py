@@ -332,8 +332,26 @@ class TestCycleUtilities:
         assert normalize_cycle(norm) == norm
 
     def test_find_cycle_on_acyclic_raises(self):
-        with pytest.raises(PreconditionViolated, match="graph has no cycle"):
+        # The walk 0-1-2-3 reaches the path's end, which has no other neighbour.
+        with pytest.raises(PreconditionViolated, match="stuck at vertex 3"):
             find_cycle(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(0, frozenset()), Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)])],
+        ids=["empty", "triangle-without-0"],
+    )
+    def test_find_cycle_without_an_edge_at_0_refuses(self, g):
+        # A refusal, not a KeyError, though the walk has nowhere to start.
+        with pytest.raises(PreconditionViolated, match="stuck at vertex 0"):
+            find_cycle(g)
+
+    def test_find_cycle_may_miss_vertex_0(self):
+        # The 6-cycle 0-1-2-3-4-5 with chord 13: the walk goes 0, 1, 2, 3 and
+        # then back to 1, so the cycle it closes is the triangle 1-2-3.
+        g = Graph.from_edges(6, [(0, 1), (0, 5), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+        assert is_two_connected(g)
+        assert find_cycle(g) == (1, 2, 3)
 
     def test_find_cycle_returns_a_real_cycle(self):
         g = c6_with_chord()

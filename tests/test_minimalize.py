@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -381,6 +382,35 @@ class TestContractedSweep:
     def test_flows_run_on_contracted_chains_on_chain_graphs(self):
         calls = [self.assert_flows_see_contracted_chains(g) for g in CHAIN_GRAPHS]
         assert all(calls)
+
+    @staticmethod
+    def assert_list_lengths_are_degrees(g):
+        """At each test, a vertex of H has degree 2 exactly when it has fewer
+        than three neighbours in the sweep's adjacency (a chain vertex other
+        than the representative has no entry there), and any other vertex
+        has its degree in H as its number of neighbours there."""
+        points = []
+
+        def check(adj, u, v, h_edges):
+            points.append((u, v))
+            deg = Counter(x for e in h_edges for x in e)
+            for x in range(g.vertex_count):
+                length = len(adj.get(x, ()))
+                if length < 3:
+                    assert deg[x] == 2, (u, v, x)
+                else:
+                    assert length == deg[x], (u, v, x)
+
+        observed_sweep(g, on_test=check)
+        return points
+
+    @given(two_connected_graphs(max_n=14))
+    @settings(max_examples=60)
+    def test_list_lengths_are_degrees_on_random_graphs(self, g):
+        self.assert_list_lengths_are_degrees(g)
+
+    def test_list_lengths_are_degrees_on_chain_graphs(self):
+        assert all(self.assert_list_lengths_are_degrees(g) for g in CHAIN_GRAPHS)
 
     def test_only_edges_without_a_degree_two_end_are_tested(self):
         """Two looped legs 2-3-4 and 5-6-7, swept whole: deleting (0, 1)

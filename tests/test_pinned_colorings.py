@@ -1,24 +1,14 @@
 """Pinned colorings: the construction's output, byte for byte.
 
-The digest below is the sha256 of the canonical traced ``color_rc2`` JSON
-over the corpus and a few larger graphs, recorded before the minimalizer
-and the ear fans moved onto the shared Menger routine.  It is computed
-from ``canonical_json`` of ``reference_obj`` in ``tests/test_trace.py``,
-which writes one full snapshot per level: the form ``rc2 color --trace``
-wrote until its trace became per-level deltas.  That test module checks
-that the deltas fold back into these snapshots, so the digest pins the
-construction independently of the trace format.  Any change to which
-subgraph, ears or colors the construction picks changes the digest; a PR
-that means to change them records the new digest and says why.  It was
-recorded again when the minimalizer began to sweep a two-forest sparse
-certificate of every graph with more than 2n - 2 edges: the corpus's K5, K6,
-K7, K_{3,5}, K_{4,4}, K_{4,5} and K_{5,5}, and K30 here, now minimalize to
-other subgraphs and get other colorings with the same color counts.  It was
-recorded again when the minimalizer began to sweep the Khuller-Vishkin
-carving of every graph: 39 corpus graphs (all six wheels, K4 to K7, K_{3,3}
-to K_{5,5} and 23 random graphs) and K30, W100 and both random graphs here
-minimalize to other subgraphs, with the same color counts.  K_n and the
-wheels now carve to a Hamiltonian cycle.
+``PINNED_DIGEST`` is the sha256 of the canonical traced ``color_rc2`` JSON
+over the corpus and a few larger graphs, one line per graph.  Each line is
+``canonical_json`` of ``reference_obj`` in ``tests/test_trace.py``, which
+writes one full snapshot per level, not the per-level deltas of
+``rc2 color --trace``.  That test module checks that the deltas fold back
+into these snapshots, so the digest pins the construction independently of
+the trace format.  Any change to which subgraph, ears or colors the
+construction picks changes the digest; a change that means to do so
+records the new digest and says in CHANGES.md why the colorings changed.
 """
 
 import hashlib

@@ -1,36 +1,18 @@
 """Pinned verification reports: the verifier's verdicts, byte for byte.
 
 Each digest is the sha256 of the canonical report JSON, one line per
-report, recorded before the rainbow-path search became iterative and the
-A1/A2/A3 predicates were shared by the pair checks and the induction
-replay.  ``PINNED_DIGEST`` covers passing reports: ``is_rainbow_two_connected``
+report.  ``PINNED_DIGEST`` covers passing reports: ``is_rainbow_two_connected``
 on every corpus coloring, then ``check_induction_invariants`` on every
 traced corpus coloring.  ``BROKEN_DIGEST`` covers mostly failing ones: the
 same two checks after the last two color classes are merged (in the replay,
-at the last level), and the replay with the last level's recycled color
-shifted by one where that level attached an ear.  So the violation each
-check reports first is pinned too.  ``BROKEN_DIGEST`` was recorded again
-when the replay's B2 check began to require the recycled color on the
-ear's last edge: four shifted traces (corpus graphs 107, 131, 133 and 148)
-fail B2 there, where they used to pass.  Since the trace became per-level
-deltas, the merged coloring is applied as the last level's delta, which
-recolors every edge and gives the same snapshot.  ``BROKEN_DIGEST`` was recorded again when the
-minimalizer began to sweep a sparse certificate of graphs with more than
-2n - 2 edges: the seven such corpus graphs (K5, K6, K7, K_{3,5}, K_{4,4},
-K_{4,5}, K_{5,5}) get new colorings, so their broken reports name other
-subjects, and merging two classes now breaks K_{3,5}'s coloring and no
-longer breaks K_{5,5}'s.  ``PINNED_DIGEST`` held.  Both digests were
-recorded again when the minimalizer began to sweep the Khuller-Vishkin
-carving of every graph, which gives 39 corpus graphs new colorings with the
-same color counts.  98 corpus colorings are now traced, not 97: K5, K6, K7,
-K_{4,4}, K_{5,5} and three random graphs now carve to a Hamiltonian cycle
-and take the direct scheme, and nine random graphs go the other way.  The
-passing A1 reports held, and 14 of the replays changed.  After merging the
-last two classes, 28 A1 reports change: W6..W9 and two random colorings now
-pass, K_{3,4}, K_{4,5} and four random ones now fail, and 16 fail at another
-pair.  A1 witnesses are not
-part of the reports, so the order in which the pair search finds them
-affects neither digest.
+as the last level's delta, which recolors every edge), and the replay with
+the last level's recycled color shifted by one where that level attached an
+ear.  So the violation each check reports first is pinned too.  A1
+witnesses are not part of the reports, so the order in which the pair
+search finds them affects neither digest.  A change to the colorings or to
+what a check reports changes a digest; a change that means to do so
+records the new digest and says in CHANGES.md which reports changed and
+why.
 """
 
 import dataclasses

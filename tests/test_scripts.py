@@ -2,11 +2,9 @@
 package taken from ``src/``.
 
 ``run_corpus.py`` prints a digest of the corpus colorings and one of the
-traced colorings; both are pinned here, so a change to any corpus coloring
-or trace fails this test until its digest is re-recorded on purpose.  Both
-were recorded again when the minimalizer began to sweep the Khuller-Vishkin
-carving of every graph, which gives 39 corpus graphs new colorings with the
-same color counts.
+traced colorings; both are pinned here and quoted in the README, so a
+change to any corpus coloring or trace fails this test until its digests
+are recorded again on purpose, with the reason in CHANGES.md.
 """
 
 import os
