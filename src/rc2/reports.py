@@ -15,7 +15,8 @@ Report property tags used across the package:
   B2   the reserved color sits on exactly one edge, incident to the
        attachment vertex, and the attached ear puts it on its edge at the
        ear's other endpoint
-  structure   shape facts (decomposition layout, forest structure)
+  structure   shape facts (decomposition layout, forest structure, a replayed
+              trace that does not build the coloring it came with)
 """
 
 from __future__ import annotations

@@ -107,42 +107,27 @@ def _rainbow_walk(
                 spent.discard(colors.pop())
 
 
-# A1 reads paths through a finder: ``find(u, v, banned)`` yields the rainbow
-# u-v paths avoiding the ``banned`` vertices, in a fixed order.
-Finder = Callable[[int, int, frozenset[int]], Iterable[tuple[int, ...]]]
-
-
-def _a1_pair(find: Finder, u: int, v: int):
-    """A1: the first u-v path that has a partner meeting it only at u and v,
-    with its first partner."""
-    for p in find(u, v, frozenset()):
-        for q in find(u, v, frozenset(p[1:-1])):
-            # The single edge uv avoids its own empty interior.
-            if q != p:
-                return p, q
-    return None
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    """The vertices as one int, bit x standing for vertex x."""
-    return sum(map((1).__lshift__, vertices))
-
-
-# A2 and A3 read lists of paths, each with its vertex mask, and return the
-# first witness in the order the paths are given.
+# The replay's A1-A3, check_fan and check_linkage read lists of paths, each
+# with its vertex mask.
 PathEntry = tuple[tuple[int, ...], int]
 
 
 def _with_masks(paths: Iterable[tuple[int, ...]]) -> Iterator[PathEntry]:
-    return ((p, _mask(p)) for p in paths)
+    """Each path with its vertices as one int, bit x standing for vertex x."""
+    return ((p, sum(map((1).__lshift__, p))) for p in paths)
 
 
-def _a2_fan(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], center: int):
-    """A2: the first pair across two lists meeting only at ``center``."""
-    only = 1 << center
+def _first_pair(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], shared: int):
+    """The first pair across two lists, in their order, whose paths meet in
+    exactly the vertices of ``shared``, or None.
+
+    A1 (both ends), A2 (the center) and A3 (nothing) differ only in
+    ``shared``.  A path is never its own partner: the single edge uv would
+    otherwise pair with itself for A1.
+    """
     for p, pm in entries1:
         for q, qm in entries2:
-            if pm & qm == only:
+            if pm & qm == shared and q != p:
                 return p, q
     return None
 
@@ -152,11 +137,9 @@ def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad
     first vertex-disjoint pair of paths joining it."""
     a, b, c, d = quad
     for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        entries2 = paths_of(pair2)
-        for p, pm in paths_of(pair1):
-            for q, qm in entries2:
-                if not pm & qm:
-                    return pair1, pair2, p, q
+        found = _first_pair(paths_of(pair1), paths_of(pair2), 0)
+        if found is not None:
+            return (pair1, pair2, *found)
     return None
 
 
@@ -180,11 +163,12 @@ def has_two_internally_disjoint_rainbow_paths(
         reused = cycles.witness(u, v)
         if reused is not None:
             return reused
-
-    def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
-        return enumerate_rainbow_paths(g, coloring, a, b, forbidden_vertices=banned)
-
-    return _a1_pair(find, u, v)
+    for p in enumerate_rainbow_paths(g, coloring, u, v):
+        for q in enumerate_rainbow_paths(g, coloring, u, v, frozenset(p[1:-1])):
+            # The single edge uv avoids its own empty interior.
+            if q != p:
+                return p, q
+    return None
 
 
 def pair_witness_error(coloring: EdgeColoring, u: int, v: int, witness) -> str | None:
@@ -351,10 +335,10 @@ def check_fan(
     center, or None."""
     if len({center, t1, t2}) != 3:
         raise InvalidInput("fan check needs three distinct vertices")
-    return _a2_fan(
+    return _first_pair(
         _with_masks(enumerate_rainbow_paths(g, coloring, center, t1)),
         list(_with_masks(enumerate_rainbow_paths(g, coloring, center, t2))),
-        center,
+        1 << center,
     )
 
 
@@ -447,12 +431,19 @@ def check_induction_invariants(
     endpoints avoiding the recycled color) and B2 (the recycled color sat on
     exactly one prior-level edge, at the ear's smaller endpoint, and now
     sits on the ear's edge at its larger endpoint).  Stops at the first
-    violation.
+    violation.  Last, the trace must build the result: the last level spans
+    g and colors each of its edges as ``result.coloring`` does (a structure
+    violation otherwise).  Edges outside that level only add paths, so its
+    A1 then holds for the result.
     """
     if result.strategy != "ear_induction":
         raise PreconditionViolated(f"a {result.strategy} coloring has no construction trace")
     if result.trace is None:
         raise PreconditionViolated("color the graph with tracing enabled first")
+    if not result.trace:
+        raise PreconditionViolated("the trace has no level")
+    if set(result.coloring.assignment) != g.edges:
+        raise InvalidInput("coloring must cover exactly the graph's edges")
     refusal = guard.refusal(g.vertex_count, g.edge_count)
     if refusal is not None:
         return skipped("induction", refusal)
@@ -497,19 +488,15 @@ def check_induction_invariants(
         sub = Graph(g.vertex_count, frozenset(assign))
         verts = sorted({x for e in assign for x in e})
         cache = _all_pair_paths(sub, level.coloring, verts)
-
-        def find(a: int, b: int, banned: frozenset[int]) -> Iterator[tuple[int, ...]]:
-            banned_mask = _mask(banned)
-            return (p for p, pm in cache[a, b] if not pm & banned_mask)
-
-        for u, v in cache:
-            if _a1_pair(find, u, v) is None:
+        for (u, v), entries in cache.items():
+            if _first_pair(entries, entries, 1 << u | 1 << v) is None:
                 return fail("A1", (idx, u, v), "no two internally disjoint rainbow paths")
 
         for center in verts:
+            only = 1 << center
             others = [x for x in verts if x != center]
             for t1, t2 in combinations(others, 2):
-                if _a2_fan(cache[edge(center, t1)], cache[edge(center, t2)], center) is None:
+                if _first_pair(cache[edge(center, t1)], cache[edge(center, t2)], only) is None:
                     return fail("A2", (idx, center, t1, t2), "no rainbow fan")
 
         for quad in combinations(verts, 4):
@@ -522,6 +509,14 @@ def check_induction_invariants(
 
         prev_level = level
 
+    final = result.coloring.assignment
+    for e, c in sorted(assign.items()):
+        if final.get(e) != c:
+            reason = f"the trace colors {e} with {c}, the result with {final.get(e)}"
+            return fail("structure", (idx, *e), reason)
+    missing = sorted(set(range(g.vertex_count)).difference(verts))
+    if missing:
+        return fail("structure", (idx, missing[0]), f"vertex {missing[0]} is not on the last level")
     return passing("induction", [("levels_checked", len(result.trace))])
 
 

@@ -59,6 +59,10 @@ class TestPath:
         with pytest.raises(InvalidInput, match="repeated vertex in path"):
             Path((0, 1, 0))
 
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInput, match="empty path"):
+            Path(())
+
     def test_edges_and_interior(self):
         p = Path((2, 0, 1, 3))
         assert p.first == 2 and p.last == 3
@@ -363,6 +367,10 @@ class TestCycleUtilities:
         fwd, bwd = arcs_between((0, 1, 2, 3, 4, 5), 1, 4)
         assert fwd == (1, 2, 3, 4)
         assert bwd == (1, 0, 5, 4)
+
+    def test_arcs_between_a_vertex_and_itself_raise(self):
+        with pytest.raises(InvalidInput, match="arc endpoints must differ"):
+            arcs_between((0, 1, 2, 3), 2, 2)
 
     @given(st.permutations(list(range(7))), st.integers(0, 6), st.integers(0, 6))
     @settings(max_examples=60)

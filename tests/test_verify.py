@@ -32,6 +32,7 @@ from rc2 import verify
 from rc2.corpus import standard_corpus
 from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.generators import complete_graph, theta_graph, wheel_graph
+from rc2.reports import failing
 
 from .common import K23_COLORING, cycle, k23, k24
 from .strategies import colorings_of, two_connected_graphs
@@ -220,6 +221,10 @@ class TestIsRainbowTwoConnected:
     def test_zero_size_guard_skips(self):
         g, coloring = rainbow_c4()
         assert is_rainbow_two_connected(g, coloring, guard=SizeGuard(0, 0)).skipped
+
+    def test_failing_report_needs_a_violation(self):
+        with pytest.raises(ValueError, match="at least one violation"):
+            failing("A1", [])
 
     @given(two_connected_graphs(max_n=8), st.data())
     @settings(max_examples=60)
@@ -762,6 +767,14 @@ class TestFanAndLinkage:
             )
             assert check_linkage(g, coloring, (d, b, c, a)) == expect
 
+    def test_a_path_is_not_its_own_partner(self):
+        """The edge 01 meets itself exactly in {0, 1}, but only a second path
+        is a partner."""
+        edge01 = ((0, 1), 0b11)
+        assert verify._first_pair([edge01], [edge01], 0b11) is None
+        detour = ((0, 2, 1), 0b111)
+        assert verify._first_pair([edge01], [edge01, detour], 0b11) == ((0, 1), (0, 2, 1))
+
     def test_linkage_impossible_on_path_shaped_colors(self):
         # star K_{1,3} is not 2-connected, but linkage is a pure path
         # predicate; all pairings collide at the hub
@@ -862,6 +875,57 @@ class TestInductionInvariants:
         res = color_minimally_two_connected(g, with_trace=True)
         report = check_induction_invariants(res, g, guard=SizeGuard(3, 3))
         assert report.skipped
+
+    def test_empty_trace_raises(self):
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        with pytest.raises(PreconditionViolated, match="the trace has no level"):
+            check_induction_invariants(dataclasses.replace(res, trace=()), g)
+
+    def test_coloring_must_cover_graph(self):
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        partial = EdgeColoring.from_assignment({(0, 2): 0})
+        with pytest.raises(InvalidInput, match="must cover exactly the graph's edges"):
+            check_induction_invariants(dataclasses.replace(res, coloring=partial), g)
+
+    def test_truncated_trace_is_structure(self):
+        """K_{2,4}'s first level passes every check, but spans only five of
+        its six vertices, so it does not build the coloring."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        report = check_induction_invariants(dataclasses.replace(res, trace=res.trace[:1]), g)
+        assert [(v.kind, v.subject) for v in report.violations] == [("structure", (0, 5))]
+
+    def test_coloring_other_than_the_traced_one_is_structure(self):
+        """A valid trace does not vouch for an all-0 coloring.  Edge (0, 2)
+        has color 0 in both; (0, 3) is the first that differs."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        zero = EdgeColoring.from_assignment({e: 0 for e in g.edges})
+        report = check_induction_invariants(dataclasses.replace(res, coloring=zero), g)
+        assert [(v.kind, v.subject) for v in report.violations] == [("structure", (1, 0, 3))]
+
+    @pytest.mark.parametrize(
+        "bits, violation",
+        [(1, ("A2", (0, 0, 1, 2))), (0, ("A3", (0, 0, 1, 2, 3)))],
+    )
+    def test_replay_checks_a2_and_a3(self, monkeypatch, bits, violation):
+        """With every pair scan that shares ``bits`` vertices failing, the
+        replay reports that invariant at level 0's first tuple (level 0
+        spans vertices 0-4), so it runs the A2 and A3 checks."""
+        first_pair = verify._first_pair
+
+        def failing_scan(entries1, entries2, shared):
+            if shared.bit_count() == bits:
+                return None
+            return first_pair(entries1, entries2, shared)
+
+        monkeypatch.setattr(verify, "_first_pair", failing_scan)
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        report = check_induction_invariants(res, g)
+        assert [(v.kind, v.subject) for v in report.violations] == [violation]
 
     def test_corrupted_trace_fails(self):
         """Damaging one edge color at the last level must surface as a
