@@ -244,11 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Rc2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # A missing, unreadable or unwritable path, or a directory.
+    except (Rc2Error, OSError) as exc:
+        # OSError: a missing, unreadable or unwritable path, or a directory.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -213,20 +213,27 @@ def _map_stretch(
     mapping: dict[int, int],
     order: Sequence[int],
     lo: int,
-    skip: int,
     hi: int,
     offset: int,
     degree_two: VertexSet,
+    where: str,
 ) -> None:
     """Map the branch vertices on 1-based positions lo..hi of ``order``.
 
-    The vertex at position j gets color offset + j - 1 before the skip
-    position and offset + j - 2 after it, so the colors stay injective and
-    each names the edge on one side of its vertex.  The skip position, a
-    degree-2 vertex, gets no entry.
+    This is the ear induction's one stretch rule.  Each stretch holds a
+    degree-2 vertex, and the first one is its skip; a stretch without one
+    fails the decomposition conditions and raises, naming ``where``.  The
+    vertex at position j gets color offset + j - 1 before the skip and
+    offset + j - 2 after it, so the colors stay injective and each names the
+    edge on one side of its vertex.  Degree-2 vertices get no entry.
     """
+    skip = next((j for j in range(lo, hi + 1) if order[j - 1] in degree_two), None)
+    if skip is None:
+        raise PreconditionViolated(
+            f"no degree-2 vertex on the {where} (positions {lo}..{hi}) in {tuple(order)}"
+        )
     for j in range(lo, hi + 1):
-        if j != skip and order[j - 1] not in degree_two:
+        if order[j - 1] not in degree_two:
             mapping[order[j - 1]] = offset + j - (1 if j < skip else 2)
 
 
@@ -241,8 +248,9 @@ def color_base_subgraph(dec: EarDecomposition, g: Graph) -> TraceStep:
     into the ear doubles the color at position p.  The vertex map assigns
     each branch vertex the color of a neighboring edge, skipping the first
     degree-2 position of each stretch (first arc, second arc, ear interior)
-    so the doubled colors stay out of the map.  A stretch without a degree-2
-    vertex is a failure of the decomposition conditions and raises.
+    so the doubled colors stay out of the map.  The stretches are mapped
+    before any edge is read, so a stretch without a degree-2 vertex is
+    refused first.
     """
     d = degree_two_set(g)
     first = dec.ears[0]
@@ -251,21 +259,13 @@ def color_base_subgraph(dec: EarDecomposition, g: Graph) -> TraceStep:
     s = len(rot)
     total = len(order)
     p = rot.index(first.last) + 1
+    mapping: dict[int, int] = {}
+    _map_stretch(mapping, order, 1, p, 0, d, "first arc")
+    _map_stretch(mapping, order, p + 1, s, 0, d, "second arc")
+    _map_stretch(mapping, order, s + 1, total, 0, d, "ear interior")
 
     def w(pos: int) -> int:
         return order[pos - 1]
-
-    def first_degree_two(lo: int, hi: int, label: str) -> int:
-        for pos in range(lo, hi + 1):
-            if w(pos) in d:
-                return pos
-        raise PreconditionViolated(f"no degree-2 vertex on the {label} (positions {lo}..{hi})")
-
-    spans = (
-        (1, first_degree_two(2, p - 1, "first arc"), p),
-        (p + 1, first_degree_two(p + 1, s, "second arc"), s),
-        (s + 1, first_degree_two(s + 1, total, "ear interior"), total),
-    )
 
     def put(assign: dict, a: int, b: int, color: int) -> None:
         e = edge(a, b)
@@ -282,9 +282,6 @@ def color_base_subgraph(dec: EarDecomposition, g: Graph) -> TraceStep:
     put(assign, w(1), w(s + 1), p - 1)
     put(assign, w(total), w(p), s - 1)
 
-    mapping: dict[int, int] = {}
-    for lo, skip, hi in spans:
-        _map_stretch(mapping, order, lo, skip, hi, 0, d)
     # The contract the construction maintains: the map is injective, and each
     # mapped color sits on exactly one edge of the current subgraph, an edge
     # at its vertex.  This is what lets an ear extension recycle the color of
@@ -292,8 +289,7 @@ def color_base_subgraph(dec: EarDecomposition, g: Graph) -> TraceStep:
     assert len(set(mapping.values())) == len(mapping), "vertex color map must be injective"
     names = {i: f"x{i + 1}" for i in range(total - 1)}
     assert set(assign.values()) == names.keys()
-    ear = Path(order[:1] + order[s:] + order[p - 1 : p])
-    return TraceStep(ear, None, assign, mapping, names)
+    return TraceStep(first, None, assign, mapping, names)
 
 
 def extend_with_ear(
@@ -316,21 +312,15 @@ def extend_with_ear(
     for endpoint in (verts[0], verts[-1]):
         if endpoint not in color_map:
             raise PreconditionViolated(f"ear endpoint {endpoint} has no mapped color")
-    pivot = next(
-        (j for j in range(2, q) if verts[j - 1] in host_degree_two),
-        None,
-    )
-    if pivot is None:
-        raise PreconditionViolated(f"ear {verts} has no degree-2 interior vertex")
 
     base = coloring.color_count
+    mapped: dict[int, int] = {}
+    _map_stretch(mapped, verts, 1, q - 1, base, host_degree_two, "ear")
     colored = {edge(verts[j - 1], verts[j]): base + j - 1 for j in range(1, q - 1)}
     recycled = color_map[verts[0]]
     colored[edge(verts[-2], verts[-1])] = recycled
     assert not any(e in coloring.assignment for e in colored)
 
-    mapped: dict[int, int] = {}
-    _map_stretch(mapped, verts, 1, pivot, q - 1, base, host_degree_two)
     # An endpoint has degree 3 or more, so the stretch remaps it.
     assert verts[0] in mapped
     names = {base + j - 1: f"y{j}" for j in range(1, q - 1)}
@@ -340,8 +330,9 @@ def extend_with_ear(
 def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> ColoringResult:
     """Color a minimally 2-connected non-cycle graph with n-1 colors by
     folding its ear decomposition.  :func:`build_ear_decomposition` refuses
-    any other input; each ear condition is enforced where the coloring uses
-    it (:func:`color_base_subgraph`, :func:`extend_with_ear`)."""
+    any other input.  Both ear conditions are one stretch rule, kept in
+    :func:`_map_stretch`: every stretch of the vertex map holds a degree-2
+    vertex, and a stretch without one is refused."""
     dec = build_ear_decomposition(g)
     d = degree_two_set(g)
     coloring = EdgeColoring({}, 0)

@@ -140,7 +140,7 @@ class TestBaseColoring:
                     Path((0, 1, 4, 3, 5, 2)),
                     (Path((0, 3)), Path((1, 2)), Path((4, 5))),
                 ),
-                r"no degree-2 vertex on the first arc \(positions 2\.\.3\)",
+                r"no degree-2 vertex on the first arc \(positions 1\.\.4\) in \(0, 1, 4, 3, 5, 2\)",
             ),
             # A chord between the hubs of K_{2,3} has no interior.
             (
@@ -148,8 +148,15 @@ class TestBaseColoring:
                 EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 1)),)),
                 r"no degree-2 vertex on the ear interior \(positions 5\.\.4\)",
             ),
+            # The cycle (0, 2, 1, 3) with the ear (0, 4, 1) and the extra
+            # edge 3-4: vertex 3, the whole second arc, has degree 3.
+            (
+                Graph.from_edges(5, [(0, 2), (2, 1), (1, 3), (3, 0), (0, 4), (4, 1), (3, 4)]),
+                EarDecomposition(Path((0, 2, 1, 3)), (Path((0, 4, 1)),)),
+                r"no degree-2 vertex on the second arc \(positions 4\.\.4\) in \(0, 2, 1, 3, 4\)",
+            ),
         ],
-        ids=["first arc", "ear interior"],
+        ids=["first arc", "ear interior", "second arc"],
     )
     def test_stretch_without_degree_two_vertex_rejected(self, g, dec, message):
         with pytest.raises(PreconditionViolated, match=message):
@@ -163,9 +170,11 @@ class TestBaseColoring:
         vertex of the base level is mapped, and the map satisfies A4/A5.
         In the four-hub graph the ear interior starts at branch vertex 0."""
         d = degree_two_set(g)
-        base = color_base_subgraph(build_ear_decomposition(g), g)
+        dec = build_ear_decomposition(g)
+        base = color_base_subgraph(dec, g)
         assert check_unique_color_map(EdgeColoring.from_assignment(base.colored), base.mapped).passed
         assert set(base.mapped) == {x for e in base.colored for x in e} - d
+        assert base.ear == dec.ears[0]
 
 
 class TestExtendWithEar:
@@ -193,9 +202,23 @@ class TestExtendWithEar:
 
     def test_interior_needs_degree_two(self):
         coloring = EdgeColoring.from_assignment(K23_COLORING)
-        with pytest.raises(PreconditionViolated, match="has no degree-2 interior vertex"):
+        with pytest.raises(
+            PreconditionViolated,
+            match=r"no degree-2 vertex on the ear \(positions 1\.\.2\) in \(0, 5, 1\)",
+        ):
             extend_with_ear(coloring, K23_COLOR_MAP, Path((0, 5, 1)),
                             frozenset({2, 3, 4}))
+
+    def test_stretch_refused_before_the_recolor_assert(self):
+        """The ear (0, 2, 1) reuses K_{2,3}'s colored edges through vertex
+        2, which is not degree 2 here; the missing degree-2 vertex is
+        refused before the assert that the ear's edges are uncolored."""
+        coloring = EdgeColoring.from_assignment(K23_COLORING)
+        with pytest.raises(
+            PreconditionViolated,
+            match=r"no degree-2 vertex on the ear \(positions 1\.\.2\) in \(0, 2, 1\)",
+        ):
+            extend_with_ear(coloring, {0: 0, 1: 1}, Path((0, 2, 1)), frozenset({3, 4}))
 
 
 class TestInductiveColoring:

@@ -227,10 +227,11 @@ class TestSelectBaseLabeling:
         s = len(order) - len(step.ear.interior())
         assert s == 4
         assert order.index(step.ear.last) + 1 == 3
-        # Skips 2, 4 and 5 are the first degree-2 positions of the first arc
-        # (2..2), second arc (4..4) and ear interior (5..5).  Branch vertex 0
-        # at position 1 precedes its stretch's skip and maps to 1 - 1; branch
-        # vertex 1 at position p = 3 follows it and maps to 3 - 2.
+        # Skips 2, 4 and 5 are the first degree-2 positions of the stretches:
+        # first arc (1..3), second arc (4..4) and ear interior (5..5).
+        # Branch vertex 0 at position 1 precedes its stretch's skip and maps
+        # to 1 - 1; branch vertex 1 at position p = 3 follows it and maps to
+        # 3 - 2.
         assert all(order[pos - 1] in d for pos in (2, 4, 5))
         assert step.mapped == {0: 0, 1: 1}
 

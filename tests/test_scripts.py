@@ -7,6 +7,7 @@ change to any corpus coloring or trace fails this test until its digests
 are recorded again on purpose, with the reason in CHANGES.md.
 """
 
+import csv
 import os
 import subprocess
 import sys
@@ -34,6 +35,18 @@ def test_run_corpus_prints_the_pinned_digests():
     lines = done.stdout.splitlines()
     assert f"colorings sha256 {COLORINGS_SHA256}" in lines
     assert f"traces sha256 {TRACES_SHA256}" in lines
+
+
+def test_run_corpus_writes_one_verified_csv_row_per_graph(tmp_path):
+    out = tmp_path / "corpus.csv"
+    done = run_script("run_corpus.py", "--csv", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == f"wrote {out}"
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["graph", "n", "m", "strategy", "colors_used", "colors_allowed", "verified"]
+    assert len(rows) == 1 + 154
+    assert all(row[-1] == "yes" for row in rows[1:])
 
 
 def test_readme_quotes_the_pinned_digests():
