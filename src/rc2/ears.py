@@ -87,8 +87,9 @@ def _initial_cycle_and_first_ear(g: Graph) -> tuple[tuple[int, ...], Path, int]:
     """A base cycle and first ear satisfying the arc condition (2).
 
     When an arc between the ear endpoints has no interior degree-2 vertex,
-    the cycle is re-formed from the other arc plus the ear.  Each swap adds
-    the ear's degree-2 interior to the cycle, so at most |d| swaps happen.
+    the cycle is re-formed from the other arc plus the ear.  Each swap keeps
+    the cycle's degree-2 vertices, since the dropped arc's interior held
+    none, and adds the ear's, so fewer than |d| swaps happen.
     """
     d = degree_two_set(g)
     cycle = find_cycle(g)
@@ -101,8 +102,6 @@ def _initial_cycle_and_first_ear(g: Graph) -> tuple[tuple[int, ...], Path, int]:
         repaired = exchange_bad_arc(cycle, ear, d)
         if repaired is None:
             return cycle, ear, exchanges
-        if exchanges > len(d):
-            raise PreconditionViolated("arc repair failed to converge")
         cycle = repaired
         exchanges += 1
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InvalidInput
 from .graphs import Graph, edge
@@ -88,20 +89,13 @@ def random_two_connected(n: int, ears: int, seed: int) -> Graph:
     for _ in range(n - 3 - ears):
         sizes[rng.randrange(len(sizes))] += 1
 
-    cursor = 0
-
-    def take(k: int) -> list[int]:
-        nonlocal cursor
-        out = ids[cursor : cursor + k]
-        cursor += k
-        return out
-
-    cycle = take(sizes[0])
+    fresh = iter(ids)
+    cycle = list(islice(fresh, sizes[0]))
     edges = {edge(a, b) for a, b in zip(cycle, cycle[1:])}
     edges.add(edge(cycle[-1], cycle[0]))
     placed = list(cycle)
     for size in sizes[1:]:
-        interior = take(size)
+        interior = list(islice(fresh, size))
         u, v = rng.sample(placed, 2)
         chain = [u] + interior + [v]
         edges |= {edge(a, b) for a, b in zip(chain, chain[1:])}

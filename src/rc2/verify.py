@@ -546,43 +546,30 @@ class RainbowIndex:
         adj = g.adjacency()
 
         self.path_edges: list[tuple[int, ...]] = []
-        path_internal: list[frozenset] = []
-        pair_gids: dict[tuple[int, int], list[int]] = {}
+        # Each path's interior as a vertex mask, and each pair's path ids.
+        inner: list[int] = []
+        gids = {pair: [] for pair in combinations(range(g.vertex_count), 2)}
 
-        for u, v in combinations(range(g.vertex_count), 2):
-            gids: list[int] = []
-            path = [u]
-            visited = {u}
+        # One walk per source u records every simple path at its far end
+        # x > u; ``seen`` masks the path's vertices, u included.
+        def walk(u: int, cur: int, seen: int, eids: tuple[int, ...]) -> None:
+            for nxt in adj[cur]:
+                if not seen >> nxt & 1:
+                    step = eids + (eid[edge(cur, nxt)],)
+                    if nxt > u:
+                        gids[u, nxt].append(len(self.path_edges))
+                        self.path_edges.append(step)
+                        inner.append(seen ^ 1 << u)
+                    walk(u, nxt, seen | 1 << nxt, step)
 
-            def walk(cur: int) -> None:
-                for nxt in adj[cur]:
-                    if nxt == v:
-                        seq = path + [v]
-                        self.path_edges.append(
-                            tuple(eid[edge(a, b)] for a, b in zip(seq, seq[1:]))
-                        )
-                        path_internal.append(frozenset(seq[1:-1]))
-                        gids.append(len(self.path_edges) - 1)
-                        continue
-                    if nxt in visited:
-                        continue
-                    visited.add(nxt)
-                    path.append(nxt)
-                    walk(nxt)
-                    path.pop()
-                    visited.discard(nxt)
-
-            walk(u)
-            pair_gids[(u, v)] = gids
-
-        self.disjoint_pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for pair, gids in pair_gids.items():
-            self.disjoint_pairs[pair] = [
-                (i, j)
-                for a, i in enumerate(gids)
-                for j in gids[a + 1 :]
-                if not (path_internal[i] & path_internal[j])
+        for u in range(g.vertex_count - 1):
+            walk(u, u, 1 << u, ())
+        self.disjoint_pairs: dict[tuple[int, int], list[tuple[int, int]]] = {
+            pair: [
+                (i, j) for a, i in enumerate(ids) for j in ids[a + 1 :] if not inner[i] & inner[j]
             ]
+            for pair, ids in gids.items()
+        }
 
         m = len(self.edge_list)
         path_mask = [

@@ -11,13 +11,14 @@ from rc2 import (
     exchange_bad_arc,
 )
 from rc2.coloring import color_base_subgraph
+from rc2.ears import _initial_cycle_and_first_ear
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
 from rc2.graphs import degree_two_set, edge
 from rc2.minimalize import spanning_minimally_two_connected
 
 from .common import cycle, diamond, four_hub, k23, prism, theta_grid
-from .strategies import minimal_noncycle_graphs
+from .strategies import minimal_noncycle_graphs, two_connected_graphs
 
 
 class TestEarThroughVertex:
@@ -45,6 +46,21 @@ class TestExchangeBadArc:
     def test_result_is_normalized(self):
         got = exchange_bad_arc((0, 1, 2, 3, 4, 5), Path((1, 6, 4)), frozenset({6, 7, 8}))
         assert got[0] == min(got)
+
+    @given(two_connected_graphs(max_n=14))
+    @example(random_two_connected(5, 2, 11))
+    @settings(max_examples=60)
+    def test_each_exchange_adds_a_degree_two_vertex_to_the_cycle(self, g):
+        """A swap drops an arc with no degree-2 interior and adds the ear's
+        interior, which holds one, so the repair takes fewer than |d| swaps.
+        Swaps are common on these graphs, which are rarely minimal."""
+        d = degree_two_set(g)
+        try:
+            cycle, _, exchanges = _initial_cycle_and_first_ear(g)
+        except PreconditionViolated as exc:
+            assert "one cycle carries" in str(exc)
+        else:
+            assert exchanges <= len(d & set(cycle)) < len(d)
 
 
 class TestBuildDecomposition:

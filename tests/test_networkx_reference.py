@@ -1,15 +1,17 @@
-"""Connectivity, cycle graphs and minimality checked against networkx, an
-independent implementation.  Skipped where networkx is not installed."""
+"""Connectivity, cycle graphs, minimality and the oracle's path index checked
+against networkx, an independent implementation.  Skipped where networkx is
+not installed."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rc2 import Graph, spanning_minimally_two_connected
-from rc2.generators import complete_bipartite_graph, complete_graph
+from rc2 import Graph, RainbowIndex, spanning_minimally_two_connected
+from rc2.generators import complete_bipartite_graph, complete_graph, wheel_graph
 from rc2.graphs import carving, is_cycle_graph, is_two_connected
 
 from .strategies import dense_two_connected_graphs, two_connected_graphs
@@ -136,3 +138,39 @@ def test_adjacency_toward_on_a_disconnected_graph():
     assert g.adjacency_toward(3) == {
         0: [3, 2, 1], 1: [0, 2], 2: [3, 0, 1], 3: [0, 2], 4: [5, 6], 5: [4, 6], 6: [4, 5]
     }
+
+
+def assert_index_matches_networkx(g: Graph):
+    """Per pair, the index's paths as edge-id sets are those of
+    ``nx.all_simple_paths``, each once, and ``disjoint_pairs`` holds exactly
+    the pairs of them whose interiors share no vertex."""
+    index = RainbowIndex(g)
+    eid = {e: i for i, e in enumerate(index.edge_list)}
+    by_pair = {pair: [] for pair in itertools.combinations(range(g.vertex_count), 2)}
+    inner = []
+    for gid, eids in enumerate(index.path_edges):
+        # A path's ends lie on one of its edges, its interior vertices on two.
+        on = Counter(x for e in eids for x in index.edge_list[e])
+        by_pair[tuple(sorted(x for x, k in on.items() if k == 1))].append(gid)
+        inner.append({x for x, k in on.items() if k == 2})
+    h = to_nx(g)
+    assert list(index.disjoint_pairs) == list(by_pair)
+    for (u, v), gids in by_pair.items():
+        want = sorted(
+            sorted(eid[tuple(sorted(step))] for step in itertools.pairwise(p))
+            for p in nx.all_simple_paths(h, u, v)
+        )
+        assert sorted(sorted(index.path_edges[i]) for i in gids) == want, (u, v)
+        disjoint = [(i, j) for i, j in itertools.combinations(gids, 2) if not inner[i] & inner[j]]
+        assert sorted(index.disjoint_pairs[u, v]) == disjoint, (u, v)
+
+
+@given(two_connected_graphs(max_n=8))
+@settings(max_examples=60)
+def test_path_index_matches_networkx(g):
+    assert_index_matches_networkx(g)
+
+
+@pytest.mark.parametrize("g", [complete_graph(7), wheel_graph(10)], ids=["K7", "W10"])
+def test_path_index_of_a_dense_graph_matches_networkx(g):
+    assert_index_matches_networkx(g)
