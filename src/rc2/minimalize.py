@@ -148,12 +148,12 @@ def spanning_minimally_two_connected(g: Graph) -> Graph:
     edges = c.edges.difference(removed)
     # Every deletion above rests on the carving, Menger and contraction
     # lemmas; a lowpoint scan of the result checks them all by a different
-    # algorithm.
-    verdict = is_two_connected_sub(n, edges)
-    assert verdict, "minimalizer output is not 2-connected"
+    # algorithm.  It raises itself, so that it runs under -O too: the
+    # carving recorded below rests on it.
+    if not is_two_connected_sub(n, edges):
+        raise AssertionError("minimalizer output is not 2-connected")
     h = Graph(n, edges, g.labels)
-    if verdict:  # the assert is gone under -O, and a failed h must get no carving
-        record_carving(h, h.edges)  # a minimally 2-connected graph is its own carving
+    record_carving(h, h.edges)  # a minimally 2-connected graph is its own carving
     assert is_minimally_two_connected(h)
     return h
 

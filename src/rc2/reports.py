@@ -12,8 +12,8 @@ Report property tags used across the package:
        mapped vertex
   B1   before attaching an ear, its endpoints are joined by a rainbow path
        avoiding the color reserved for the attachment vertex
-  B2   the reserved color sits on exactly one edge, incident to the
-       attachment vertex, and the attached ear puts it on its edge at the
+  B2   the ear recycles its smaller endpoint's mapped color, the color
+       reserved for the attachment vertex, and puts it on its edge at the
        ear's other endpoint
   structure   shape facts (decomposition layout, forest structure, a replayed
               trace that does not build the coloring it came with)

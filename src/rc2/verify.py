@@ -428,13 +428,19 @@ def check_induction_invariants(
     Checks per level: A1 (disjoint rainbow pairs), A2 (rainbow fans), A3
     (pairable quadruples), A4/A5 (the vertex color map contract).  For each
     attachment also B1 (a prior-level rainbow path between the ear's
-    endpoints avoiding the recycled color) and B2 (the recycled color sat on
-    exactly one prior-level edge, at the ear's smaller endpoint, and now
-    sits on the ear's edge at its larger endpoint).  Stops at the first
-    violation.  Last, the trace must build the result: the last level spans
-    g and colors each of its edges as ``result.coloring`` does (a structure
-    violation otherwise).  Edges outside that level only add paths, so its
-    A1 then holds for the result.
+    endpoints v1 < vq avoiding the recycled color) and B2 (the recycled
+    color is the one the prior level's map reserves for v1, and now sits on
+    the ear's edge at vq).  The prior level has passed A4/A5, so its
+    reserved color sits on exactly one prior-level edge, at v1: B2 reads the
+    map and needs no scan of the prior coloring.  B1 then follows from the
+    prior level's A1 whenever vq is a prior vertex, since of two internally
+    disjoint rainbow v1-vq paths at most one uses that single edge; it is
+    checked anyway, as one of the paper's invariants.  A step that colors a
+    pair that is not an edge of g is a structure violation at its level.
+    Stops at the first violation.  Last, the trace must build the result:
+    the last level spans g and colors each of its edges as
+    ``result.coloring`` does (a structure violation otherwise).  Edges
+    outside that level only add paths, so its A1 then holds for the result.
     """
     if result.strategy != "ear_induction":
         raise PreconditionViolated(f"a {result.strategy} coloring has no construction trace")
@@ -453,6 +459,9 @@ def check_induction_invariants(
 
     cache = prev_level = None
     for idx, (step, level) in enumerate(zip(result.trace, trace_levels(result.trace))):
+        stray = min(step.colored.keys() - g.edges, default=None)
+        if stray is not None:
+            return fail("structure", (idx, *stray), f"the trace colors {stray}, not an edge")
         assign = level.coloring.assignment
         if prev_level is not None:
             ear = step.ear
@@ -469,12 +478,12 @@ def check_induction_invariants(
                     (idx, v1, vq, recycled),
                     "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
-            hits = sorted(e for e, c in prev_assign.items() if c == recycled)
-            if len(hits) != 1 or v1 not in hits[0]:
+            reserved = prev_level.color_map.get(v1)
+            if reserved is None or recycled != reserved:
                 return fail(
                     "B2",
                     (idx, v1, recycled),
-                    f"recycled color {recycled} sits on {hits}, expected one edge at {v1}",
+                    f"recycled color {recycled} is not the color {reserved} reserved for {v1}",
                 )
             # extend_with_ear puts the recycled color on the ear edge at vq.
             last = edge(vq, ear.vertices[-2] if ear.last == vq else ear.vertices[1])

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -14,8 +16,8 @@ from rc2.coloring import color_base_subgraph
 from rc2.ears import _initial_cycle_and_first_ear
 from rc2.errors import PreconditionViolated
 from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
-from rc2.graphs import degree_two_set, edge
-from rc2.minimalize import spanning_minimally_two_connected
+from rc2.graphs import degree_two_set, edge, is_cycle_graph
+from rc2.minimalize import is_minimally_two_connected, spanning_minimally_two_connected
 
 from .common import cycle, diamond, four_hub, k23, prism, theta_grid
 from .strategies import minimal_noncycle_graphs, two_connected_graphs
@@ -132,6 +134,20 @@ class TestBuildDecomposition:
         assert dec.covered_edges() == g.edges
         assert 0 <= dec.repair_exchanges <= len(degree_two_set(g))
         assert check_ear_conditions(dec, g).passed
+
+    def test_minimal_labeled_graphs_on_four_to_six_vertices_need_no_arc_swap(self):
+        """Every minimally 2-connected labeled graph on 4-6 vertices that is
+        not a cycle gets its first ear without a swap: the repair never
+        fires on a minimal input this small."""
+        minimal = []
+        for n in (4, 5, 6):
+            slots = list(combinations(range(n), 2))
+            for mask in range(1 << len(slots)):
+                g = Graph.from_edges(n, [e for b, e in enumerate(slots) if mask >> b & 1])
+                if not is_cycle_graph(g) and is_minimally_two_connected(g):
+                    minimal.append(g)
+        assert len(minimal) == 205
+        assert all(build_ear_decomposition(g).repair_exchanges == 0 for g in minimal)
 
 
 class TestCheckEarConditions:

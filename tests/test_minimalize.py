@@ -166,27 +166,32 @@ class TestCarving:
         assert len(scanned) == 2 and scanned[0] is g
         assert all(x is not h for x in scanned)
 
-    def test_output_that_fails_the_closing_scan_gets_no_carving_under_dash_o(self):
-        """python -O strips the closing asserts, so the carving the
-        minimalizer records must not rest on them: with the closing scan
-        made to fail, the output keeps nothing and is scanned when asked."""
+    def test_output_that_fails_the_closing_scan_raises_under_dash_o(self):
+        """python -O strips plain asserts, but the closing scan raises
+        itself: with it made to fail, the minimalizer returns no graph and
+        records no carving, under -O as without it."""
         code = textwrap.dedent(
             """
             from unittest import mock
-            from rc2 import graphs, minimalize
+            from rc2 import minimalize
             from rc2.generators import complete_graph
 
-            with mock.patch.object(minimalize, "is_two_connected_sub", lambda n, edges: False):
-                h = minimalize.spanning_minimally_two_connected(complete_graph(6))
-            scanned = []
-            real = graphs._lowpoint_scan
-            with mock.patch.object(graphs, "_lowpoint_scan", lambda g: scanned.append(g) or real(g)):
-                graphs.is_two_connected(h)
-            print(len(scanned))
+            recorded = []
+            fail = mock.patch.object(minimalize, "is_two_connected_sub", lambda n, edges: False)
+            spy = mock.patch.object(minimalize, "record_carving", lambda h, c: recorded.append(h))
+            with fail, spy:
+                try:
+                    minimalize.spanning_minimally_two_connected(complete_graph(6))
+                except AssertionError as exc:
+                    print(exc, len(recorded))
             """
         )
         run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-        assert (run.returncode, run.stdout, run.stderr) == (0, "1\n", "")
+        assert (run.returncode, run.stdout, run.stderr) == (
+            0,
+            "minimalizer output is not 2-connected 0\n",
+            "",
+        )
 
     def test_rejects_a_graph_that_is_not_two_connected(self):
         with pytest.raises(PreconditionViolated, match="a carving needs a 2-connected graph"):

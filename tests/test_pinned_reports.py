@@ -24,7 +24,7 @@ from rc2.graphs import canonical_json
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 PINNED_DIGEST = "7f585ecbca280eb15043bb6b1a94cc402fbd3f2d06f14201fb635ed1e5743a8c"
-BROKEN_DIGEST = "cf2dd52359d83123af8ec864b9bef448bc671222a2437aa6cb9d89da327bef1a"
+BROKEN_DIGEST = "1626851b81b8deef381a145b8f4bb7959c783d1a504f3c7c74d163d17acdee2c"
 
 
 def merge_last_two_classes(coloring: EdgeColoring) -> EdgeColoring:

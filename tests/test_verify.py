@@ -964,7 +964,8 @@ class TestInductionInvariants:
     def test_recycled_color_off_the_ears_last_edge_is_B2(self):
         """Corpus graph 131: the last ear (2, 8, 9) puts recycled color 4 on
         its edge (8, 9).  Color 5 also sits on one prior edge at vertex 2,
-        (0, 2), so only the ear's own edge tells a claimed 5 from the 4."""
+        (0, 2), but the map reserves 4 for vertex 2, so a claimed 5 is
+        refused before the ear's edge is read."""
         _, g = list(standard_corpus())[131]
         res = color_rc2(g, with_trace=True)
         first, last = res.trace
@@ -974,7 +975,49 @@ class TestInductionInvariants:
         wrong = dataclasses.replace(last, recycled_color=5)
         broken = dataclasses.replace(res, trace=(first, wrong))
         report = check_induction_invariants(broken, g)
-        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 9, 5))]
+        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 2, 5))]
+
+    @pytest.mark.parametrize(
+        "index, reserved, claimed, v1, last_edge",
+        [(131, 4, 5, 2, (8, 9)), (133, 1, 2, 3, (6, 11)), (148, 7, 8, 7, (6, 10))],
+    )
+    def test_recycling_another_once_used_color_at_v1_is_B2(
+        self, index, reserved, claimed, v1, last_edge
+    ):
+        """The claimed color sits on one prior edge at v1, and the re-pointed
+        trace puts it on the ear's last edge and builds the re-pointed
+        result, so every check but B2 passes.  B2 refuses it, since the map
+        reserves another color for v1."""
+        _, g = list(standard_corpus())[index]
+        res = color_rc2(g, with_trace=True)
+        first, last = res.trace
+        base = next(trace_levels(res.trace))
+        assert (last.recycled_color, base.color_map[v1]) == (reserved, reserved)
+        [e] = [e for e, c in base.coloring.assignment.items() if c == claimed]
+        assert v1 in e
+        colored = {**last.colored, last_edge: claimed}
+        assert last.colored[last_edge] == reserved
+        wrong = dataclasses.replace(last, recycled_color=claimed, colored=colored)
+        result = EdgeColoring.from_assignment({**res.coloring.assignment, last_edge: claimed})
+        broken = dataclasses.replace(res, coloring=result, trace=(first, wrong))
+        report = check_induction_invariants(broken, g)
+        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, v1, claimed))]
+
+    @pytest.mark.parametrize("pair", [(0, 99), (-1, 2), (3, 3)])
+    def test_coloring_a_pair_that_is_not_an_edge_is_structure(self, pair):
+        """K_{2,4}'s last step also colors a pair that is no edge of the
+        graph: an out-of-range vertex, a negative one or a self-loop.  The
+        replay names it at that level, before building the level's graph,
+        rather than after the last level, as a color the result lacks."""
+        g = k24()
+        res = color_minimally_two_connected(g, with_trace=True)
+        step = res.trace[-1]
+        stray = dataclasses.replace(step, colored={**step.colored, pair: 0})
+        broken = dataclasses.replace(res, trace=res.trace[:-1] + (stray,))
+        report = check_induction_invariants(broken, g)
+        assert [(v.kind, v.subject, v.reason) for v in report.violations] == [
+            ("structure", (1, *pair), f"the trace colors {pair}, not an edge")
+        ]
 
     @pytest.mark.parametrize("wrong", [1, 2])
     def test_wrong_recycled_color_is_B2(self, wrong):
