@@ -54,18 +54,19 @@ class TraceStep:
     """One level of the inductive construction, as its change to the level
     before.
 
-    ``colored`` gives colors to edges, overriding any color an edge already
-    had; a level's subgraph is every edge colored so far, and its vertices
-    are their endpoints.  ``mapped`` adds or overrides vertex color map
-    entries, and ``color_names`` names the fresh colors the level adds.
-    :func:`trace_levels` folds the steps into per-level snapshots.
+    ``colored`` gives colors to the level's edges (after the first level,
+    exactly the ear's, with the recycled color at its larger end); a level's
+    subgraph is every edge colored so far, and its vertices are their
+    endpoints.  ``mapped`` adds or overrides vertex color map entries.  The
+    induction replay refuses a later ear that does not join two prior
+    vertices through new ones, so every edge of a level that passes touches
+    a new vertex, and none is recolored.  :func:`trace_levels` folds the
+    steps into per-level snapshots.
     """
 
     ear: Path
-    recycled_color: int | None
     colored: dict[Edge, int]
     mapped: dict[int, int]
-    color_names: dict[int, str]
 
     def apply(self, assignment: dict[Edge, int], mapping: dict[int, int]) -> None:
         """Fold this level into a coloring and a vertex color map, in place."""
@@ -96,10 +97,8 @@ def trace_levels(trace: Iterable[TraceStep]) -> Iterator[TraceLevel]:
 def _step_obj(step: TraceStep) -> dict:
     return {
         "ear": list(step.ear.vertices),
-        "recycled_color": step.recycled_color,
         "colored": [[u, v, c] for (u, v), c in sorted(step.colored.items())],
         "mapped": {str(x): c for x, c in step.mapped.items()},
-        "color_names": {str(i): name for i, name in step.color_names.items()},
     }
 
 
@@ -114,9 +113,9 @@ class ColoringResult:
 
         The trace, when asked for and present, holds one object per level:
         its :class:`TraceStep`, with ``colored`` as sorted ``[u, v, c]``
-        triples and string keys in ``mapped`` and ``color_names``.  Folding
-        the levels in order, as :func:`trace_levels` folds the steps, gives
-        each level's snapshot.
+        triples and string keys in ``mapped``.  Folding the levels in order,
+        as :func:`trace_levels` folds the steps, gives each level's
+        snapshot.
         """
         assign = self.coloring.assignment
         edges = ",".join(
@@ -287,9 +286,8 @@ def color_base_subgraph(dec: EarDecomposition, g: Graph) -> TraceStep:
     # at its vertex.  This is what lets an ear extension recycle the color of
     # its smaller endpoint safely.
     assert len(set(mapping.values())) == len(mapping), "vertex color map must be injective"
-    names = {i: f"x{i + 1}" for i in range(total - 1)}
-    assert set(assign.values()) == names.keys()
-    return TraceStep(first, None, assign, mapping, names)
+    assert set(assign.values()) == set(range(total - 1))
+    return TraceStep(first, assign, mapping)
 
 
 def extend_with_ear(
@@ -317,14 +315,12 @@ def extend_with_ear(
     mapped: dict[int, int] = {}
     _map_stretch(mapped, verts, 1, q - 1, base, host_degree_two, "ear")
     colored = {edge(verts[j - 1], verts[j]): base + j - 1 for j in range(1, q - 1)}
-    recycled = color_map[verts[0]]
-    colored[edge(verts[-2], verts[-1])] = recycled
+    colored[edge(verts[-2], verts[-1])] = color_map[verts[0]]
     assert not any(e in coloring.assignment for e in colored)
 
     # An endpoint has degree 3 or more, so the stretch remaps it.
     assert verts[0] in mapped
-    names = {base + j - 1: f"y{j}" for j in range(1, q - 1)}
-    return TraceStep(ear, recycled, colored, mapped, names)
+    return TraceStep(ear, colored, mapped)
 
 
 def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> ColoringResult:
@@ -341,8 +337,8 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
 
     def fold(step: TraceStep) -> None:
         step.apply(coloring.assignment, fmap)
-        # Each level names exactly the fresh colors it adds.
-        coloring.color_count += len(step.color_names)
+        # A level's fresh colors come after every older color.
+        coloring.color_count = max(coloring.color_count, 1 + max(step.colored.values()))
         if with_trace:
             steps.append(step)
 

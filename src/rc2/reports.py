@@ -12,9 +12,9 @@ Report property tags used across the package:
        mapped vertex
   B1   before attaching an ear, its endpoints are joined by a rainbow path
        avoiding the color reserved for the attachment vertex
-  B2   the ear recycles its smaller endpoint's mapped color, the color
-       reserved for the attachment vertex, and puts it on its edge at the
-       ear's other endpoint
+  B2   the color on the ear's edge at its larger endpoint is the mapped
+       color of its smaller endpoint, the color reserved for the attachment
+       vertex
   structure   shape facts (decomposition layout, forest structure, a replayed
               trace that does not build the coloring it came with)
 """

@@ -428,16 +428,19 @@ def check_induction_invariants(
     Checks per level: A1 (disjoint rainbow pairs), A2 (rainbow fans), A3
     (pairable quadruples), A4/A5 (the vertex color map contract).  For each
     attachment also B1 (a prior-level rainbow path between the ear's
-    endpoints v1 < vq avoiding the recycled color) and B2 (the recycled
-    color is the one the prior level's map reserves for v1, and now sits on
-    the ear's edge at vq).  The prior level has passed A4/A5, so its
+    endpoints v1 < vq avoiding the recycled color, the one the step puts on
+    the ear's edge at vq) and B2 (that color is the one the prior level's
+    map reserves for v1).  The prior level has passed A4/A5, so its
     reserved color sits on exactly one prior-level edge, at v1: B2 reads the
     map and needs no scan of the prior coloring.  B1 then follows from the
-    prior level's A1 whenever vq is a prior vertex, since of two internally
-    disjoint rainbow v1-vq paths at most one uses that single edge; it is
-    checked anyway, as one of the paper's invariants.  A step that colors a
-    pair that is not an edge of g is a structure violation at its level.
-    Stops at the first violation.  Last, the trace must build the result:
+    prior level's A1, since of two internally disjoint rainbow v1-vq paths
+    at most one uses that single edge; it is checked anyway, as one of the
+    paper's invariants.  A structure violation at its level is a step that
+    colors a pair that is not an edge of g, or whose ear has no interior; a
+    first ear off its level's edges; or a later ear whose edges are not
+    exactly its level's, whose ends are not prior vertices or whose interior
+    is not new.  So a later level that passes recolors no older edge.  Stops
+    at the first violation.  Last, the trace must build the result:
     the last level spans g and colors each of its edges as
     ``result.coloring`` does (a structure violation otherwise).  Edges
     outside that level only add paths, so its A1 then holds for the result.
@@ -462,11 +465,19 @@ def check_induction_invariants(
         stray = min(step.colored.keys() - g.edges, default=None)
         if stray is not None:
             return fail("structure", (idx, *stray), f"the trace colors {stray}, not an edge")
+        ear, ear_edges = step.ear, set(step.ear.edges())
+        if len(ear) < 3 or not (
+            ear_edges <= step.colored.keys()
+            if prev_level is None
+            else ear_edges == step.colored.keys()
+            and set(verts).intersection(ear.vertices) == {ear.first, ear.last}
+        ):
+            reason = f"the ear {ear.vertices} is not a path over the level's edges"
+            return fail("structure", (idx, *ear.vertices), reason)
         assign = level.coloring.assignment
         if prev_level is not None:
-            ear = step.ear
             v1, vq = edge(ear.first, ear.last)
-            recycled = step.recycled_color
+            recycled = step.colored[edge(vq, ear.vertices[-2 if ear.last == vq else 1])]
             prev_assign = prev_level.coloring.assignment
             # ``cache`` still holds the prior level's paths, none at a new vertex.
             if not any(
@@ -479,19 +490,11 @@ def check_induction_invariants(
                     "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
             reserved = prev_level.color_map.get(v1)
-            if reserved is None or recycled != reserved:
+            if recycled != reserved:
                 return fail(
                     "B2",
                     (idx, v1, recycled),
                     f"recycled color {recycled} is not the color {reserved} reserved for {v1}",
-                )
-            # extend_with_ear puts the recycled color on the ear edge at vq.
-            last = edge(vq, ear.vertices[-2] if ear.last == vq else ear.vertices[1])
-            if assign.get(last) != recycled:
-                return fail(
-                    "B2",
-                    (idx, vq, recycled),
-                    f"recycled color {recycled} is not on the ear's last edge {last}",
                 )
 
         sub = Graph(g.vertex_count, frozenset(assign))

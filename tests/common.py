@@ -137,12 +137,18 @@ K4_COLORING = {
 }
 
 # Exact minima from the brute-force oracle, next to what the construction
-# spends.  The construction is a bounded heuristic, not an optimizer.
+# spends.  The construction is a bounded heuristic, not an optimizer.  The
+# theta graphs theta(a, b, c), on n = a + b + c - 1 vertices, need n - 1
+# colors, which the construction spends.
 EXACT_RC2 = {
     "k23": (3, 4),
     "k4": (2, 3),
     "diamond": (3, 3),
     "w5": (2, 4),
+    "theta223": (5, 5),
+    "theta233": (6, 6),
+    "theta333": (7, 7),
+    "theta234": (7, 7),
 }
 
 # Labeled 2-connected graph counts on 3 to 6 vertices.  Independently

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -6,6 +8,7 @@ from rc2 import (
     EdgeColoring,
     Graph,
     Path,
+    TraceStep,
     build_ear_decomposition,
     color_cycle,
     color_hamiltonian_with_chord,
@@ -105,7 +108,6 @@ class TestBaseColoring:
         assert base.colored == K23_COLORING
         assert base.mapped == K23_COLOR_MAP
         assert base.ear.vertices == (0, 4, 1)
-        assert base.recycled_color is None
 
     def test_theta333_base_frozen(self):
         g = theta_graph(3, 3, 3)
@@ -192,7 +194,6 @@ class TestExtendWithEar:
         step.apply(base_coloring.assignment, base_map)
         assert base_coloring.assignment == K24_COLORING
         assert base_map == K24_COLOR_MAP
-        assert step.recycled_color == K24_RECYCLED
 
     def test_endpoint_must_be_mapped(self):
         coloring = EdgeColoring.from_assignment(K23_COLORING)
@@ -230,7 +231,6 @@ class TestInductiveColoring:
         assert len(res.trace) == 1
         step = res.trace[0]
         assert step.ear.vertices == (0, 4, 1)
-        assert step.recycled_color is None
         (level,) = trace_levels(res.trace)
         assert level.coloring.assignment == K23_COLORING
         assert level.color_map == K23_COLOR_MAP
@@ -242,16 +242,21 @@ class TestInductiveColoring:
         assert len(res.trace) == 2
         last = res.trace[-1]
         assert last.ear.vertices == (0, 5, 1)
-        assert last.recycled_color == K24_RECYCLED
+        assert last.colored[1, 5] == K24_RECYCLED
         first, level = trace_levels(res.trace)
         assert first.coloring.assignment == K23_COLORING
         assert level.coloring.assignment == K24_COLORING
         assert level.color_map == K24_COLOR_MAP
 
-    def test_trace_color_names(self):
+    def test_trace_steps_state_each_fact_once(self):
+        """A step holds its ear, its edges' colors and its map entries; its
+        recycled and fresh colors are read off the edges."""
         res = color_minimally_two_connected(k24(), with_trace=True)
-        assert res.trace[0].color_names == {0: "x1", 1: "x2", 2: "x3", 3: "x4"}
-        assert res.trace[1].color_names == {4: "y1"}
+        assert [f.name for f in dataclasses.fields(TraceStep)] == ["ear", "colored", "mapped"]
+        first, last = res.trace
+        assert set(first.colored.values()) == {0, 1, 2, 3}
+        assert set(last.colored) == set(last.ear.edges())
+        assert {c for c in last.colored.values() if c >= 4} == {4}
 
     def test_no_trace_by_default(self):
         assert color_minimally_two_connected(k23()).trace is None
@@ -340,7 +345,7 @@ class TestColoringJson:
         assert "trace" not in res.to_json_obj()
         obj = res.to_json_obj(include_trace=True)
         assert len(obj["trace"]) == 2
-        assert obj["trace"][1]["recycled_color"] == 0
+        assert obj["trace"][1] == {"ear": [0, 5, 1], "colored": [[0, 5, 4], [1, 5, 0]], "mapped": {"0": 4}}
 
     def test_colors_renumbered_densely(self):
         obj = {"edges": [

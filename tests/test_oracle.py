@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from rc2 import Graph, RainbowIndex, brute_force_rc2, census_csv, census_small_graphs, color_rc2
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
+from rc2.corpus import standard_corpus
 from rc2.generators import theta_graph
 from rc2.oracle import _exact_k_colorings
 
 from .common import (
+    EXACT_RC2,
     TWO_CONNECTED_CLASS_COUNTS,
     TWO_CONNECTED_COUNTS,
     census_rows,
@@ -103,6 +105,19 @@ class TestBruteForce:
     def test_theta234_matches_construction(self):
         g = theta_graph(2, 3, 4)
         assert brute_force_rc2(g) == 7 == color_rc2(g).coloring.color_count
+
+    @pytest.mark.parametrize("name", sorted(EXACT_RC2))
+    def test_exact_values_are_the_oracles(self, name):
+        """Each pinned (exact, constructed) pair, from the oracle and from
+        the construction."""
+        named = {"k23": k23(), "k4": k4(), "diamond": diamond(), "w5": wheel(5)}
+        g = named[name] if name in named else theta_graph(*map(int, name.removeprefix("theta")))
+        assert (brute_force_rc2(g), color_rc2(g).coloring.color_count) == EXACT_RC2[name]
+
+    def test_construction_spends_n_minus_one_on_every_corpus_theta(self):
+        thetas = [g for spec, g in standard_corpus() if spec.name == "theta"]
+        assert len(thetas) == 35
+        assert all(color_rc2(g).coloring.color_count == g.vertex_count - 1 for g in thetas)
 
     def test_rejects_non_two_connected(self):
         with pytest.raises(PreconditionViolated, match="only defined for 2-connected graphs"):

@@ -5,9 +5,10 @@ report.  ``PINNED_DIGEST`` covers passing reports: ``is_rainbow_two_connected``
 on every corpus coloring, then ``check_induction_invariants`` on every
 traced corpus coloring.  ``BROKEN_DIGEST`` covers mostly failing ones: the
 same two checks after the last two color classes are merged (in the replay,
-as the last level's delta, which recolors every edge), and the replay with
-the last level's recycled color shifted by one where that level attached an
-ear.  So the violation each check reports first is pinned too.  A1
+in the last level's delta, which holds every edge of the top class), and
+the replay with the last level's recycled color, on its ear's edge at the
+larger end, shifted by one where that level attached an ear.  So the
+violation each check reports first is pinned too.  A1
 witnesses are not part of the reports, so the order in which the pair
 search finds them affects neither digest.  A change to the colorings or to
 what a check reports changes a digest; a change that means to do so
@@ -18,9 +19,9 @@ why.
 import dataclasses
 import hashlib
 
-from rc2.coloring import EdgeColoring, color_rc2, trace_levels
+from rc2.coloring import EdgeColoring, color_rc2
 from rc2.corpus import standard_corpus
-from rc2.graphs import canonical_json
+from rc2.graphs import canonical_json, edge
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 PINNED_DIGEST = "7f585ecbca280eb15043bb6b1a94cc402fbd3f2d06f14201fb635ed1e5743a8c"
@@ -28,10 +29,11 @@ BROKEN_DIGEST = "1626851b81b8deef381a145b8f4bb7959c783d1a504f3c7c74d163d17acdee2
 
 
 def merge_last_two_classes(coloring: EdgeColoring) -> EdgeColoring:
-    top = coloring.color_count - 1
-    return EdgeColoring.from_assignment(
-        {e: top - 1 if c == top else c for e, c in coloring.assignment.items()}
-    )
+    return EdgeColoring.from_assignment(merged(coloring.assignment, coloring.color_count - 1))
+
+
+def merged(assignment: dict, top: int) -> dict:
+    return {e: top - 1 if c == top else c for e, c in assignment.items()}
 
 
 def with_last_step(result, step):
@@ -54,12 +56,14 @@ def reports(broken: bool):
             out.append(check_induction_invariants(result, g))
             continue
         last = result.trace[-1]
-        last_level = list(trace_levels(result.trace))[-1]
-        # The merged coloring, given as the last level's delta, overrides every edge.
-        merged = dataclasses.replace(last, colored=merge_last_two_classes(last_level.coloring).assignment)
-        out.append(check_induction_invariants(with_last_step(result, merged), g))
-        if last.recycled_color is not None:
-            shifted = dataclasses.replace(last, recycled_color=last.recycled_color + 1)
+        # The top color is one of the last level's fresh colors.
+        top = result.coloring.color_count - 1
+        merged_step = dataclasses.replace(last, colored=merged(last.colored, top))
+        out.append(check_induction_invariants(with_last_step(result, merged_step), g))
+        if len(result.trace) > 1:
+            vq = max(last.ear.first, last.ear.last)
+            at_vq = edge(vq, last.ear.vertices[-2 if last.ear.last == vq else 1])
+            shifted = dataclasses.replace(last, colored={**last.colored, at_vq: last.colored[at_vq] + 1})
             out.append(check_induction_invariants(with_last_step(result, shifted), g))
     return out
 

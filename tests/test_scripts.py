@@ -16,7 +16,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 COLORINGS_SHA256 = "c06ef980d358372d693f88f973553b1248dc5f537f710d18385e71619c8a2532"
-TRACES_SHA256 = "052f219c2fbae18939116ccff0d4cdd299046db002b037dfe4a91f456cf66bfd"
+TRACES_SHA256 = "11ef179ce5ed25b4c61ba8b3def157ecfa06a447743592ff0369155734dc9529"
 
 
 def run_script(name, *args):

@@ -1,12 +1,14 @@
 """The construction trace: per-level deltas, their snapshots, their text.
 
 ``ColoringResult.to_json_text`` writes each level of the trace as its
-delta.  Here the parsed deltas are folded level by level and compared with
+delta: its ear, the edges it colors and the color-map entries it adds.
+Here the parsed deltas are folded level by level and compared with
 snapshot objects built directly from ``trace_levels``; the untraced head is
 compared with ``canonical_json`` of a reference object, and the deltas are
 checked to color each edge of the minimalized subgraph once.  The snapshot
 reference ``reference_obj`` is also what ``tests/test_pinned_colorings.py``
-hashes.
+hashes.  A snapshot also names each level's recycled color and fresh
+colors, which both read off the level's edges (``derived``).
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from rc2.coloring import color_rc2, trace_levels
 from rc2.corpus import standard_corpus
 from rc2.generators import complete_bipartite_graph, random_two_connected
-from rc2.graphs import canonical_json
+from rc2.graphs import canonical_json, edge
 from rc2.minimalize import spanning_minimally_two_connected
 from rc2.reports import DEFAULT_GUARD
 from rc2.verify import check_induction_invariants
@@ -39,6 +41,19 @@ def snapshot_obj(assign, color_map, ear, recycled_color, color_names) -> dict:
     }
 
 
+def derived(ear, colored, older_colors: int):
+    """A level's recycled color and fresh color names, read off its edges:
+    after the first level, the color on the ear's edge at its larger end,
+    and the colors past the ``older_colors`` ones, named x1... on the first
+    level and y1... on each later one."""
+    if not older_colors:
+        return None, {c: f"x{c + 1}" for c in sorted(set(colored.values()))}
+    vq = max(ear[0], ear[-1])
+    recycled = colored[edge(vq, ear[-2] if ear[-1] == vq else ear[1])]
+    fresh = sorted({c for c in colored.values() if c >= older_colors})
+    return recycled, {c: f"y{c - older_colors + 1}" for c in fresh}
+
+
 def reference_obj(result, include_trace: bool) -> dict:
     """The result with one full snapshot per level of the trace."""
     obj = {
@@ -47,10 +62,14 @@ def reference_obj(result, include_trace: bool) -> dict:
         "edges": [{"u": u, "v": v, "color": c} for (u, v), c in sorted(result.coloring.assignment.items())],
     }
     if include_trace and result.trace is not None:
-        obj["trace"] = [
-            snapshot_obj(lv.coloring.assignment, lv.color_map, s.ear.vertices, s.recycled_color, s.color_names)
-            for s, lv in zip(result.trace, trace_levels(result.trace))
-        ]
+        obj["trace"] = []
+        older_colors = 0
+        for s, lv in zip(result.trace, trace_levels(result.trace)):
+            ear = s.ear.vertices
+            obj["trace"].append(
+                snapshot_obj(lv.coloring.assignment, lv.color_map, ear, *derived(ear, s.colored, older_colors))
+            )
+            older_colors = lv.coloring.color_count
     return obj
 
 
@@ -60,11 +79,12 @@ def fold_json_trace(trace: list) -> list[dict]:
     color_map: dict[str, int] = {}
     snapshots = []
     for level in trace:
-        assign.update({(u, v): c for u, v, c in level["colored"]})
+        assert set(level) == {"ear", "colored", "mapped"}
+        colored = {(u, v): c for u, v, c in level["colored"]}
+        names = derived(level["ear"], colored, len(set(assign.values())))
+        assign.update(colored)
         color_map.update(level["mapped"])
-        snapshots.append(
-            snapshot_obj(assign, color_map, level["ear"], level["recycled_color"], level["color_names"])
-        )
+        snapshots.append(snapshot_obj(assign, color_map, level["ear"], *names))
     return snapshots
 
 

@@ -4,6 +4,7 @@ import pathlib
 import random
 import sys
 from collections import deque
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rc2 import (
+    ColoringResult,
     EdgeColoring,
     Graph,
     Path,
     RainbowIndex,
     SizeGuard,
+    TraceStep,
     check_fan,
     check_induction_invariants,
     check_linkage,
@@ -848,6 +851,27 @@ class TestAllPairPaths:
         assert seen == [5, 6]
 
 
+def replayed(g, trace):
+    """The replay's violations, as (kind, subject), of ``trace`` on g, with
+    the coloring the trace builds and color 0 on any edge it leaves out."""
+    *_, last = trace_levels(trace)
+    assign = {e: last.coloring.assignment.get(e, 0) for e in g.edges}
+    result = ColoringResult(EdgeColoring(assign, len(set(assign.values()))), "ear_induction", trace)
+    return [(v.kind, v.subject) for v in check_induction_invariants(result, g).violations]
+
+
+def k23_trace():
+    """K_{2,3}'s one level: the base cycle plus the first ear (0, 4, 1)."""
+    return color_minimally_two_connected(k23(), with_trace=True).trace
+
+
+@cache
+def multi_level_corpus():
+    """The traced corpus colorings with at least two levels, each with its graph."""
+    traced = ((color_rc2(g, with_trace=True), g) for _, g in standard_corpus())
+    return [(res, g) for res, g in traced if res.trace is not None and len(res.trace) > 1]
+
+
 class TestInductionInvariants:
     def test_k24_trace_verifies(self):
         g = k24()
@@ -943,39 +967,103 @@ class TestInductionInvariants:
     @pytest.mark.parametrize("recycled", [2, 3])
     def test_no_prior_path_avoiding_the_recycled_color_is_B1(self, recycled):
         """In the K_{2,3} level, both rainbow 3-4 paths, 3-0-4 and 3-1-4,
-        use colors 2 and 3, so an ear from 3 to 4 cannot recycle either."""
-        g = k24()
-        res = color_minimally_two_connected(g, with_trace=True)
-        moved = dataclasses.replace(res.trace[-1], ear=Path((3, 5, 4)), recycled_color=recycled)
-        broken = dataclasses.replace(res, trace=res.trace[:-1] + (moved,))
-        report = check_induction_invariants(broken, g)
-        assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 3, 4, recycled))]
+        use colors 2 and 3, so the ear (3, 5, 4) of K_{2,3} plus that ear
+        cannot recycle either on its edge (4, 5)."""
+        g = Graph.from_edges(6, [*k23().edges, (3, 5), (4, 5)])
+        step = TraceStep(Path((3, 5, 4)), {(3, 5): 4, (4, 5): recycled}, {})
+        assert replayed(g, k23_trace() + (step,)) == [("B1", (1, 3, 4, recycled))]
 
-    def test_ear_endpoint_missing_from_the_prior_level_is_B1(self):
-        """Vertex 5 first appears on the last level, so the prior level has
-        no 0-5 path at all."""
-        g = k24()
-        res = color_minimally_two_connected(g, with_trace=True)
-        moved = dataclasses.replace(res.trace[-1], ear=Path((0, 5)))
-        broken = dataclasses.replace(res, trace=res.trace[:-1] + (moved,))
-        report = check_induction_invariants(broken, g)
-        assert [(v.kind, v.subject) for v in report.violations] == [("B1", (1, 0, 5, 0))]
+    def test_ear_endpoint_missing_from_the_prior_level_is_structure(self):
+        """Vertex 6 first appears on the level whose ear (0, 5, 6) ends at
+        it, so the ear does not join two prior vertices."""
+        g = Graph.from_edges(7, [*k23().edges, (0, 5), (5, 6), (1, 6)])
+        step = TraceStep(Path((0, 5, 6)), {(0, 5): 4, (5, 6): 5}, {5: 4})
+        assert replayed(g, k23_trace() + (step,)) == [("structure", (1, 0, 5, 6))]
 
-    def test_recycled_color_off_the_ears_last_edge_is_B2(self):
-        """Corpus graph 131: the last ear (2, 8, 9) puts recycled color 4 on
-        its edge (8, 9).  Color 5 also sits on one prior edge at vertex 2,
-        (0, 2), but the map reserves 4 for vertex 2, so a claimed 5 is
-        refused before the ear's edge is read."""
-        _, g = list(standard_corpus())[131]
-        res = color_rc2(g, with_trace=True)
-        first, last = res.trace
-        assert (last.ear.vertices, last.recycled_color) == ((2, 8, 9), 4)
-        base = next(trace_levels(res.trace))
-        assert [e for e, c in base.coloring.assignment.items() if c == 5] == [(0, 2)]
-        wrong = dataclasses.replace(last, recycled_color=5)
-        broken = dataclasses.replace(res, trace=(first, wrong))
+    def test_ear_without_interior_is_structure(self):
+        """A later step that colors only the chord (0, 1) of K_{2,3} plus
+        that chord, with the color the map reserves for vertex 0, passes
+        B1 and B2; it is no ear."""
+        g = Graph.from_edges(5, [*k23().edges, (0, 1)])
+        chord = TraceStep(Path((0, 1)), {(0, 1): 0}, {})
+        assert replayed(g, k23_trace() + (chord,)) == [("structure", (1, 0, 1))]
+
+    @pytest.mark.parametrize(
+        "index, level, ear",
+        [
+            # Corpus graph 131's last ear is (2, 8, 9).  Edges (2, 5) and
+            # (5, 8) are not the level's, 1 and 0 are prior vertices and 99
+            # is no vertex.
+            (131, 1, (2, 5, 8, 9)),
+            (131, 1, (2, 1, 0, 8, 9)),
+            (131, 1, (2, 99, 8, 9)),
+            # K_{2,4}'s last ear (0, 5, 1) cut to one edge: no interior.
+            (0, 1, (0, 5)),
+            # K_{2,4}'s first ear (0, 4, 1) moved off the first level's
+            # edges, or cut to one of them.
+            (0, 0, (0, 5, 1)),
+            (0, 0, (0, 2)),
+        ],
+    )
+    def test_ear_that_does_not_fit_its_level_is_structure(self, index, level, ear):
+        """The step's edges are left as they are.  Index 0 stands for K_{2,4}."""
+        g = k24() if index == 0 else standard_corpus()[index][1]
+        trace = color_rc2(g, with_trace=True).trace
+        moved = dataclasses.replace(trace[level], ear=Path(ear))
+        broken = trace[:level] + (moved,) + trace[level + 1 :]
+        assert replayed(g, broken) == [("structure", (level, *ear))]
+
+    @pytest.mark.parametrize(
+        "ear, colored",
+        [
+            # The ear (0, 5, 1) and, besides its edges, the level-0 edge
+            # (0, 2), recolored with the color it has or with another.
+            ((0, 5, 1), {(0, 5): 4, (1, 5): 0, (0, 2): 0}),
+            ((0, 5, 1), {(0, 5): 4, (1, 5): 0, (0, 2): 4}),
+            # An ear over the level-0 edges (0, 2) and (1, 2), through the
+            # prior vertex 2; vertex 5 is then left off the last level.
+            ((0, 2, 1), {(0, 2): 4, (1, 2): 0}),
+        ],
+    )
+    def test_coloring_a_prior_level_edge_is_structure(self, ear, colored):
+        """K_{2,4}'s last step recolors an edge its first level colored."""
+        first, _ = color_rc2(k24(), with_trace=True).trace
+        step = TraceStep(Path(ear), colored, {0: 4})
+        assert replayed(k24(), (first, step)) == [("structure", (1, *ear))]
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_replay_passes_an_ear_only_as_a_path_of_its_levels_edges(self, data):
+        """A later step of a traced corpus coloring gets another vertex
+        sequence as its ear: free ids (out-of-range ones among them), an
+        edge of the graph (a chord when both ends are prior), or the ear
+        with one vertex replaced, inserted or dropped, or reversed.  The
+        replay passes exactly when the sequence is a path whose edges are
+        the step's colored edges, and otherwise names the ear as a
+        structure violation at that level."""
+        result, g = data.draw(st.sampled_from(multi_level_corpus()))
+        level = data.draw(st.integers(1, len(result.trace) - 1))
+        step = result.trace[level]
+        ear, n = list(step.ear.vertices), g.vertex_count
+        i = data.draw(st.integers(0, len(ear) - 1))
+        x = data.draw(st.integers(-1, n))
+        choices = [
+            data.draw(st.lists(st.integers(-2, n + 1), min_size=1, max_size=6)),
+            list(data.draw(st.sampled_from(sorted(g.edges)))),
+            ear[:i] + [x] + ear[i + 1 :],
+            ear[:i] + [x] + ear[i:],
+            ear[:i] + ear[i + 1 :],
+            ear[::-1],
+        ]
+        # Path refuses a repeated vertex, so each sequence keeps its first.
+        seq = tuple(dict.fromkeys(data.draw(st.sampled_from(choices))))
+        moved = dataclasses.replace(step, ear=Path(seq))
+        broken = dataclasses.replace(result, trace=result.trace[:level] + (moved,) + result.trace[level + 1 :])
         report = check_induction_invariants(broken, g)
-        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 2, 5))]
+        if {edge(a, b) for a, b in zip(seq, seq[1:])} == step.colored.keys():
+            assert report.passed
+        else:
+            assert [(v.kind, v.subject) for v in report.violations] == [("structure", (level, *seq))]
 
     @pytest.mark.parametrize(
         "index, reserved, claimed, v1, last_edge",
@@ -992,12 +1080,10 @@ class TestInductionInvariants:
         res = color_rc2(g, with_trace=True)
         first, last = res.trace
         base = next(trace_levels(res.trace))
-        assert (last.recycled_color, base.color_map[v1]) == (reserved, reserved)
+        assert (last.colored[last_edge], base.color_map[v1]) == (reserved, reserved)
         [e] = [e for e, c in base.coloring.assignment.items() if c == claimed]
         assert v1 in e
-        colored = {**last.colored, last_edge: claimed}
-        assert last.colored[last_edge] == reserved
-        wrong = dataclasses.replace(last, recycled_color=claimed, colored=colored)
+        wrong = dataclasses.replace(last, colored={**last.colored, last_edge: claimed})
         result = EdgeColoring.from_assignment({**res.coloring.assignment, last_edge: claimed})
         broken = dataclasses.replace(res, coloring=result, trace=(first, wrong))
         report = check_induction_invariants(broken, g)
@@ -1021,12 +1107,11 @@ class TestInductionInvariants:
 
     @pytest.mark.parametrize("wrong", [1, 2])
     def test_wrong_recycled_color_is_B2(self, wrong):
-        """The last ear recycles color 0, which sits on edge (0, 2) alone.
-        Color 1 sits on (1, 2) only, color 2 on (0, 4) and (1, 3)."""
-        g = k24()
-        res = color_minimally_two_connected(g, with_trace=True)
-        assert res.trace[-1].recycled_color == 0
-        wrong_step = dataclasses.replace(res.trace[-1], recycled_color=wrong)
-        broken = dataclasses.replace(res, trace=res.trace[:-1] + (wrong_step,))
-        report = check_induction_invariants(broken, g)
-        assert [(v.kind, v.subject) for v in report.violations] == [("B2", (1, 0, wrong))]
+        """The last ear (0, 5, 1) recycles color 0, reserved for vertex 0,
+        on its edge (1, 5).  With color 1 or 2 there in its place, the
+        prior rainbow paths 0-3-1 and 0-2-1 avoid it, so B1 passes and B2
+        refuses it."""
+        first, last = color_rc2(k24(), with_trace=True).trace
+        assert last.colored == {(0, 5): 4, (1, 5): 0}
+        wrong_step = dataclasses.replace(last, colored={(0, 5): 4, (1, 5): wrong})
+        assert replayed(k24(), (first, wrong_step)) == [("B2", (1, 0, wrong))]
