@@ -3,9 +3,9 @@
 
 Enumerates every labeled 2-connected graph on n vertices (n in 3..6),
 computes the true minimum by brute force (once per isomorphism class) and
-the constructive count, and prints how many classes there are, how often
-the construction is optimal and how large the gap gets.  n = 6 takes a few
-seconds.
+the constructive count, and prints how many classes there are, how many
+classes need n - 1 colors, how often the construction is optimal and how
+large the gap gets.  n = 6 takes a few seconds.
 
 Usage:
     python3 scripts/run_census.py [--n 5 --n 6] [--out-dir census/]
@@ -41,6 +41,8 @@ def main(argv=None):
         gaps = Counter(row.rc2_constructive - row.rc2_exact for row in rows)
         optimal = gaps[0]
         print(f"n={n}: {len(rows)} graphs ({classes} classes) in {elapsed:.2f}s")
+        tight = len({row.class_id for row in rows if row.rc2_exact == n - 1})
+        print(f"  classes needing n-1 = {n - 1} colors: {tight}/{classes}")
         print(f"  construction optimal on {optimal}/{len(rows)}")
         for gap in sorted(gaps):
             if gap:

@@ -3,8 +3,13 @@
 
 For every corpus member this colors the graph, checks the rainbow
 2-connection property exhaustively, and records colors used against the
-n-1 budget.  The per-family summary shows how much of the budget the
-construction actually spends.  Under the summary line it prints the sha256
+n-1 budget.  Every ear-induction coloring is colored with its trace, and
+the trace is replayed with ``check_induction_invariants``.  A graph fails
+when its verification or its replay fails or is skipped, or when its
+coloring uses more than n-1 colors; each failure is named on its own line,
+and any failure makes the exit status 1.  The per-family summary shows how
+much of the budget the construction actually spends.  Under the summary
+line and the replay count it prints the sha256
 of the canonical coloring JSON, one line per corpus member, and the sha256
 of the traced coloring JSON (what ``rc2 color --trace`` writes: the
 coloring plus one delta per construction level), one line per corpus
@@ -24,7 +29,7 @@ from collections import defaultdict
 
 from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
-from rc2.verify import is_rainbow_two_connected
+from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 
 def main(argv=None):
@@ -36,15 +41,30 @@ def main(argv=None):
     by_family = defaultdict(lambda: {"graphs": 0, "colors": 0, "budget": 0, "failures": 0})
     digest = hashlib.sha256()
     traces = hashlib.sha256()
+    replays = 0
     t0 = time.perf_counter()
     for spec, g in standard_corpus():
         result = color_rc2(g, with_trace=True)
         digest.update(result.to_json_text().encode() + b"\n")
         traces.update(result.to_json_text(include_trace=True).encode() + b"\n")
         report = is_rainbow_two_connected(g, result.coloring)
-        ok = report.passed
         used = result.coloring.color_count
         budget = g.vertex_count - 1
+        checks = [("verification", report)]
+        if result.trace is not None:
+            replays += 1
+            checks.append(("replay", check_induction_invariants(result, g)))
+        # A skipped check fails too; its one violation names the refusal.
+        faults = [
+            f"{name}: {v.kind} {v.subject} {v.reason}"
+            for name, r in checks
+            if not r.passed
+            for v in r.violations[:1]
+        ]
+        if used > budget:
+            faults.append(f"{used} colors, more than n - 1 = {budget}")
+        for fault in faults:
+            print(f"{spec.describe()}: {fault}")
         rows.append(
             {
                 "graph": spec.describe(),
@@ -53,14 +73,14 @@ def main(argv=None):
                 "strategy": result.strategy,
                 "colors_used": used,
                 "colors_allowed": budget,
-                "verified": "yes" if ok else ("skipped" if report.skipped else "NO"),
+                "verified": "yes" if report.passed else ("skipped" if report.skipped else "NO"),
             }
         )
         agg = by_family[spec.name]
         agg["graphs"] += 1
         agg["colors"] += used
         agg["budget"] += budget
-        if not ok:
+        if faults:
             agg["failures"] += 1
     elapsed = time.perf_counter() - t0
 
@@ -76,6 +96,7 @@ def main(argv=None):
         )
     failures = sum(agg["failures"] for agg in by_family.values())
     print(f"\n{len(rows)} graphs, {failures} failures, {elapsed:.2f}s")
+    print(f"{replays} traced colorings replayed")
     print(f"colorings sha256 {digest.hexdigest()}")
     print(f"traces sha256 {traces.hexdigest()}")
 

@@ -12,7 +12,6 @@ construction honest on small graphs.
 from .coloring import (
     ColoringResult,
     EdgeColoring,
-    TraceLevel,
     TraceStep,
     color_cycle,
     color_hamiltonian_with_chord,
@@ -20,7 +19,6 @@ from .coloring import (
     color_rc2,
     coloring_from_json_obj,
     to_dot,
-    trace_levels,
 )
 from .corpus import standard_corpus
 from .ears import (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidInput, PreconditionViolated
 from .ears import EarDecomposition, build_ear_decomposition
@@ -60,8 +60,9 @@ class TraceStep:
     endpoints.  ``mapped`` adds or overrides vertex color map entries.  The
     induction replay refuses a later ear that does not join two prior
     vertices through new ones, so every edge of a level that passes touches
-    a new vertex, and none is recolored.  :func:`trace_levels` folds the
-    steps into per-level snapshots.
+    a new vertex, and none is recolored.  Folding the steps in order with
+    :meth:`apply` gives each level; the construction and the induction
+    replay each keep one running level that way.
     """
 
     ear: Path
@@ -72,26 +73,6 @@ class TraceStep:
         """Fold this level into a coloring and a vertex color map, in place."""
         assignment.update(self.colored)
         mapping.update(self.mapped)
-
-
-@dataclass(frozen=True)
-class TraceLevel:
-    """The colored subgraph after one level: the coloring's keys are its edges."""
-
-    coloring: EdgeColoring
-    color_map: dict[int, int]
-
-
-def trace_levels(trace: Iterable[TraceStep]) -> Iterator[TraceLevel]:
-    """The snapshot after each level, in order; each is a fresh copy."""
-    assignment: dict[Edge, int] = {}
-    mapping: dict[int, int] = {}
-    for step in trace:
-        step.apply(assignment, mapping)
-        yield TraceLevel(
-            EdgeColoring(dict(assignment), len(set(assignment.values()))),
-            dict(mapping),
-        )
 
 
 def _step_obj(step: TraceStep) -> dict:
@@ -114,8 +95,7 @@ class ColoringResult:
         The trace, when asked for and present, holds one object per level:
         its :class:`TraceStep`, with ``colored`` as sorted ``[u, v, c]``
         triples and string keys in ``mapped``.  Folding the levels in order,
-        as :func:`trace_levels` folds the steps, gives each level's
-        snapshot.
+        as :meth:`TraceStep.apply` folds the steps, gives each level.
         """
         assign = self.coloring.assignment
         edges = ",".join(

@@ -22,7 +22,7 @@ from itertools import accumulate, combinations
 from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .coloring import ColoringResult, EdgeColoring, trace_levels
+from .coloring import ColoringResult, EdgeColoring
 from .errors import InvalidInput, PreconditionViolated
 from .graphs import Graph, VertexSet, edge
 from .reports import (
@@ -358,7 +358,7 @@ def check_linkage(g: Graph, coloring: EdgeColoring, quad: Sequence[int]) -> tupl
 
 
 def _color_map_violations(
-    coloring: EdgeColoring, mapping: Mapping[int, int], prefix: tuple = ()
+    assign: Mapping[tuple[int, int], int], mapping: Mapping[int, int], prefix: tuple = ()
 ) -> list[Violation]:
     out: list[Violation] = []
     first_owner: dict[int, int] = {}
@@ -370,7 +370,7 @@ def _color_map_violations(
         else:
             first_owner[c] = v
     by_color: dict[int, list] = {}
-    for e, c in coloring.assignment.items():
+    for e, c in assign.items():
         by_color.setdefault(c, []).append(e)
     for v, c in sorted(mapping.items()):
         hits = sorted(by_color.get(c, []))
@@ -389,7 +389,7 @@ def check_unique_color_map(
     coloring: EdgeColoring, mapping: Mapping[int, int]
 ) -> VerificationReport:
     """Injectivity plus single-use incidence of a vertex color map."""
-    violations = _color_map_violations(coloring, mapping)
+    violations = _color_map_violations(coloring.assignment, mapping)
     if violations:
         return failing("A4/A5", violations)
     return passing("A4/A5", [("entries", len(mapping))])
@@ -400,7 +400,7 @@ def check_unique_color_map(
 
 
 def _all_pair_paths(
-    sub: Graph, coloring: EdgeColoring, verts: list[int]
+    sub: Graph, assign: Mapping[tuple[int, int], int], verts: list[int]
 ) -> dict[tuple[int, int], list[PathEntry]]:
     """All rainbow paths per vertex pair with their vertex masks, shortest first.
 
@@ -411,7 +411,7 @@ def _all_pair_paths(
     # The largest vertex is no pair's smaller end, so it needs no walk.
     for u in verts[:-1]:
         # -1 is no vertex, so the walk stops nowhere and yields every path.
-        for p in _rainbow_walk(adj, coloring.assignment, u, {u}, -1, every=True):
+        for p in _rainbow_walk(adj, assign, u, {u}, -1, every=True):
             if p[-1] > u:
                 by_pair[u, p[-1]].append(p)
     return {
@@ -460,28 +460,29 @@ def check_induction_invariants(
     def fail(kind: str, subject: tuple, reason: str) -> VerificationReport:
         return failing("induction", [Violation(kind, subject, reason)])
 
-    cache = prev_level = None
-    for idx, (step, level) in enumerate(zip(result.trace, trace_levels(result.trace))):
+    # The running level: each step folds in after its B1 and B2 checks,
+    # which read the prior level.
+    assign: dict[tuple[int, int], int] = {}
+    mapping: dict[int, int] = {}
+    for idx, step in enumerate(result.trace):
         stray = min(step.colored.keys() - g.edges, default=None)
         if stray is not None:
             return fail("structure", (idx, *stray), f"the trace colors {stray}, not an edge")
         ear, ear_edges = step.ear, set(step.ear.edges())
         if len(ear) < 3 or not (
             ear_edges <= step.colored.keys()
-            if prev_level is None
+            if not idx
             else ear_edges == step.colored.keys()
             and set(verts).intersection(ear.vertices) == {ear.first, ear.last}
         ):
             reason = f"the ear {ear.vertices} is not a path over the level's edges"
             return fail("structure", (idx, *ear.vertices), reason)
-        assign = level.coloring.assignment
-        if prev_level is not None:
+        if idx:
             v1, vq = edge(ear.first, ear.last)
             recycled = step.colored[edge(vq, ear.vertices[-2 if ear.last == vq else 1])]
-            prev_assign = prev_level.coloring.assignment
             # ``cache`` still holds the prior level's paths, none at a new vertex.
             if not any(
-                all(prev_assign[edge(a, b)] != recycled for a, b in zip(p, p[1:]))
+                all(assign[edge(a, b)] != recycled for a, b in zip(p, p[1:]))
                 for p, _ in cache.get((v1, vq), ())
             ):
                 return fail(
@@ -489,17 +490,18 @@ def check_induction_invariants(
                     (idx, v1, vq, recycled),
                     "no prior-level rainbow path between ear endpoints avoids the recycled color",
                 )
-            reserved = prev_level.color_map.get(v1)
+            reserved = mapping.get(v1)
             if recycled != reserved:
                 return fail(
                     "B2",
                     (idx, v1, recycled),
                     f"recycled color {recycled} is not the color {reserved} reserved for {v1}",
                 )
+        step.apply(assign, mapping)
 
         sub = Graph(g.vertex_count, frozenset(assign))
         verts = sorted({x for e in assign for x in e})
-        cache = _all_pair_paths(sub, level.coloring, verts)
+        cache = _all_pair_paths(sub, assign, verts)
         for (u, v), entries in cache.items():
             if _first_pair(entries, entries, 1 << u | 1 << v) is None:
                 return fail("A1", (idx, u, v), "no two internally disjoint rainbow paths")
@@ -515,11 +517,9 @@ def check_induction_invariants(
             if _a3_linkage(cache.__getitem__, quad) is None:
                 return fail("A3", (idx,) + quad, "no pairing with disjoint rainbow paths")
 
-        map_violations = _color_map_violations(level.coloring, level.color_map, (idx,))
+        map_violations = _color_map_violations(assign, mapping, (idx,))
         if map_violations:
             return failing("induction", map_violations[:1])
-
-        prev_level = level
 
     final = result.coloring.assignment
     for e, c in sorted(assign.items()):

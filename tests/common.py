@@ -88,6 +88,15 @@ def census_rows(n: int):
     return census_run(n)[0]
 
 
+def fold_levels(trace):
+    """Each level of a trace as a fresh (coloring, color map) pair of dicts:
+    the steps folded in order with ``TraceStep.apply``."""
+    assignment, mapping = {}, {}
+    for step in trace:
+        step.apply(assignment, mapping)
+        yield dict(assignment), dict(mapping)
+
+
 # ---------------------------------------------------------------------------
 # frozen expected values
 

@@ -16,7 +16,6 @@ from rc2 import (
     color_rc2,
     check_unique_color_map,
     to_dot,
-    trace_levels,
 )
 from rc2.coloring import color_base_subgraph, coloring_from_json_obj, extend_with_ear
 from rc2.errors import InvalidInput, PreconditionViolated
@@ -36,6 +35,7 @@ from .common import (
     c6_with_chord,
     cycle,
     diamond,
+    fold_levels,
     four_hub,
     k4,
     k23,
@@ -231,9 +231,9 @@ class TestInductiveColoring:
         assert len(res.trace) == 1
         step = res.trace[0]
         assert step.ear.vertices == (0, 4, 1)
-        (level,) = trace_levels(res.trace)
-        assert level.coloring.assignment == K23_COLORING
-        assert level.color_map == K23_COLOR_MAP
+        ((assignment, color_map),) = fold_levels(res.trace)
+        assert assignment == K23_COLORING
+        assert color_map == K23_COLOR_MAP
 
     def test_k24_frozen(self):
         res = color_minimally_two_connected(k24(), with_trace=True)
@@ -243,10 +243,10 @@ class TestInductiveColoring:
         last = res.trace[-1]
         assert last.ear.vertices == (0, 5, 1)
         assert last.colored[1, 5] == K24_RECYCLED
-        first, level = trace_levels(res.trace)
-        assert first.coloring.assignment == K23_COLORING
-        assert level.coloring.assignment == K24_COLORING
-        assert level.color_map == K24_COLOR_MAP
+        (first, _), (assignment, color_map) = fold_levels(res.trace)
+        assert first == K23_COLORING
+        assert assignment == K24_COLORING
+        assert color_map == K24_COLOR_MAP
 
     def test_trace_steps_state_each_fact_once(self):
         """A step holds its ear, its edges' colors and its map entries; its

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -148,6 +149,26 @@ class TestBuildDecomposition:
                     minimal.append(g)
         assert len(minimal) == 205
         assert all(build_ear_decomposition(g).repair_exchanges == 0 for g in minimal)
+
+    def test_minimalized_random_graphs_on_seven_and_eight_vertices_need_no_arc_swap(self):
+        """Five seeded relabelings of each minimalized non-cycle
+        ``random_two_connected(n, ears, seed)``, n in {7, 8}, every ear count,
+        seeds 0-59: 1,520 decompositions of 1,407 distinct labeled graphs,
+        none with a swap."""
+        labeled = []
+        for n in (7, 8):
+            for ears in range(n - 2):
+                for seed in range(60):
+                    h = spanning_minimally_two_connected(random_two_connected(n, ears, seed))
+                    if is_cycle_graph(h):
+                        continue
+                    rng = random.Random(seed)
+                    for _ in range(5):
+                        p = list(range(n))
+                        rng.shuffle(p)
+                        labeled.append(Graph.from_edges(n, [(p[u], p[v]) for u, v in h.edges]))
+        assert (len(labeled), len({g.edges for g in labeled})) == (1520, 1407)
+        assert all(build_ear_decomposition(g).repair_exchanges == 0 for g in labeled)
 
 
 class TestCheckEarConditions:

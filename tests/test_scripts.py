@@ -1,5 +1,6 @@
 """The two scripts under ``scripts/``, each run as a subprocess with the
-package taken from ``src/``.
+package taken from ``src/``, or loaded from its file to damage what it
+checks.
 
 ``run_corpus.py`` prints a digest of the corpus colorings and one of the
 traced colorings; both are pinned here and quoted in the README, so a
@@ -8,10 +9,17 @@ are recorded again on purpose, with the reason in CHANGES.md.
 """
 
 import csv
+import dataclasses
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from rc2.coloring import EdgeColoring
+from rc2.reports import skipped
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +43,8 @@ def test_run_corpus_prints_the_pinned_digests():
     lines = done.stdout.splitlines()
     assert f"colorings sha256 {COLORINGS_SHA256}" in lines
     assert f"traces sha256 {TRACES_SHA256}" in lines
+    # Every ear-induction coloring of the corpus is replayed.
+    assert "98 traced colorings replayed" in lines
 
 
 def test_run_corpus_writes_one_verified_csv_row_per_graph(tmp_path):
@@ -49,6 +59,72 @@ def test_run_corpus_writes_one_verified_csv_row_per_graph(tmp_path):
     assert all(row[-1] == "yes" for row in rows[1:])
 
 
+def load_run_corpus():
+    """``run_corpus.py`` as a module, read from its file."""
+    spec = importlib.util.spec_from_file_location("run_corpus", ROOT / "scripts" / "run_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def damage_first(script, monkeypatch, traced, damage):
+    """Run ``script`` with ``damage`` applied to the first result that has
+    (or, without ``traced``, lacks) a trace, and return its exit status."""
+    color_rc2 = script.color_rc2
+    damaged = []
+
+    def colored(g, with_trace):
+        result = color_rc2(g, with_trace=with_trace)
+        if not damaged and (result.trace is not None) == traced:
+            damaged.append(result)
+            return damage(result)
+        return result
+
+    monkeypatch.setattr(script, "color_rc2", colored)
+    return script.main([])
+
+
+def test_run_corpus_fails_a_coloring_over_n_minus_one_colors(monkeypatch, capsys):
+    """One edge of the wheel W4's (that is, K4's) Hamiltonian-chord coloring
+    takes a fresh color: the coloring still verifies, but it spends n = 4
+    colors."""
+
+    def fresh_color(result):
+        assign = result.coloring.assignment
+        recolored = {**assign, min(assign): result.coloring.color_count}
+        return dataclasses.replace(result, coloring=EdgeColoring.from_assignment(recolored))
+
+    script = load_run_corpus()
+    assert damage_first(script, monkeypatch, False, fresh_color) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "wheel(n=4): 4 colors, more than n - 1 = 3"
+    assert "154 graphs, 1 failures" in lines[-4]
+
+
+@pytest.mark.parametrize("how", ["damaged", "skipped"])
+def test_run_corpus_fails_a_replay_that_fails_or_is_skipped(monkeypatch, capsys, how):
+    """The first traced coloring keeps its coloring and its verification,
+    but its trace puts another color on one edge, or its replay is skipped."""
+
+    def recolor_in_trace(result):
+        *head, last = result.trace
+        step = dataclasses.replace(last, colored={**last.colored, min(last.colored): 99})
+        return dataclasses.replace(result, trace=(*head, step))
+
+    script = load_run_corpus()
+    if how == "skipped":
+        monkeypatch.setattr(
+            script, "check_induction_invariants", lambda result, g: skipped("induction", "refused")
+        )
+        assert script.main([]) == 1
+    else:
+        assert damage_first(script, monkeypatch, True, recolor_in_trace) == 1
+    out = capsys.readouterr().out
+    faults = [line for line in out.splitlines() if ": replay: " in line]
+    assert faults[0].startswith("theta(a=2,b=2,c=2): replay: ")
+    assert len(faults) == (98 if how == "skipped" else 1)
+
+
 def test_readme_quotes_the_pinned_digests():
     """The README quotes the first 8 hex digits of both digests above."""
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
@@ -60,6 +136,8 @@ def test_run_census_counts_graphs_and_classes():
     done = run_script("run_census.py", "--n", "4")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("n=4: 10 graphs (3 classes) in ")
+    # The diamond needs 3 colors; the 4-cycle needs 4 and K4 needs 2.
+    assert done.stdout.splitlines()[1] == "  classes needing n-1 = 3 colors: 1/3"
 
 
 def test_run_census_refuses_n_7():

@@ -3,7 +3,8 @@
 ``ColoringResult.to_json_text`` writes each level of the trace as its
 delta: its ear, the edges it colors and the color-map entries it adds.
 Here the parsed deltas are folded level by level and compared with
-snapshot objects built directly from ``trace_levels``; the untraced head is
+snapshot objects built from the steps folded with ``TraceStep.apply``
+(``fold_levels``); the untraced head is
 compared with ``canonical_json`` of a reference object, and the deltas are
 checked to color each edge of the minimalized subgraph once.  The snapshot
 reference ``reference_obj`` is also what ``tests/test_pinned_colorings.py``
@@ -18,13 +19,15 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rc2.coloring import color_rc2, trace_levels
+from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
 from rc2.generators import complete_bipartite_graph, random_two_connected
 from rc2.graphs import canonical_json, edge
 from rc2.minimalize import spanning_minimally_two_connected
 from rc2.reports import DEFAULT_GUARD
 from rc2.verify import check_induction_invariants
+
+from .common import fold_levels
 
 
 def snapshot_obj(assign, color_map, ear, recycled_color, color_names) -> dict:
@@ -64,12 +67,12 @@ def reference_obj(result, include_trace: bool) -> dict:
     if include_trace and result.trace is not None:
         obj["trace"] = []
         older_colors = 0
-        for s, lv in zip(result.trace, trace_levels(result.trace)):
+        for s, (assign, color_map) in zip(result.trace, fold_levels(result.trace)):
             ear = s.ear.vertices
             obj["trace"].append(
-                snapshot_obj(lv.coloring.assignment, lv.color_map, ear, *derived(ear, s.colored, older_colors))
+                snapshot_obj(assign, color_map, ear, *derived(ear, s.colored, older_colors))
             )
-            older_colors = lv.coloring.color_count
+            older_colors = len(set(assign.values()))
     return obj
 
 
@@ -107,8 +110,8 @@ def assert_renders_like_the_reference(result):
 def string_order_differs(result) -> bool:
     """Some level's color map sorts differently as strings than as numbers."""
     return any(
-        sorted(level.color_map, key=str) != sorted(level.color_map)
-        for level in trace_levels(result.trace or ())
+        sorted(color_map, key=str) != sorted(color_map)
+        for _, color_map in fold_levels(result.trace or ())
     )
 
 
@@ -133,9 +136,9 @@ def test_damaged_last_level_renders_like_its_snapshot():
         if result.trace is not None and len(result.trace) > 1 and string_order_differs(result):
             break
     first, *_, last = result.trace
-    before = list(trace_levels(result.trace))[-2]
+    _, before_map = list(fold_levels(result.trace))[-2]
     older = min(first.colored)
-    kept = min(x for x in before.color_map if x not in last.mapped)
+    kept = min(x for x in before_map if x not in last.mapped)
     assert older not in last.colored
     damaged = dataclasses.replace(
         last,
@@ -143,9 +146,9 @@ def test_damaged_last_level_renders_like_its_snapshot():
         mapped={**last.mapped, kept: 98},
     )
     broken = dataclasses.replace(result, trace=result.trace[:-1] + (damaged,))
-    level = list(trace_levels(broken.trace))[-1]
-    assert level.coloring.assignment[older] == 99
-    assert level.color_map[kept] == 98
+    *_, (assign, color_map) = fold_levels(broken.trace)
+    assert assign[older] == 99
+    assert color_map[kept] == 98
     assert_renders_like_the_reference(broken)
     trace = broken.to_json_obj(include_trace=True)["trace"]
     assert [*older, 99] in trace[-1]["colored"]

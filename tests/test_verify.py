@@ -29,7 +29,6 @@ from rc2 import (
     enumerate_rainbow_paths,
     has_two_internally_disjoint_rainbow_paths,
     is_rainbow_two_connected,
-    trace_levels,
 )
 from rc2 import verify
 from rc2.corpus import standard_corpus
@@ -37,7 +36,7 @@ from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.generators import complete_graph, theta_graph, wheel_graph
 from rc2.reports import failing
 
-from .common import K23_COLORING, cycle, k23, k24
+from .common import K23_COLORING, cycle, fold_levels, k23, k24
 from .strategies import colorings_of, two_connected_graphs
 
 
@@ -833,20 +832,19 @@ class TestAllPairPaths:
     def test_matches_the_pair_search(self, g, data):
         coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=3)))
         verts = list(range(g.vertex_count))
-        assert verify._all_pair_paths(g, coloring, verts) == sorted_paths_per_pair(g, coloring, verts)
+        assert verify._all_pair_paths(g, coloring.assignment, verts) == sorted_paths_per_pair(g, coloring, verts)
 
     def test_level_subgraph_leaves_vertices_out(self):
         """K_{2,4}'s base level is a K_{2,3} on five of its six vertices."""
         g = k24()
         res = color_minimally_two_connected(g, with_trace=True)
         seen = []
-        for level in trace_levels(res.trace):
-            assign = level.coloring.assignment
+        for assign, _ in fold_levels(res.trace):
             sub = Graph(g.vertex_count, frozenset(assign))
             verts = sorted({x for e in assign for x in e})
             seen.append(len(verts))
-            got = verify._all_pair_paths(sub, level.coloring, verts)
-            assert got == sorted_paths_per_pair(sub, level.coloring, verts)
+            got = verify._all_pair_paths(sub, assign, verts)
+            assert got == sorted_paths_per_pair(sub, EdgeColoring.from_assignment(assign), verts)
             assert list(got) == list(combinations(verts, 2))
         assert seen == [5, 6]
 
@@ -854,8 +852,8 @@ class TestAllPairPaths:
 def replayed(g, trace):
     """The replay's violations, as (kind, subject), of ``trace`` on g, with
     the coloring the trace builds and color 0 on any edge it leaves out."""
-    *_, last = trace_levels(trace)
-    assign = {e: last.coloring.assignment.get(e, 0) for e in g.edges}
+    *_, (last, _) = fold_levels(trace)
+    assign = {e: last.get(e, 0) for e in g.edges}
     result = ColoringResult(EdgeColoring(assign, len(set(assign.values()))), "ear_induction", trace)
     return [(v.kind, v.subject) for v in check_induction_invariants(result, g).violations]
 
@@ -957,7 +955,8 @@ class TestInductionInvariants:
         g = k24()
         res = color_minimally_two_connected(g, with_trace=True)
         step = res.trace[-1]
-        color_02 = list(trace_levels(res.trace))[-1].coloring.assignment[(0, 2)]
+        *_, (assign, _) = fold_levels(res.trace)
+        color_02 = assign[0, 2]
         broken_step = dataclasses.replace(step, colored={**step.colored, (0, 5): color_02})
         broken = dataclasses.replace(res, trace=res.trace[:-1] + (broken_step,))
         report = check_induction_invariants(broken, g)
@@ -1079,9 +1078,9 @@ class TestInductionInvariants:
         _, g = list(standard_corpus())[index]
         res = color_rc2(g, with_trace=True)
         first, last = res.trace
-        base = next(trace_levels(res.trace))
-        assert (last.colored[last_edge], base.color_map[v1]) == (reserved, reserved)
-        [e] = [e for e, c in base.coloring.assignment.items() if c == claimed]
+        base, base_map = next(fold_levels(res.trace))
+        assert (last.colored[last_edge], base_map[v1]) == (reserved, reserved)
+        [e] = [e for e, c in base.items() if c == claimed]
         assert v1 in e
         wrong = dataclasses.replace(last, colored={**last.colored, last_edge: claimed})
         result = EdgeColoring.from_assignment({**res.coloring.assignment, last_edge: claimed})
