@@ -5,7 +5,7 @@ by two rainbow paths (all edge colors distinct within a path) that share
 only their endpoints.  This package builds such colorings constructively:
 cycles need exactly n colors, every other 2-connected graph gets at most
 n-1, via a minimally 2-connected spanning subgraph and an ear-by-ear
-inductive coloring.  A verifier and a brute-force oracle keep the
+inductive coloring.  A verifier and an exact oracle keep the
 construction honest on small graphs.
 """
 
@@ -49,7 +49,7 @@ from .minimalize import (
     is_minimally_two_connected,
     spanning_minimally_two_connected,
 )
-from .oracle import brute_force_rc2, census_csv, census_small_graphs
+from .oracle import brute_force_rc2, census_csv, census_small_graphs, exact_rc2
 from .reports import DEFAULT_GUARD, SizeGuard, VerificationReport, Violation
 from .verify import (
     RainbowIndex,

@@ -2,7 +2,8 @@
 
 Subcommands: ``gen`` (family generators), ``color`` (produce a coloring),
 ``verify`` (check a coloring), ``minimalize``, ``decompose``, ``oracle``
-(brute-force minimum), ``census`` (exact-vs-constructed table for tiny n).
+(exact minimum by pruned search), ``census`` (exact-vs-constructed table
+for tiny n).
 
 Graphs come from ``--input`` (``--graph`` for ``verify``) or stdin.  A text
 whose first non-blank character is ``{`` is read as JSON
@@ -37,7 +38,7 @@ from .graphs import (
     parse_json,
 )
 from .minimalize import spanning_minimally_two_connected
-from .oracle import CENSUS_SIZES, DEFAULT_BUDGET, brute_force_rc2, census_csv, census_small_graphs
+from .oracle import CENSUS_SIZES, DEFAULT_BUDGET, census_csv, census_small_graphs, exact_rc2
 from .reports import DEFAULT_GUARD, SizeGuard
 from .verify import is_rainbow_two_connected
 
@@ -151,7 +152,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_oracle(args) -> int:
     g = _load_graph(args.input)
     try:
-        payload = {"rc2": brute_force_rc2(g, budget=args.budget)}
+        payload = {"rc2": exact_rc2(g, budget=args.budget)}
     except BudgetExceeded as exc:
         payload = {"budget_exceeded": True, "rc2_lower_bound": exc.lower_bound}
     _emit(canonical_json(payload) + "\n", args.out)
@@ -218,9 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(p)
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("oracle", help="brute-force minimum color count (tiny graphs)")
+    p = sub.add_parser("oracle", help="exact minimum color count by pruned search (tiny graphs)")
     add_io(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max feasibility tests")
+    p.add_argument(
+        "--budget",
+        type=int,
+        default=DEFAULT_BUDGET,
+        help="max canonical colorings decided; a dropped prefix counts as all its completions",
+    )
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("census", help="exact vs constructed counts for all tiny graphs")

@@ -33,11 +33,13 @@ def theta_graph(a: int, b: int, c: int) -> Graph:
     with a, b, c edges respectively (each at least 2).
 
     Measured, not proved: on the 35 corpus thetas (a + b + c at most 10, so
-    n = 5..9) the brute-force oracle finds the exact rc2 value n - 1, the
-    paper's upper bound, except for theta(2, 2, 2) = K_{2,3}, which needs 3
-    colors.  ``EXACT_RC2`` in ``tests/common.py`` pins four of these values
-    from the oracle: theta(2,2,3) = 5, theta(2,3,3) = 6, theta(3,3,3) = 7
-    and theta(2,3,4) = 7.
+    n = 5..9) the oracle finds the exact rc2 value n - 1, the paper's upper
+    bound, except for theta(2, 2, 2) = K_{2,3}, which needs 3 colors;
+    ``test_every_corpus_theta_needs_n_minus_one_colors`` in
+    ``tests/test_oracle.py`` checks this.  ``EXACT_RC2`` in
+    ``tests/common.py`` pins four of these values from the oracle:
+    theta(2,2,3) = 5, theta(2,3,3) = 6, theta(3,3,3) = 7 and
+    theta(2,3,4) = 7.
     """
     if min(a, b, c) < 2:
         raise InvalidInput("theta path lengths must each be >= 2")

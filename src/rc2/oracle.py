@@ -1,21 +1,25 @@
-"""Brute-force ground truth for the minimum rainbow-2-connecting color count.
+"""Exact ground truth for the minimum rainbow-2-connecting color count.
 
-The search enumerates edge colorings in canonical form (first edge color 0,
+Both solvers walk edge colorings in canonical form (first edge color 0,
 each later color at most one past the running maximum) so each partition of
-the edges into color classes is tested exactly once, split by the exact
-number of classes.  For each class count the colorings come in
-lexicographic order, each made from the one before by an iterative
-successor step, so a budget counts the same feasibility tests in the same
-order as a recursive enumeration would.  Feasibility is tested by
-:class:`~rc2.verify.RainbowIndex`, which enumerates simple paths with its own
-walk, not the verifier's rainbow-path search, so the oracle stays an
-independent reference for the verifier.  Only viable for tiny graphs; a
-budget caps the number of feasibility tests.
+the edges into color classes is met exactly once, split by the exact
+number of classes, and for each class count in lexicographic order.
+:func:`brute_force_rc2`, the slow reference, tests every coloring in turn,
+each made from the one before by an iterative successor step.
+:func:`exact_rc2`, the fast path that ``rc2 oracle`` calls, grows colorings
+edge by edge and drops a prefix once some vertex pair has no free pairing.
+A budget counts canonical colorings decided, a dropped prefix counting as
+all of its completions, so both solvers give the same value or run out at
+the same point.  Feasibility is tested by :class:`~rc2.verify.RainbowIndex`,
+which enumerates simple paths with its own walk, not the verifier's
+rainbow-path search, so the oracle stays an independent reference for the
+verifier.  Only viable for tiny graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 from typing import Iterator
 
@@ -88,6 +92,78 @@ def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
             remaining -= 1
             if index.feasible(colors):
                 return k
+    raise AssertionError("rc2(G) <= n for every 2-connected G, and m >= n, so k = n is feasible")
+
+
+@cache
+def _completions(r: int, b: int, k: int) -> int:
+    """Ways to color r more edges so that a canonical prefix that has used
+    b colors ends with exactly k: each edge takes one of the b colors or
+    opens the next."""
+    if not r:
+        return int(b == k)
+    return b * _completions(r - 1, b, k) + (_completions(r - 1, b + 1, k) if b < k else 0)
+
+
+def exact_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
+    """Smallest color count that rainbow-2-connects g, by pruned search.
+
+    For k = 1..n it walks the canonical colorings with exactly k colors
+    depth-first, in the order of ``_exact_k_colorings``, and grows the
+    coloring's conflict mask one edge at a time.  A prefix is dropped as
+    soon as some vertex pair has no pairing free of its conflicts; conflicts
+    only grow, so none of its completions is feasible.  The budget counts
+    canonical colorings decided, a dropped prefix counting as all of its
+    completions.  Those form one run of infeasible colorings in the brute
+    force's order, so for every budget this returns what
+    :func:`brute_force_rc2` returns, or raises the same ``BudgetExceeded``.
+    """
+    if budget < 0:
+        raise InvalidInput(f"budget must be at least 0, got {budget}")
+    if not is_two_connected(g):
+        raise PreconditionViolated("the property is only defined for 2-connected graphs")
+    index = RainbowIndex(g)
+    m = g.edge_count
+    remaining = budget
+
+    def decide(count: int, k: int) -> None:
+        nonlocal remaining
+        if remaining < count:
+            raise BudgetExceeded(
+                f"budget of {budget} feasibility tests exhausted at {k} colors",
+                lower_bound=k,
+            )
+        remaining -= count
+
+    def extend(f: int, used: int, conflict: int, classes: list[int], k: int) -> bool:
+        """Is some completion of this prefix of f edges, with ``classes[c]``
+        the edge mask of color c, feasible?"""
+        if f == m:
+            # No prefix of this coloring was blocked, so it is feasible.
+            decide(1, k)
+            return True
+        for c in range(min(used + 1, k)):
+            top = max(used, c + 1)
+            count = _completions(m - f - 1, top, k)
+            if not count:
+                continue
+            same = classes[c]
+            # Edge f's pairs with the edges of its class: bits f*m + e, as
+            # RainbowIndex lays them out.  A fresh color adds none.
+            grown = conflict | same << f * m
+            if same and index.blocked(grown):
+                decide(count, k)
+                continue
+            classes[c] = same | 1 << f
+            found = extend(f + 1, top, grown, classes, k)
+            classes[c] = same
+            if found:
+                return True
+        return False
+
+    for k in range(1, g.vertex_count + 1):
+        if extend(0, 0, 0, [0] * k, k):
+            return k
     raise AssertionError("rc2(G) <= n for every 2-connected G, and m >= n, so k = n is feasible")
 
 

@@ -533,7 +533,7 @@ def check_induction_invariants(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive feasibility index for the brute-force oracle
+# exhaustive feasibility index for the oracle
 
 class RainbowIndex:
     """Precomputed simple paths for testing many colorings of one graph.
@@ -611,10 +611,16 @@ class RainbowIndex:
             else:
                 conflict |= same << row
                 earlier[c] = same | bit
+        return not self.blocked(conflict)
+
+    def blocked(self, conflict: int) -> bool:
+        """Does some vertex pair have no pairing mask free of this conflict
+        mask?  Adding same-colored edge pairs never frees a pairing, so a
+        blocked mask stays blocked as it grows."""
         for masks in self._masks:
             for mask in masks:
                 if not mask & conflict:
                     break
             else:
-                return False
-        return True
+                return True
+        return False

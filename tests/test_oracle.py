@@ -1,15 +1,24 @@
 import hashlib
+import random
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rc2 import Graph, RainbowIndex, brute_force_rc2, census_csv, census_small_graphs, color_rc2
+from rc2 import (
+    Graph,
+    RainbowIndex,
+    brute_force_rc2,
+    census_csv,
+    census_small_graphs,
+    color_rc2,
+    exact_rc2,
+)
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.corpus import standard_corpus
 from rc2.generators import theta_graph
-from rc2.oracle import _exact_k_colorings
+from rc2.oracle import _completions, _exact_k_colorings
 
 from .common import (
     EXACT_RC2,
@@ -37,6 +46,18 @@ CENSUS_CSV_SHA256 = {
 
 def row_graph(row):
     return Graph.from_edges(row.n, [tuple(map(int, e.split("-"))) for e in row.edges.split(";")])
+
+
+def named_graph(name):
+    named = {"k23": k23(), "k4": k4(), "diamond": diamond(), "w5": wheel(5), "c5": cycle(5)}
+    return named[name] if name in named else theta_graph(*map(int, name.removeprefix("theta")))
+
+
+def oracle_outcome(oracle, g, budget):
+    try:
+        return oracle(g, budget=budget)
+    except BudgetExceeded as exc:
+        return exc.lower_bound, str(exc)
 
 
 # Stirling set numbers S(m, k): how many ways to split m labeled items
@@ -110,8 +131,7 @@ class TestBruteForce:
     def test_exact_values_are_the_oracles(self, name):
         """Each pinned (exact, constructed) pair, from the oracle and from
         the construction."""
-        named = {"k23": k23(), "k4": k4(), "diamond": diamond(), "w5": wheel(5)}
-        g = named[name] if name in named else theta_graph(*map(int, name.removeprefix("theta")))
+        g = named_graph(name)
         assert (brute_force_rc2(g), color_rc2(g).coloring.color_count) == EXACT_RC2[name]
 
     def test_construction_spends_n_minus_one_on_every_corpus_theta(self):
@@ -169,6 +189,57 @@ class TestBruteForce:
         bumped = list(vec)
         bumped[0] = max(vec) + 1
         assert index.feasible(bumped)
+
+
+class TestExactRc2:
+    """The pruned search against the brute force, its slow reference."""
+
+    @pytest.mark.parametrize("m", range(9))
+    def test_completions_count_the_canonical_colorings(self, m):
+        for k in range(1, m + 2):
+            assert _completions(m, 0, k) == len(list(_exact_k_colorings(m, k))), (m, k)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_matches_the_census_on_every_class(self, n):
+        representatives = [row for row in census_rows(n) if row.class_id == row.graph_id]
+        assert len(representatives) == TWO_CONNECTED_CLASS_COUNTS[n]
+        for row in representatives:
+            assert exact_rc2(row_graph(row)) == row.rc2_exact, row.edges
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(4), cycle(5), *map(named_graph, sorted(EXACT_RC2))],
+        ids=["c4", "c5", *sorted(EXACT_RC2)],
+    )
+    def test_matches_the_brute_force(self, g):
+        assert exact_rc2(g) == brute_force_rc2(g)
+
+    @pytest.mark.parametrize("name", ["k23", "k4", "diamond", "w5", "c5", "theta234"])
+    def test_budget_parity(self, name):
+        """Every budget gives the brute force's value, or its BudgetExceeded
+        with the same lower bound and message."""
+        g = named_graph(name)
+        theta = TestBruteForce.THETA_TESTS
+        sample = random.Random(34).sample(range(theta + 200), 8)
+        for budget in [*range(41), theta - 1, theta, *sample]:
+            assert oracle_outcome(exact_rc2, g, budget) == oracle_outcome(
+                brute_force_rc2, g, budget
+            ), (name, budget)
+
+    def test_refuses_as_the_brute_force_does(self):
+        with pytest.raises(InvalidInput, match="budget must be at least 0, got -5"):
+            exact_rc2(k23(), budget=-5)
+        with pytest.raises(PreconditionViolated, match="only defined for 2-connected graphs"):
+            exact_rc2(Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+    def test_every_corpus_theta_needs_n_minus_one_colors(self):
+        """Measured, not proved: the paper's bound n - 1 is the exact value
+        on all 35 corpus thetas but theta(2,2,2) = K_{2,3}, which needs 3."""
+        thetas = [g for spec, g in standard_corpus() if spec.name == "theta"]
+        assert len(thetas) == 35
+        for g in thetas:
+            expected = 3 if g.vertex_count == 5 else g.vertex_count - 1
+            assert exact_rc2(g) == expected, sorted(g.edges)
 
 
 class TestCensus:
