@@ -68,6 +68,16 @@ def _exact_k_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
         top[i:] = [mx] * (zeros + 1) + list(range(mx + 1, k))
 
 
+def _checked_index(g: Graph, budget: int) -> RainbowIndex:
+    """The feasibility index of g, once both solvers' input contract holds:
+    a budget of at least 0 and a 2-connected g."""
+    if budget < 0:
+        raise InvalidInput(f"budget must be at least 0, got {budget}")
+    if not is_two_connected(g):
+        raise PreconditionViolated("the property is only defined for 2-connected graphs")
+    return RainbowIndex(g)
+
+
 def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest color count that rainbow-2-connects g.
 
@@ -75,11 +85,7 @@ def brute_force_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     feasibility tests have run.  A negative budget is refused as invalid
     input; a budget of 0 raises BudgetExceeded at once.
     """
-    if budget < 0:
-        raise InvalidInput(f"budget must be at least 0, got {budget}")
-    if not is_two_connected(g):
-        raise PreconditionViolated("the property is only defined for 2-connected graphs")
-    index = RainbowIndex(g)
+    index = _checked_index(g, budget)
     m = g.edge_count
     remaining = budget
     for k in range(1, g.vertex_count + 1):
@@ -118,11 +124,7 @@ def exact_rc2(g: Graph, budget: int = DEFAULT_BUDGET) -> int:
     force's order, so for every budget this returns what
     :func:`brute_force_rc2` returns, or raises the same ``BudgetExceeded``.
     """
-    if budget < 0:
-        raise InvalidInput(f"budget must be at least 0, got {budget}")
-    if not is_two_connected(g):
-        raise PreconditionViolated("the property is only defined for 2-connected graphs")
-    index = RainbowIndex(g)
+    index = _checked_index(g, budget)
     m = g.edge_count
     remaining = budget
 

@@ -17,7 +17,7 @@ from rc2 import (
 )
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.corpus import standard_corpus
-from rc2.generators import theta_graph
+from rc2.generators import random_two_connected, theta_graph
 from rc2.oracle import _completions, _exact_k_colorings
 
 from .common import (
@@ -179,8 +179,6 @@ class TestBruteForce:
     def test_fresh_color_preserves_feasibility(self, seed):
         """Recoloring one edge with a brand-new color can only help, so the
         oracle's minimum k stays feasible at k+1."""
-        from rc2.generators import random_two_connected
-
         g = random_two_connected(5 + seed % 2, 1, seed)
         index = RainbowIndex(g)
         res = color_rc2(g)
@@ -213,6 +211,19 @@ class TestExactRc2:
     )
     def test_matches_the_brute_force(self, g):
         assert exact_rc2(g) == brute_force_rc2(g)
+
+    def test_matches_the_brute_force_on_seven_vertices(self):
+        """Twelve seeded 7-vertex graphs, each a random ear graph with up to
+        two seeded chords, whose exact values run from 3 to 6."""
+        values = set()
+        for s in range(12):
+            g = random_two_connected(7, 1 + s % 4, s)
+            absent = sorted(set(combinations(range(7), 2)) - g.edges)
+            g = Graph(7, g.edges | set(random.Random(s).sample(absent, s % 3)))
+            value = brute_force_rc2(g)
+            assert exact_rc2(g) == value, (s, sorted(g.edges))
+            values.add(value)
+        assert values == {3, 4, 5, 6}
 
     @pytest.mark.parametrize("name", ["k23", "k4", "diamond", "w5", "c5", "theta234"])
     def test_budget_parity(self, name):
