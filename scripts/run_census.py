@@ -5,7 +5,11 @@ Enumerates every labeled 2-connected graph on n vertices (n in 3..6),
 computes the true minimum by brute force (once per isomorphism class) and
 the constructive count, and prints how many classes there are, how many
 classes need n - 1 colors, how often the construction is optimal and how
-large the gap gets.  n = 6 takes a few seconds.
+large the gap gets.  n = 6 takes a few seconds.  Every row is checked
+against the theorem: exact at most constructed, exact = n exactly when the
+graph is a cycle, and constructed at most n - 1 for a non-cycle.  Each row
+that breaks it is named on its own line, and any such row makes the exit
+status 1.
 
 Usage:
     python3 scripts/run_census.py [--n 5 --n 6] [--out-dir census/]
@@ -18,6 +22,22 @@ from collections import Counter
 from pathlib import Path
 
 from rc2.oracle import CENSUS_SIZES, census_csv, census_small_graphs
+
+
+def faults(row):
+    """How the row breaks the theorem, if it does.  The package's own
+    asserts check some of this, but ``python -O`` strips them."""
+    n, exact, built = row.n, row.rc2_exact, row.rc2_constructive
+    found = []
+    if exact > built:
+        found.append(f"exact {exact} above constructed {built}")
+    if row.is_cycle and exact != n:
+        found.append(f"a cycle with exact {exact}, not n = {n}")
+    if not row.is_cycle and exact == n:
+        found.append(f"a non-cycle with exact n = {n}")
+    if not row.is_cycle and built > n - 1:
+        found.append(f"constructed {built}, more than n - 1 = {n - 1}")
+    return found
 
 
 def main(argv=None):
@@ -33,10 +53,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sizes = args.n or CENSUS_SIZES
 
+    broken = 0
     for n in sizes:
         t0 = time.perf_counter()
         rows = census_small_graphs(n)
         elapsed = time.perf_counter() - t0
+        for row in rows:
+            found = faults(row)
+            broken += bool(found)
+            for fault in found:
+                print(f"n={n} graph {row.graph_id} ({row.edges}): {fault}")
         classes = len({row.class_id for row in rows})
         gaps = Counter(row.rc2_constructive - row.rc2_exact for row in rows)
         optimal = gaps[0]
@@ -59,7 +85,9 @@ def main(argv=None):
             path = out / f"census_{n}.csv"
             path.write_text(census_csv(rows))
             print(f"  wrote {path}")
-    return 0
+    if broken:
+        print(f"graphs breaking the theorem: {broken}")
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ each later color at most one past the running maximum) so each partition of
 the edges into color classes is met exactly once, split by the exact
 number of classes, and for each class count in lexicographic order.
 :func:`brute_force_rc2`, the slow reference, tests every coloring in turn,
-each made from the one before by an iterative successor step.
+as one depth-first walk yields them in that order.
 :func:`exact_rc2`, the fast path that ``rc2 oracle`` calls, grows colorings
 edge by edge and drops a prefix once some vertex pair has no free pairing.
 A budget counts canonical colorings decided, a dropped prefix counting as
@@ -36,36 +36,29 @@ def _exact_k_colorings(m: int, k: int) -> Iterator[tuple[int, ...]]:
     lexicographic order."""
     if not 1 <= k <= m:
         return
-    if k == 1:
-        yield (0,) * m
-        return
-    # The first is all zeros but for a closing run 1..k-1; top[i] is the
-    # largest color among colors[:i + 1].
-    colors = [0] * (m - k + 1) + list(range(1, k))
-    top = list(colors)
+    colors = [0] * m
     last = m - 1
-    while True:
-        yield tuple(colors)
-        # Once the rest holds every color, the last entry takes each value
-        # from here on; otherwise it must be the one missing color.
-        if top[last - 1] == k - 1:
-            for c in range(colors[last] + 1, k):
-                colors[last] = c
-                yield tuple(colors)
-        # Bump the last earlier entry that can grow: one that is neither a
-        # new maximum nor the last color.  Such an entry leaves the entries
-        # after it room for every missing color, so they become their
-        # smallest completion: zeros, then the missing colors in order.
-        i = last - 1
-        while i and (colors[i] > top[i - 1] or colors[i] == k - 1):
-            i -= 1
-        if not i:
+
+    def fill(i: int, used: int) -> Iterator[int]:
+        """Fill colors[i:last] in every way after colors[:i], which uses
+        colors 0..used-1, and yield the count of colors used each time."""
+        if i == last:
+            yield used
             return
-        c = colors[i] + 1
-        mx = max(top[i - 1], c)
-        zeros = m - i - k + mx
-        colors[i:] = [c] + [0] * zeros + list(range(mx + 1, k))
-        top[i:] = [mx] * (zeros + 1) + list(range(mx + 1, k))
+        # Color c must leave the later entries room to open every missing
+        # color.
+        for c in range(min(used + 1, k)):
+            top = max(used, c + 1)
+            if k - top <= last - i:
+                colors[i] = c
+                yield from fill(i + 1, top)
+
+    # The last entry is the one missing color, or any color once none is
+    # missing.
+    for used in fill(0, 0):
+        for c in (used,) if used < k else range(k):
+            colors[last] = c
+            yield tuple(colors)
 
 
 def _checked_index(g: Graph, budget: int) -> RainbowIndex:

@@ -17,7 +17,7 @@ from rc2 import (
 )
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.corpus import standard_corpus
-from rc2.generators import random_two_connected, theta_graph
+from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
 from rc2.oracle import _completions, _exact_k_colorings
 
 from .common import (
@@ -30,6 +30,7 @@ from .common import (
     diamond,
     k4,
     k23,
+    prism,
     wheel,
 )
 
@@ -104,6 +105,19 @@ class TestExactKColorings:
         for k in range(m + 2):
             expected = [t for t in product(range(k), repeat=m) if canonical(t, k)]
             assert list(_exact_k_colorings(m, k)) == expected, (m, k)
+
+    # S(10, k) for k = 1..10; they sum to the Bell number B(10) = 115,975.
+    STIRLING_10 = [1, 511, 9_330, 34_105, 42_525, 22_827, 5_880, 750, 45, 1]
+
+    def test_ten_edges(self):
+        for k, count in enumerate(self.STIRLING_10, start=1):
+            got = list(_exact_k_colorings(10, k))
+            assert len(got) == len(set(got)) == count, k
+            # Canonical with exactly k colors: the colors first appear in
+            # the order 0, 1, ..., k - 1.
+            first_seen = list(range(k))
+            assert all(list(dict.fromkeys(colors)) == first_seen for colors in got), k
+        assert sum(self.STIRLING_10) == 115_975
 
 
 class TestBruteForce:
@@ -251,6 +265,50 @@ class TestExactRc2:
         for g in thetas:
             expected = 3 if g.vertex_count == 5 else g.vertex_count - 1
             assert exact_rc2(g) == expected, sorted(g.edges)
+
+
+def subdivide(g, e, length):
+    """g with its edge e replaced by a path of ``length`` edges through
+    new vertices."""
+    assert e in g.edges
+    n = g.vertex_count
+    path = [e[0], *range(n, n + length - 1), e[1]]
+    return Graph.from_edges(n + length - 1, (g.edges - {e}) | set(zip(path, path[1:])))
+
+
+class TestSharpFamilies:
+    """Exact values, from the oracle, on the two families that measured
+    n - 1 so far (thetas other than K_{2,3}, and K4 with one edge replaced
+    by a path of length at least 3) and on near misses outside them.  Every
+    graph stays within RainbowIndex's 10 vertices."""
+
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_k4_with_a_path(self, length):
+        """A path of length 2 gives 3 = n - 2; longer ones give n - 1."""
+        g = subdivide(k4(), (0, 1), length)
+        assert exact_rc2(g) == (3 if length == 2 else g.vertex_count - 1)
+
+    @pytest.mark.parametrize("b,c", [(b, c) for b in range(2, 6) for c in range(b, 11 - b)])
+    def test_chorded_theta(self, b, c):
+        """theta(1, b, c): the diamond theta(1, 2, 2) with its two 2-paths
+        stretched to b and c edges."""
+        g = subdivide(subdivide(diamond(), (0, 2), b - 1), (0, 3), c - 1)
+        assert g.vertex_count == b + c
+        assert exact_rc2(g) == g.vertex_count - 1
+
+    @pytest.mark.parametrize("a,b,c", [(2, 2, 7), (2, 3, 6), (2, 4, 5), (3, 3, 5), (3, 4, 4)])
+    def test_ten_vertex_theta(self, a, b, c):
+        assert exact_rc2(theta_graph(a, b, c)) == 9
+
+    @pytest.mark.parametrize(
+        "g",
+        [subdivide(complete_bipartite_graph(3, 3), (0, 3), 4), subdivide(prism(), (0, 3), 4)],
+        ids=["k33", "prism-rung"],
+    )
+    def test_near_misses_need_n_minus_two(self, g):
+        """One more independent cycle than a theta: a 4-path for one edge of
+        K_{3,3}, or for one rung of the prism, gives 7 on 9 vertices."""
+        assert exact_rc2(g) == 7 == g.vertex_count - 2
 
 
 class TestCensus:

@@ -59,12 +59,16 @@ def test_run_corpus_writes_one_verified_csv_row_per_graph(tmp_path):
     assert all(row[-1] == "yes" for row in rows[1:])
 
 
-def load_run_corpus():
-    """``run_corpus.py`` as a module, read from its file."""
-    spec = importlib.util.spec_from_file_location("run_corpus", ROOT / "scripts" / "run_corpus.py")
+def load_script(name):
+    """``scripts/<name>.py`` as a module, read from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_run_corpus():
+    return load_script("run_corpus")
 
 
 def damage_first(script, monkeypatch, traced, damage):
@@ -144,3 +148,21 @@ def test_run_census_refuses_n_7():
     done = run_script("run_census.py", "--n", "7")
     assert done.returncode == 2
     assert "invalid choice: 7" in done.stderr and done.stdout == ""
+
+
+def test_run_census_fails_a_row_that_breaks_the_theorem(monkeypatch, capsys):
+    """The diamond's row, given n = 4 constructed colors, breaks the bound
+    of n - 1 for a non-cycle; its true rows all pass."""
+    script = load_script("run_census")
+    census_small_graphs = script.census_small_graphs
+
+    def damaged(n):
+        rows = census_small_graphs(n)
+        diamond = next(row for row in rows if row.edges == "0-1;0-2;0-3;1-2;1-3")
+        return [dataclasses.replace(diamond, rc2_constructive=4)]
+
+    monkeypatch.setattr(script, "census_small_graphs", damaged)
+    assert script.main(["--n", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n=4 graph 31 (0-1;0-2;0-3;1-2;1-3): constructed 4, more than n - 1 = 3"
+    assert lines[-1] == "graphs breaking the theorem: 1"
