@@ -56,7 +56,6 @@ from .verify import (
     check_fan,
     check_induction_invariants,
     check_linkage,
-    check_unique_color_map,
     enumerate_rainbow_paths,
     has_two_internally_disjoint_rainbow_paths,
     is_rainbow_two_connected,

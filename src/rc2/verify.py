@@ -357,42 +357,27 @@ def check_linkage(g: Graph, coloring: EdgeColoring, quad: Sequence[int]) -> tupl
     )
 
 
-def _color_map_violations(
-    assign: Mapping[tuple[int, int], int], mapping: Mapping[int, int], prefix: tuple = ()
-) -> list[Violation]:
-    out: list[Violation] = []
+def _color_map_violation(
+    assign: Mapping[tuple[int, int], int], mapping: Mapping[int, int]
+) -> tuple | None:
+    """The first breach of the vertex color map, as ``(kind, subject,
+    reason)``, or None: A4 (the map is injective), then A5 (each mapped
+    color sits on one edge, at its vertex), each in vertex order."""
     first_owner: dict[int, int] = {}
     for v, c in sorted(mapping.items()):
         if c in first_owner:
-            out.append(
-                Violation("A4", prefix + (first_owner[c], v), f"vertices share color {c}")
-            )
-        else:
-            first_owner[c] = v
+            return "A4", (first_owner[c], v), f"vertices share color {c}"
+        first_owner[c] = v
     by_color: dict[int, list] = {}
     for e, c in assign.items():
         by_color.setdefault(c, []).append(e)
     for v, c in sorted(mapping.items()):
         hits = sorted(by_color.get(c, []))
         if len(hits) != 1:
-            out.append(
-                Violation("A5", prefix + (v, c), f"color {c} sits on {len(hits)} edges, not one")
-            )
-        elif v not in hits[0]:
-            out.append(
-                Violation("A5", prefix + (v, c), f"color {c} sits on {hits[0]}, not incident to {v}")
-            )
-    return out
-
-
-def check_unique_color_map(
-    coloring: EdgeColoring, mapping: Mapping[int, int]
-) -> VerificationReport:
-    """Injectivity plus single-use incidence of a vertex color map."""
-    violations = _color_map_violations(coloring.assignment, mapping)
-    if violations:
-        return failing("A4/A5", violations)
-    return passing("A4/A5", [("entries", len(mapping))])
+            return "A5", (v, c), f"color {c} sits on {len(hits)} edges, not one"
+        if v not in hits[0]:
+            return "A5", (v, c), f"color {c} sits on {hits[0]}, not incident to {v}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +502,10 @@ def check_induction_invariants(
             if _a3_linkage(cache.__getitem__, quad) is None:
                 return fail("A3", (idx,) + quad, "no pairing with disjoint rainbow paths")
 
-        map_violations = _color_map_violations(assign, mapping, (idx,))
-        if map_violations:
-            return failing("induction", map_violations[:1])
+        breach = _color_map_violation(assign, mapping)
+        if breach is not None:
+            kind, subject, reason = breach
+            return fail(kind, (idx, *subject), reason)
 
     final = result.coloring.assignment
     for e, c in sorted(assign.items()):

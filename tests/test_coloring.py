@@ -14,9 +14,9 @@ from rc2 import (
     color_hamiltonian_with_chord,
     color_minimally_two_connected,
     color_rc2,
-    check_unique_color_map,
     to_dot,
 )
+from rc2 import verify
 from rc2.coloring import color_base_subgraph, coloring_from_json_obj, extend_with_ear
 from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.generators import theta_graph
@@ -174,7 +174,7 @@ class TestBaseColoring:
         d = degree_two_set(g)
         dec = build_ear_decomposition(g)
         base = color_base_subgraph(dec, g)
-        assert check_unique_color_map(EdgeColoring.from_assignment(base.colored), base.mapped).passed
+        assert verify._color_map_violation(base.colored, base.mapped) is None
         assert set(base.mapped) == {x for e in base.colored for x in e} - d
         assert base.ear == dec.ears[0]
 

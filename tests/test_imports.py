@@ -1,9 +1,10 @@
 """No unused module-level imports in the package, the tests or the scripts,
 no exception class in ``rc2.errors`` that the package neither raises nor
 catches, no module-level private function or class in the package that
-the package never references, no defaulted parameter in the package
-that no caller passes, and no dataclass field default in the package that
-every construction overrides.
+the package never references, no module-level public function or class
+in the package that no module, script or README word names, no defaulted
+parameter in the package that no caller passes, and no dataclass field
+default in the package that every construction overrides.
 
 No linter is installed, so these stdlib scans stand in for one.  Exempt from
 the import scan are the package's ``__init__``, whose imports are its public
@@ -11,6 +12,7 @@ re-exports, and ``from __future__`` imports, which are compiler directives.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -260,3 +262,50 @@ def test_the_scan_finds_field_defaults_every_construction_overrides():
 
 def test_no_field_default_is_overridden_by_every_construction():
     assert overridden_field_defaults(PACKAGE, CALLERS) == []
+
+
+def unnamed_public_definitions(package: dict[str, str], scripts: list[str], readme: str) -> list[str]:
+    """``module.name`` of each module-level public function or class in
+    ``package`` (module name -> source) that no package module or script
+    reads by name or as an attribute, and that ``readme`` does not name as
+    a whole word."""
+    defined: list[str] = []
+    read: set[str] = set()
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for module, source in package.items():
+        defined += [
+            f"{module}.{node.name}"
+            for node in ast.parse(source).body
+            if isinstance(node, kinds) and not node.name.startswith("_")
+        ]
+    for source in [*package.values(), *scripts]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    read.update(re.findall(r"\w+", readme))
+    return [name for name in defined if name.partition(".")[2] not in read]
+
+
+def test_the_scan_finds_unnamed_public_definitions():
+    package = {
+        "a": "def used(): pass\nclass Dead: pass\ndef documented(): pass\ndef _private(): pass\n",
+        "b": "from a import used\nused()\nm.by_attribute()\ndef by_attribute(): pass\n",
+        "c": "def scripted(): pass\ndef dead(): pass\n",
+    }
+    scripts = ["from c import scripted\nscripted()\n"]
+    readme = "Call `documented()`; a dead_end names no helper.\n"
+    assert unnamed_public_definitions(package, scripts, readme) == ["a.Dead", "c.dead"]
+
+
+def test_every_public_definition_is_named():
+    """A public helper that no module, script or README word names is dead."""
+    package = {
+        path.stem: path.read_text()
+        for path in sorted((ROOT / "src" / "rc2").glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    assert unnamed_public_definitions(package, scripts, readme) == []

@@ -21,6 +21,8 @@ import pytest
 from rc2.coloring import EdgeColoring
 from rc2.reports import skipped
 
+from .common import census_rows
+
 ROOT = Path(__file__).resolve().parent.parent
 
 COLORINGS_SHA256 = "c06ef980d358372d693f88f973553b1248dc5f537f710d18385e71619c8a2532"
@@ -166,3 +168,36 @@ def test_run_census_fails_a_row_that_breaks_the_theorem(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n=4 graph 31 (0-1;0-2;0-3;1-2;1-3): constructed 4, more than n - 1 = 3"
     assert lines[-1] == "graphs breaking the theorem: 1"
+
+
+def test_run_census_splits_the_classes_needing_n_minus_one(monkeypatch, capsys):
+    """At n = 6 the four classes that need 5 colors are three thetas and K4
+    with one edge replaced by a path of length 3."""
+    script = load_script("run_census")
+    monkeypatch.setattr(script, "census_small_graphs", lambda n: list(census_rows(n)))
+    assert script.main(["--n", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [
+        "  classes needing n-1 = 5 colors: 4/56",
+        "  of these: theta 3, K4-path 1, other 0",
+    ]
+
+
+def test_run_census_names_an_other_class_needing_n_minus_one(monkeypatch, capsys):
+    """K4 is neither a theta graph nor K4 with a subdivided edge, so its
+    row, given 3 = n - 1 exact colors, is named as other."""
+    script = load_script("run_census")
+    census_small_graphs = script.census_small_graphs
+
+    def damaged(n):
+        k4 = next(row for row in census_small_graphs(n) if row.m == 6)
+        return [dataclasses.replace(k4, rc2_exact=3)]
+
+    monkeypatch.setattr(script, "census_small_graphs", damaged)
+    assert script.main(["--n", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:4] == [
+        "  classes needing n-1 = 3 colors: 1/1",
+        "  of these: theta 0, K4-path 0, other 1",
+        "  other: class 63 (0-1;0-2;0-3;1-2;1-3;2-3)",
+    ]

@@ -22,7 +22,6 @@ from rc2 import (
     check_fan,
     check_induction_invariants,
     check_linkage,
-    check_unique_color_map,
     color_minimally_two_connected,
     color_rc2,
     edge,
@@ -785,34 +784,6 @@ class TestFanAndLinkage:
         assert check_linkage(g, coloring, (0, 1, 2, 3)) is None
 
 
-class TestUniqueColorMapCheck:
-    def test_valid_map_passes(self):
-        coloring = EdgeColoring.from_assignment(K23_COLORING)
-        report = check_unique_color_map(coloring, {0: 0, 1: 1})
-        assert report.passed
-
-    def test_shared_color_is_A4(self):
-        coloring = EdgeColoring.from_assignment(K23_COLORING)
-        report = check_unique_color_map(coloring, {2: 0, 3: 0})
-        assert not report.passed
-        assert any(v.kind == "A4" for v in report.violations)
-
-    def test_color_on_wrong_edge_is_A5(self):
-        coloring = EdgeColoring.from_assignment(K23_COLORING)
-        # color 0 sits on edge (0,2), which is not incident to vertex 3
-        report = check_unique_color_map(coloring, {3: 0})
-        assert not report.passed
-        assert any(v.kind == "A5" for v in report.violations)
-
-    def test_color_used_twice_is_A5(self):
-        coloring = EdgeColoring.from_assignment(
-            {(0, 1): 0, (1, 2): 1, (2, 3): 1, (0, 3): 2}
-        )
-        report = check_unique_color_map(coloring, {1: 1})
-        assert not report.passed
-        assert any(v.kind == "A5" for v in report.violations)
-
-
 def sorted_paths_per_pair(sub, coloring, verts):
     return {
         (u, v): [
@@ -868,6 +839,34 @@ def multi_level_corpus():
     """The traced corpus colorings with at least two levels, each with its graph."""
     traced = ((color_rc2(g, with_trace=True), g) for _, g in standard_corpus())
     return [(res, g) for res, g in traced if res.trace is not None and len(res.trace) > 1]
+
+
+class TestColorMapReplay:
+    """The replay checks A4/A5 on each level's color map and reports the
+    first breach.  K_{2,3}'s one level maps {0: 0, 1: 1}; each case
+    changes only that step's map."""
+
+    @pytest.mark.parametrize(
+        "mapped, violation",
+        [
+            ({0: 0, 1: 0}, ("A4", (0, 0, 1), "vertices share color 0")),
+            ({0: 2, 1: 1}, ("A5", (0, 0, 2), "color 2 sits on 2 edges, not one")),
+            ({0: 1}, ("A5", (0, 0, 1), "color 1 sits on (1, 2), not incident to 0")),
+        ],
+        ids=["shared_color", "color_on_two_edges", "color_off_its_vertex"],
+    )
+    def test_a_broken_map_is_its_first_breach(self, mapped, violation):
+        g = k23()
+        res = color_minimally_two_connected(g, with_trace=True)
+        (step,) = res.trace
+        broken = dataclasses.replace(res, trace=(dataclasses.replace(step, mapped=mapped),))
+        report = check_induction_invariants(broken, g)
+        assert [(v.kind, v.subject, v.reason) for v in report.violations] == [violation]
+
+    def test_the_unchanged_map_passes(self):
+        (step,) = k23_trace()
+        assert step.mapped == {0: 0, 1: 1}
+        assert replayed(k23(), (step,)) == []
 
 
 class TestInductionInvariants:
