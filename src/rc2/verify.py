@@ -8,8 +8,8 @@ inputs that would blow up; a refused check comes back as a skipped report,
 never as a silent pass.  The headline check searches only the pairs that no
 accepted witness's cycle joins by two rainbow arcs.  Every witness is
 checked apart from the search and that lookup: two arcs of an accepted
-cycle by the color parity of each arc, in a fixed number of steps, and any
-other witness by :func:`pair_witness_error`.
+cycle by the color parity of each arc, in a fixed number of steps, before
+they are handed out, and any other witness by :func:`pair_witness_error`.
 
 :func:`check_induction_invariants` replays a traced construction level by
 level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
@@ -154,8 +154,9 @@ def has_two_internally_disjoint_rainbow_paths(
     bans the path's interior, so the paths are never stored and compared.
 
     With a record of accepted ``cycles``, a pair that two rainbow arcs of a
-    recorded cycle join gets those arcs and runs no search.  The call
-    records nothing, and without a record every call searches.
+    recorded cycle join gets those arcs, checked by the record before it
+    hands them out, and runs no search.  The call records nothing, and
+    without a record every call searches.
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
@@ -206,78 +207,73 @@ class _AcceptedCycles:
 
     A witness (p, q) closes the cycle p + q[-2:0:-1]; two rainbow arcs of
     it are a witness for their ends.  :meth:`error` records each cycle it
-    accepts once, rotated to start at its smallest vertex, in two forms
-    built apart.  :meth:`witness` reads the doubled ring (an arc is one
-    slice), ``pos`` (vertex -> position) and ``reach``: the arc from
-    position i stays rainbow for ``reach[i]`` edges.  Of the record,
-    :meth:`error` reads only the parity prefix masks ``x``: ``x[k]`` XORs
-    one bit per color over the first k edges of the doubled ring, and the
-    d edges from i are rainbow exactly when ``x[i + d] ^ x[i]`` has d bits
-    set (it keeps the colors used an odd number of times: at most d, and d
-    only when each occurs once).  So a fault in the lookup cannot produce
-    a pass.
+    accepts once, in two forms built apart.  The lookup form, ``pos``
+    (vertex -> position) and ``reach`` (the arc from position i stays
+    rainbow for ``reach[i]`` edges), proposes positions.  The check form,
+    the doubled ring (an arc is one slice) and its parity prefix masks
+    ``x``, confirms them before :meth:`witness` serves the arcs: ``x[k]``
+    XORs one bit per color over the first k edges of the doubled ring, and
+    the d edges from i are rainbow exactly when ``x[i + d] ^ x[i]`` has d
+    bits set (it keeps the colors used an odd number of times: at most d,
+    and d only when each occurs once).  So a fault in the lookup cannot
+    produce a pass.
     """
 
     def __init__(self, coloring: EdgeColoring):
         self._coloring = coloring
-        # vertex -> the lookup forms of the cycles through it, oldest first.
-        self._by_vertex: dict[int, list[tuple[tuple[int, ...], dict[int, int], list[int]]]] = {}
-        # rotated ring -> its masks.
-        self._masks: dict[tuple[int, ...], list[int]] = {}
+        # vertex -> the cycles through it, oldest first: (pos, reach, ring, x).
+        self._by_vertex: dict[int, list[tuple]] = {}
+        # The recorded rings, each rotated to start at its smallest vertex.
+        self._rings: set[tuple[int, ...]] = set()
+        # The pair last served and the very arcs it got.
+        self._served = (None, None)
 
     def witness(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """Two rainbow u-v arcs of the newest recorded cycle that has them,
-        or None."""
+        checked, or None."""
         at_u, at_v = self._by_vertex.get(u, ()), self._by_vertex.get(v, ())
-        for ring, pos, reach in reversed(at_u if len(at_u) <= len(at_v) else at_v):
+        for pos, reach, ring, x in reversed(at_u if len(at_u) <= len(at_v) else at_v):
             i, j = pos.get(u), pos.get(v)
             if i is None or j is None:
                 continue
             # The arc from u on to v has d edges; the one from v on to u the rest.
-            size = len(reach)
+            size = len(x) // 2
             d = (j - i) % size
             if reach[i] >= d and reach[j] >= size - d:
-                return ring[i : i + d + 1], ring[j : j + size - d + 1][::-1]
+                # The check form confirms the proposal from its own data.
+                i %= size
+                xp, xq = x[i + d] ^ x[i], x[i + size] ^ x[i + d]
+                if (ring[i], ring[i + d], xp.bit_count(), xq.bit_count()) == (u, v, d, size - d):
+                    arcs = ring[i : i + d + 1], ring[i + d : i + size + 1][::-1]
+                    self._served = (u, v), arcs
+                    return arcs
         return None
 
     def error(self, u: int, v: int, witness) -> str | None:
-        """:func:`pair_witness_error` of ``witness``, which two arcs of a
-        recorded cycle pass in a fixed number of steps.  An accepted
-        witness's cycle is recorded."""
-        key = x = None
-        if isinstance(witness, tuple) and len(witness) == 2:
-            p, q = witness
-            if (
-                isinstance(p, tuple)
-                and isinstance(q, tuple)
-                and p[:1] == q[:1] == (u,)
-                and p[-1:] == q[-1:] == (v,)
-            ):
-                ring = p + q[-2:0:-1]
-                start = ring.index(min(ring))
-                key = ring[start:] + ring[:start]
-                x = self._masks.get(key)
-                if x is not None:
-                    # p is the arc of d edges from u's position i, q the rest.
-                    size, d = len(key), len(p) - 1
-                    i = -start % size
-                    arc_p, arc_q = x[i + d] ^ x[i], x[i + size] ^ x[i + d]
-                    if arc_p.bit_count() == d and arc_q.bit_count() == size - d:
-                        return None
+        """None for the arcs just served for (u, v), else
+        :func:`pair_witness_error`.  An accepted witness's cycle is recorded."""
+        pair, arcs = self._served
+        if witness is arcs and pair == (u, v):
+            return None
         error = pair_witness_error(self._coloring, u, v, witness)
-        if error is None and x is None:
-            self._record(key)
+        if error is None:
+            ring = witness[0] + witness[1][-2:0:-1]
+            start = ring.index(min(ring))
+            key = ring[start:] + ring[:start]
+            if key not in self._rings:
+                self._record(key)
         return error
 
     def _record(self, key: tuple[int, ...]) -> None:
         """Keep an accepted witness's rotated ring ``key``, a simple cycle of
         colored edges, in both forms."""
+        self._rings.add(key)
         assign = self._coloring.assignment
         hops = list(zip(key, key[1:] + key[:1]))
         # Each color of the cycle gets a bit, in order of first sight.
         bits: dict[int, int] = {}
         ones = [bits.setdefault(assign[edge(a, b)], 1 << len(bits)) for a, b in hops]
-        self._masks[key] = list(accumulate(ones + ones, xor, initial=0))
+        x = list(accumulate(ones + ones, xor, initial=0))
         # One sliding window over the doubled color sequence: the window
         # [start, end) is rainbow, and ``end`` never moves back.
         size, colors = len(key), [assign[edge(a, b)] for a, b in hops]
@@ -290,7 +286,7 @@ class _AcceptedCycles:
                 end += 1
             reach.append(end - start)
             window.discard(colors[start])
-        entry = (key + key, {y: i for i, y in enumerate(key)}, reach)
+        entry = ({y: i for i, y in enumerate(key)}, reach, key + key, x)
         for y in key:
             self._by_vertex.setdefault(y, []).append(entry)
 
@@ -304,9 +300,11 @@ def is_rainbow_two_connected(
     :func:`has_two_internally_disjoint_rainbow_paths` call each, sharing one
     :class:`_AcceptedCycles` record.  A pair with no witness lies on no
     accepted cycle with two rainbow arcs, so the first failing pair is the
-    one a search of every pair finds.  Every witness is checked by the
-    record's :meth:`~_AcceptedCycles.error`, which reads neither the search
-    nor the lookup, so a fault in either cannot produce a pass.
+    one a search of every pair finds.  The record's
+    :meth:`~_AcceptedCycles.error` passes the arcs it has just checked and
+    served for the pair, and sends any other witness to
+    :func:`pair_witness_error`; neither check reads the search or the
+    lookup, so a fault in either cannot produce a pass.
     """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import pathlib
 import random
@@ -376,6 +377,14 @@ def load_workloads():
 WORKLOADS = load_workloads()
 
 
+def broken_wheel(k, at):
+    """A benchmark fail instance: W_k with an ear whose inner vertices are
+    ``at`` and ``at + 1``, its rc2 coloring broken on that ear."""
+    g = WORKLOADS._wheel_with_ear(k, at)
+    obj = WORKLOADS._break_chain(g, color_rc2(g).to_json_obj(), [at, at + 1])
+    return g, EdgeColoring.from_assignment({(e["u"], e["v"]): e["color"] for e in obj["edges"]})
+
+
 class TestCycleStore:
     """The record's lookup: pairs on an accepted witness's cycle take its two
     rainbow arcs, and only accepted witnesses add cycles."""
@@ -488,18 +497,68 @@ class TestPairCallContract:
         assert [args[2:4] for args in calls] == pairs[: pairs.index((11, 12)) + 1]
 
 
-def over_reach(extra):
-    """An ``_AcceptedCycles._record`` that over-reports each new cycle's
-    ``reach`` by ``extra`` edges, so the lookup hands out arcs that repeat a
-    color."""
+# sha256 of each checked pair's witness, one line ``(u, v) witness`` per
+# call of has_two_internally_disjoint_rainbow_paths in the verifier's loop,
+# reused or searched, up to the failing pair of a failing coloring.
+WITNESS_SHA256 = {
+    "k18": "4b90fa1c87b254443beb8743b58b94ab29925ef2cdbe4d65b40c9a215676e6be",
+    "w29-ear11": "ce0eb2da91aebe5fb91ed19e77d14291b8de56daeb2e6a51c2033a951cbe3ace",
+    "w30": "3d7bce0e38f03600f6e498be820ac2ebae5e85355e127f5152ca702dfbd032e1",
+    "w30-ear11": "49fd240377a27fb83bc2f23e0e117499ccb27a40254ae6285125b23fb83bceab",
+    "w31-ear11": "48519041d47387b35e71cc45a712fafef779e235125731110157e6a4ab9a4561",
+}
+
+
+def witness_digest(monkeypatch, g, coloring):
+    h = hashlib.sha256()
+    original = verify.has_two_internally_disjoint_rainbow_paths
+
+    def spy(*args):
+        witness = original(*args)
+        h.update(f"{args[2:4]} {witness}\n".encode())
+        return witness
+
+    monkeypatch.setattr(verify, "has_two_internally_disjoint_rainbow_paths", spy)
+    is_rainbow_two_connected(g, coloring, SizeGuard(g.vertex_count, g.edge_count))
+    return h.hexdigest()
+
+
+def built(g):
+    return g, color_rc2(g).coloring
+
+
+WITNESS_GRAPHS = {
+    "w30": lambda: built(wheel_graph(30)),
+    "k18": lambda: built(complete_graph(18)),
+    **{f"w{k}-ear{at}": (lambda k=k, at=at: broken_wheel(k, at)) for k, at in WORKLOADS.FAIL_WHEELS},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_GRAPHS))
+def test_every_checked_pair_gets_its_pinned_witness(monkeypatch, name):
+    g, coloring = WITNESS_GRAPHS[name]()
+    assert witness_digest(monkeypatch, g, coloring) == WITNESS_SHA256[name]
+
+
+def faulty_record(part, fault):
+    """An ``_AcceptedCycles._record`` that replaces one part of each new
+    cycle's entry, ``pos``, ``reach`` or the masks ``x``, by ``fault`` of it."""
     record = verify._AcceptedCycles._record
+    index = ("pos", "reach", "ring", "x").index(part)
 
     def faulty(self, key):
         record(self, key)
-        reach = self._by_vertex[key[0]][-1][2]
-        reach[:] = [r + extra for r in reach]
+        entry = list(self._by_vertex[key[0]][-1])
+        entry[index] = fault(entry[index])
+        for y in key:
+            self._by_vertex[y][-1] = tuple(entry)
 
     return faulty
+
+
+def lap_back(pos):
+    """Every position one lap of the ring back, below 0."""
+    return {y: i - len(pos) for y, i in pos.items()}
 
 
 class TestCheckedCycles:
@@ -585,26 +644,80 @@ class TestCheckedCycles:
     @pytest.mark.parametrize("extra, at", [(1, (0, 5)), (6, (0, 4))])
     def test_a_store_that_over_reports_reach_cannot_pass(self, monkeypatch, extra, at):
         """With ``reach`` one edge too long, or long enough for every arc,
-        the report fails at the first pair whose handed-out arcs repeat a
-        color, with the message ``pair_witness_error`` gives there.  (0, 1)
-        records the ring 0 4 1 3 2 5; one edge too many covers (0, 5), the
-        true first failure, and every arc covers (0, 4) before it."""
+        the lookup proposes arcs that repeat a color.  (0, 1) records the
+        ring 0 4 1 3 2 5; one edge too many proposes (0, 5), the true first
+        failure, and every arc proposes (0, 4) before it.  The check refuses
+        the arcs before they are handed out, so that pair is searched and
+        the report is the faultless record's."""
         g, coloring, _ = hand_cycle()
-        report = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
-        assert [v.subject for v in report.violations] == [(0, 5)]
-        monkeypatch.setattr(verify._AcceptedCycles, "_record", over_reach(extra))
-        cycles, expect = verify._AcceptedCycles(coloring), None
-        for u, v in combinations(range(g.vertex_count), 2):
-            witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
-            error = verify.pair_witness_error(coloring, u, v, witness)
-            if error is not None:
-                expect = ("A1", (u, v), f"witness rejected: {error}")
-                break
-            # Admit the accepted witness's cycle, as the verifier does.
-            assert cycles.error(u, v, witness) is None
-        assert expect[1] == at and expect[2].endswith(" is not rainbow")
-        report = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
-        assert [(v.kind, v.subject, v.reason) for v in report.violations] == [expect]
+        expect = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
+        assert [v.subject for v in expect.violations] == [(0, 5)]
+        longer = faulty_record("reach", lambda reach: [r + extra for r in reach])
+        monkeypatch.setattr(verify._AcceptedCycles, "_record", longer)
+        searched = spy_on(monkeypatch, "enumerate_rainbow_paths")
+        assert is_rainbow_two_connected(g, coloring, SizeGuard(7, 8)) == expect
+        assert at in {args[2:4] for args in searched}
+
+    @pytest.mark.parametrize(
+        "part, fault",
+        [
+            # Every position one on: the lookup proposes the wrong vertices.
+            ("pos", lambda pos: {y: (i + 1) % len(pos) for y, i in pos.items()}),
+            # The check reduces each position to the ring.
+            ("pos", lap_back),
+            # The ring's first two vertices swapped: one end of a pair is wrong.
+            ("pos", lambda pos: {y: {0: 1, 1: 0}.get(i, i) for y, i in pos.items()}),
+            # One entry too many: the lookup takes the ring for one vertex longer.
+            ("reach", lambda reach: reach + [len(reach) + 1]),
+            # Masks that under-report: no arc passes, so every pair is searched.
+            ("x", lambda x: [0] * len(x)),
+        ],
+        ids=["pos-on", "pos-lap-back", "pos-swapped", "reach-longer", "x-zero"],
+    )
+    @pytest.mark.parametrize(
+        "make", [lambda: hand_cycle()[:2], lambda: built(wheel_graph(12))], ids=["hand", "w12"]
+    )
+    def test_a_faulty_record_gives_the_faultless_report(self, monkeypatch, make, part, fault):
+        """Every witness the faulty record serves still passes
+        ``pair_witness_error``, and the report is the faultless record's."""
+        g, coloring = make()
+        guard = SizeGuard(g.vertex_count, g.edge_count)
+        expect = is_rainbow_two_connected(g, coloring, guard)
+        original = verify.has_two_internally_disjoint_rainbow_paths
+
+        def checked(*args):
+            witness = original(*args)
+            assert witness is None or verify.pair_witness_error(coloring, *args[2:4], witness) is None
+            return witness
+
+        monkeypatch.setattr(verify, "has_two_internally_disjoint_rainbow_paths", checked)
+        monkeypatch.setattr(verify._AcceptedCycles, "_record", faulty_record(part, fault))
+        assert is_rainbow_two_connected(g, coloring, guard) == expect
+
+    def test_positions_a_lap_back_serve_the_same_arcs(self, monkeypatch):
+        monkeypatch.setattr(verify._AcceptedCycles, "_record", faulty_record("pos", lap_back))
+        assert witness_digest(monkeypatch, *built(wheel_graph(30))) == WITNESS_SHA256["w30"]
+
+    def test_arcs_served_for_one_pair_are_checked_for_another(self, monkeypatch):
+        _, coloring, cycles = hand_cycle()
+        arcs = cycles.witness(0, 1)
+        assert arcs == ((0, 5, 2, 3, 1), (0, 4, 1))
+        others = [(0, 3), (1, 0), (0, 5)]
+        expect = [verify.pair_witness_error(coloring, u, v, arcs) for u, v in others]
+        assert None not in expect
+        slow = spy_on(monkeypatch, "pair_witness_error")
+        assert [cycles.error(u, v, arcs) for u, v in others] == expect
+        assert slow == [(coloring, u, v, arcs) for u, v in others]
+        assert cycles.error(0, 1, arcs) is None and len(slow) == 3
+
+    def test_an_equal_copy_of_the_served_arcs_is_checked_in_full(self, monkeypatch):
+        _, coloring, cycles = hand_cycle()
+        arcs = cycles.witness(0, 1)
+        copy = (arcs[0], arcs[1])
+        assert copy == arcs and copy is not arcs
+        slow = spy_on(monkeypatch, "pair_witness_error")
+        assert cycles.error(0, 1, copy) is None
+        assert slow == [(coloring, 0, 1, copy)]
 
     def test_only_searched_pairs_reach_pair_witness_error(self, monkeypatch):
         g = wheel_graph(30)
