@@ -207,24 +207,23 @@ class _AcceptedCycles:
 
     A witness (p, q) closes the cycle p + q[-2:0:-1]; two rainbow arcs of
     it are a witness for their ends.  :meth:`error` records each cycle it
-    accepts once, in two forms built apart.  The lookup form, ``pos``
-    (vertex -> position) and ``reach`` (the arc from position i stays
-    rainbow for ``reach[i]`` edges), proposes positions.  The check form,
-    the doubled ring (an arc is one slice) and its parity prefix masks
-    ``x``, confirms them before :meth:`witness` serves the arcs: ``x[k]``
-    XORs one bit per color over the first k edges of the doubled ring, and
-    the d edges from i are rainbow exactly when ``x[i + d] ^ x[i]`` has d
-    bits set (it keeps the colors used an odd number of times: at most d,
-    and d only when each occurs once).  So a fault in the lookup cannot
-    produce a pass.
+    accepts, as it comes, in one form: ``pos`` (vertex -> position)
+    proposes where u and v sit, and the doubled ring (an arc is one slice)
+    and its parity prefix masks ``x`` confirm it before :meth:`witness`
+    serves the arcs.  ``x[k]`` XORs one bit per color over the first k
+    edges of the doubled ring, and the d edges from i are rainbow exactly
+    when ``x[i + d] ^ x[i]`` has d bits set (it keeps the colors used an
+    odd number of times: at most d, and d only when each occurs once).  So
+    a fault in ``pos`` cannot produce a pass.  No cycle comes twice: a
+    searched pair's witness lies on no recorded cycle, since that cycle
+    would have served the pair two rainbow arcs.
     """
 
     def __init__(self, coloring: EdgeColoring):
         self._coloring = coloring
-        # vertex -> the cycles through it, oldest first: (pos, reach, ring, x).
+        # vertex -> the cycles through it, oldest first: (pos, ring, x), where
+        # pos proposes positions and the doubled ring and x confirm them.
         self._by_vertex: dict[int, list[tuple]] = {}
-        # The recorded rings, each rotated to start at its smallest vertex.
-        self._rings: set[tuple[int, ...]] = set()
         # The pair last served and the very arcs it got.
         self._served = (None, None)
 
@@ -232,21 +231,20 @@ class _AcceptedCycles:
         """Two rainbow u-v arcs of the newest recorded cycle that has them,
         checked, or None."""
         at_u, at_v = self._by_vertex.get(u, ()), self._by_vertex.get(v, ())
-        for pos, reach, ring, x in reversed(at_u if len(at_u) <= len(at_v) else at_v):
+        for pos, ring, x in reversed(at_u if len(at_u) <= len(at_v) else at_v):
             i, j = pos.get(u), pos.get(v)
             if i is None or j is None:
                 continue
             # The arc from u on to v has d edges; the one from v on to u the rest.
             size = len(x) // 2
+            i %= size
             d = (j - i) % size
-            if reach[i] >= d and reach[j] >= size - d:
-                # The check form confirms the proposal from its own data.
-                i %= size
-                xp, xq = x[i + d] ^ x[i], x[i + size] ^ x[i + d]
-                if (ring[i], ring[i + d], xp.bit_count(), xq.bit_count()) == (u, v, d, size - d):
-                    arcs = ring[i : i + d + 1], ring[i + d : i + size + 1][::-1]
-                    self._served = (u, v), arcs
-                    return arcs
+            # The ring and the masks confirm the proposal from their own data.
+            xp, xq = x[i + d] ^ x[i], x[i + size] ^ x[i + d]
+            if (ring[i], ring[i + d], xp.bit_count(), xq.bit_count()) == (u, v, d, size - d):
+                arcs = ring[i : i + d + 1], ring[i + d : i + size + 1][::-1]
+                self._served = (u, v), arcs
+                return arcs
         return None
 
     def error(self, u: int, v: int, witness) -> str | None:
@@ -257,37 +255,20 @@ class _AcceptedCycles:
             return None
         error = pair_witness_error(self._coloring, u, v, witness)
         if error is None:
-            ring = witness[0] + witness[1][-2:0:-1]
-            start = ring.index(min(ring))
-            key = ring[start:] + ring[:start]
-            if key not in self._rings:
-                self._record(key)
+            self._record(witness[0] + witness[1][-2:0:-1])
         return error
 
-    def _record(self, key: tuple[int, ...]) -> None:
-        """Keep an accepted witness's rotated ring ``key``, a simple cycle of
-        colored edges, in both forms."""
-        self._rings.add(key)
+    def _record(self, ring: tuple[int, ...]) -> None:
+        """Keep an accepted witness's ``ring``, a simple cycle of colored
+        edges, by its positions, doubled ring and parity masks."""
         assign = self._coloring.assignment
-        hops = list(zip(key, key[1:] + key[:1]))
+        hops = zip(ring, ring[1:] + ring[:1])
         # Each color of the cycle gets a bit, in order of first sight.
         bits: dict[int, int] = {}
         ones = [bits.setdefault(assign[edge(a, b)], 1 << len(bits)) for a, b in hops]
         x = list(accumulate(ones + ones, xor, initial=0))
-        # One sliding window over the doubled color sequence: the window
-        # [start, end) is rainbow, and ``end`` never moves back.
-        size, colors = len(key), [assign[edge(a, b)] for a, b in hops]
-        reach: list[int] = []
-        window: set[int] = set()
-        end = 0
-        for start in range(size):
-            while end < start + size and colors[end % size] not in window:
-                window.add(colors[end % size])
-                end += 1
-            reach.append(end - start)
-            window.discard(colors[start])
-        entry = ({y: i for i, y in enumerate(key)}, reach, key + key, x)
-        for y in key:
+        entry = ({y: i for i, y in enumerate(ring)}, ring + ring, x)
+        for y in ring:
             self._by_vertex.setdefault(y, []).append(entry)
 
 

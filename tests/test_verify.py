@@ -33,7 +33,7 @@ from rc2 import (
 from rc2 import verify
 from rc2.corpus import standard_corpus
 from rc2.errors import InvalidInput, PreconditionViolated
-from rc2.generators import complete_graph, theta_graph, wheel_graph
+from rc2.generators import complete_graph, random_two_connected, theta_graph, wheel_graph
 from rc2.reports import failing
 
 from .common import K23_COLORING, cycle, fold_levels, k23, k24
@@ -335,7 +335,7 @@ class TestPairWitnessCheck:
 
 def hand_cycle():
     """A 6-cycle recorded from the accepted witness ((1, 4, 0, 5),
-    (1, 3, 2, 5)), so its ring, rotated to start at 0, reads 0 5 2 3 1 4.
+    (1, 3, 2, 5)), so its ring, as recorded, reads 1 4 0 5 2 3.
     Color 0 sits on (1, 4) and again on (5, 2), so two ring vertices have
     two rainbow arcs exactly when one is in {4, 0, 5} and the other in
     {2, 3, 1}.  Vertex 6 hangs off 0 and 4 with fresh colors, so the pair
@@ -392,13 +392,13 @@ class TestCycleStore:
     @pytest.mark.parametrize(
         "u, v, expect",
         [
-            # u at position 0, before v at position 4.
+            # u at position 2, after v at position 0: the slice wraps.
             (0, 1, ((0, 5, 2, 3, 1), (0, 4, 1))),
-            # u at position 4, after v at position 1: the slice wraps.
+            # u at position 0, before v at position 3.
             (1, 5, ((1, 4, 0, 5), (1, 3, 2, 5))),
             # u after v, with the long arc exactly rainbow.
             (2, 5, ((2, 3, 1, 4, 0, 5), (2, 5))),
-            # u before v, both arcs short of their reach.
+            # u before v, each arc holding one of the two edges of color 0.
             (0, 3, ((0, 5, 2, 3), (0, 4, 1, 3))),
         ],
     )
@@ -540,17 +540,39 @@ def test_every_checked_pair_gets_its_pinned_witness(monkeypatch, name):
     assert witness_digest(monkeypatch, g, coloring) == WITNESS_SHA256[name]
 
 
+RECORD_GRAPHS = {**WITNESS_GRAPHS, "rand64": lambda: built(random_two_connected(64, 64 // 3, 3))}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_GRAPHS))
+def test_each_accepted_cycle_is_recorded_once(monkeypatch, name):
+    """A searched pair's witness lies on no recorded cycle, which would
+    have served the pair two rainbow arcs, so the record keeps each cycle
+    it accepts as it comes, with no dedupe."""
+    g, coloring = RECORD_GRAPHS[name]()
+    record = verify._AcceptedCycles._record
+    cycles = []
+
+    def spy(self, ring):
+        cycles.append(frozenset(edge(a, b) for a, b in zip(ring, ring[1:] + ring[:1])))
+        record(self, ring)
+
+    monkeypatch.setattr(verify._AcceptedCycles, "_record", spy)
+    is_rainbow_two_connected(g, coloring, SizeGuard(g.vertex_count, g.edge_count))
+    assert cycles and len(set(cycles)) == len(cycles)
+
+
 def faulty_record(part, fault):
     """An ``_AcceptedCycles._record`` that replaces one part of each new
-    cycle's entry, ``pos``, ``reach`` or the masks ``x``, by ``fault`` of it."""
+    cycle's entry, ``pos``, the doubled ``ring`` or the masks ``x``, by
+    ``fault`` of it."""
     record = verify._AcceptedCycles._record
-    index = ("pos", "reach", "ring", "x").index(part)
+    index = ("pos", "ring", "x").index(part)
 
-    def faulty(self, key):
-        record(self, key)
-        entry = list(self._by_vertex[key[0]][-1])
+    def faulty(self, ring):
+        record(self, ring)
+        entry = list(self._by_vertex[ring[0]][-1])
         entry[index] = fault(entry[index])
-        for y in key:
+        for y in ring:
             self._by_vertex[y][-1] = tuple(entry)
 
     return faulty
@@ -643,20 +665,44 @@ class TestCheckedCycles:
 
     @pytest.mark.parametrize("extra, at", [(1, (0, 5)), (6, (0, 4))])
     def test_a_store_that_over_reports_reach_cannot_pass(self, monkeypatch, extra, at):
-        """With ``reach`` one edge too long, or long enough for every arc,
-        the lookup proposes arcs that repeat a color.  (0, 1) records the
-        ring 0 4 1 3 2 5; one edge too many proposes (0, 5), the true first
-        failure, and every arc proposes (0, 4) before it.  The check refuses
-        the arcs before they are handed out, so that pair is searched and
-        the report is the faultless record's."""
+        """The lookup keeps no ``reach``: it proposes every pair on a
+        recorded ring, as a store whose reach over-reported by ``extra``
+        edges would.  (0, 1) records the ring 0 4 1 3 2 5; an arc of ``at``
+        runs past its rainbow stretch by one edge up to ``extra``, so one
+        edge too many proposes (0, 5), the true first failure, and every
+        arc proposes (0, 4) before it.  The masks refuse the arcs before
+        they are handed out, so that pair is searched and the report is the
+        one of a record whose zeroed masks refuse every proposal."""
         g, coloring, _ = hand_cycle()
-        expect = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
+        zeroed = faulty_record("x", lambda x: [0] * len(x))
+        with monkeypatch.context() as m:
+            m.setattr(verify._AcceptedCycles, "_record", zeroed)
+            searched = spy_on(m, "enumerate_rainbow_paths")
+            expect = is_rainbow_two_connected(g, coloring, SizeGuard(7, 8))
         assert [v.subject for v in expect.violations] == [(0, 5)]
-        longer = faulty_record("reach", lambda reach: [r + extra for r in reach])
-        monkeypatch.setattr(verify._AcceptedCycles, "_record", longer)
+        pairs = list(combinations(range(7), 2))
+        assert sorted({args[2:4] for args in searched}) == pairs[: pairs.index((0, 5)) + 1]
+        record, rings = verify._AcceptedCycles._record, []
+
+        def kept(self, ring):
+            rings.append(ring)
+            record(self, ring)
+
+        monkeypatch.setattr(verify._AcceptedCycles, "_record", kept)
         searched = spy_on(monkeypatch, "enumerate_rainbow_paths")
         assert is_rainbow_two_connected(g, coloring, SizeGuard(7, 8)) == expect
         assert at in {args[2:4] for args in searched}
+        ring = rings[0]
+        assert ring == (0, 4, 1, 3, 2, 5)
+        colors = [coloring.assignment[edge(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])]
+
+        def stretch(i):
+            run = colors[i:] + colors[:i]
+            return next((k for k in range(1, 6) if run[k] in run[:k]), 6)
+
+        i, j = ring.index(at[0]), ring.index(at[1])
+        d = (j - i) % 6
+        assert 0 < max(d - stretch(i), 6 - d - stretch(j)) <= extra
 
     @pytest.mark.parametrize(
         "part, fault",
@@ -667,12 +713,10 @@ class TestCheckedCycles:
             ("pos", lap_back),
             # The ring's first two vertices swapped: one end of a pair is wrong.
             ("pos", lambda pos: {y: {0: 1, 1: 0}.get(i, i) for y, i in pos.items()}),
-            # One entry too many: the lookup takes the ring for one vertex longer.
-            ("reach", lambda reach: reach + [len(reach) + 1]),
             # Masks that under-report: no arc passes, so every pair is searched.
             ("x", lambda x: [0] * len(x)),
         ],
-        ids=["pos-on", "pos-lap-back", "pos-swapped", "reach-longer", "x-zero"],
+        ids=["pos-on", "pos-lap-back", "pos-swapped", "x-zero"],
     )
     @pytest.mark.parametrize(
         "make", [lambda: hand_cycle()[:2], lambda: built(wheel_graph(12))], ids=["hand", "w12"]
