@@ -53,9 +53,7 @@ from .oracle import brute_force_rc2, census_csv, census_small_graphs, exact_rc2
 from .reports import DEFAULT_GUARD, SizeGuard, VerificationReport, Violation
 from .verify import (
     RainbowIndex,
-    check_fan,
     check_induction_invariants,
-    check_linkage,
     enumerate_rainbow_paths,
     has_two_internally_disjoint_rainbow_paths,
     is_rainbow_two_connected,

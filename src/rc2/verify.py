@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations
 from operator import xor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import ColoringResult, EdgeColoring
 from .errors import InvalidInput, PreconditionViolated
@@ -107,8 +107,7 @@ def _rainbow_walk(
                 spent.discard(colors.pop())
 
 
-# The replay's A1-A3, check_fan and check_linkage read lists of paths, each
-# with its vertex mask.
+# The replay's A1-A3 read lists of paths, each with its vertex mask.
 PathEntry = tuple[tuple[int, ...], int]
 
 
@@ -129,17 +128,6 @@ def _first_pair(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], sh
         for q, qm in entries2:
             if pm & qm == shared and q != p:
                 return p, q
-    return None
-
-
-def _a3_linkage(paths_of: Callable[[tuple[int, int]], Sequence[PathEntry]], quad: Sequence[int]):
-    """A3: the first of the three pairings of a sorted quadruple, with the
-    first vertex-disjoint pair of paths joining it."""
-    a, b, c, d = quad
-    for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        found = _first_pair(paths_of(pair1), paths_of(pair2), 0)
-        if found is not None:
-            return (pair1, pair2, *found)
     return None
 
 
@@ -307,35 +295,6 @@ def is_rainbow_two_connected(
     return passing("A1", [("pairs_checked", g.vertex_count * (g.vertex_count - 1) // 2)])
 
 
-def check_fan(
-    g: Graph, coloring: EdgeColoring, center: int, t1: int, t2: int
-) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two rainbow paths from ``center`` to t1 and t2 sharing only the
-    center, or None."""
-    if len({center, t1, t2}) != 3:
-        raise InvalidInput("fan check needs three distinct vertices")
-    return _first_pair(
-        _with_masks(enumerate_rainbow_paths(g, coloring, center, t1)),
-        list(_with_masks(enumerate_rainbow_paths(g, coloring, center, t2))),
-        1 << center,
-    )
-
-
-def check_linkage(g: Graph, coloring: EdgeColoring, quad: Sequence[int]) -> tuple | None:
-    """Some pairing of four vertices joined by fully disjoint rainbow paths,
-    as ``(pair1, pair2, p, q)``, or None.
-
-    The three ways to split the four vertices into two pairs are tried in
-    order; the first split admitting vertex-disjoint rainbow paths wins.
-    """
-    if len(quad) != 4 or len(set(quad)) != 4:
-        raise InvalidInput("linkage check needs four distinct vertices")
-    a, b, c, d = sorted(quad)
-    return _a3_linkage(
-        lambda pair: list(_with_masks(enumerate_rainbow_paths(g, coloring, *pair))), (a, b, c, d)
-    )
-
-
 def _color_map_violation(
     assign: Mapping[tuple[int, int], int], mapping: Mapping[int, int]
 ) -> tuple | None:
@@ -477,9 +436,12 @@ def check_induction_invariants(
                 if _first_pair(cache[edge(center, t1)], cache[edge(center, t2)], only) is None:
                     return fail("A2", (idx, center, t1, t2), "no rainbow fan")
 
-        for quad in combinations(verts, 4):
-            if _a3_linkage(cache.__getitem__, quad) is None:
-                return fail("A3", (idx,) + quad, "no pairing with disjoint rainbow paths")
+        for a, b, c, d in combinations(verts, 4):
+            for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+                if _first_pair(cache[pair1], cache[pair2], 0) is not None:
+                    break
+            else:
+                return fail("A3", (idx, a, b, c, d), "no pairing with disjoint rainbow paths")
 
         breach = _color_map_violation(assign, mapping)
         if breach is not None:

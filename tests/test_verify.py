@@ -20,9 +20,7 @@ from rc2 import (
     RainbowIndex,
     SizeGuard,
     TraceStep,
-    check_fan,
     check_induction_invariants,
-    check_linkage,
     color_minimally_two_connected,
     color_rc2,
     edge,
@@ -186,6 +184,24 @@ class TestDisjointPairs:
         ]
         got = has_two_internally_disjoint_rainbow_paths(h, coloring, 2, 3)
         assert got == ((2, 0, 1, 3), (2, 4, 3))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda g, c: has_two_internally_disjoint_rainbow_paths(g, c, 0, 99),
+                "endpoints 0 and 99 must be vertices 0..7",
+            ),
+            (
+                lambda g, c: next(enumerate_rainbow_paths(g, c, -1, 2)),
+                "endpoints -1 and 2 must be vertices 0..7",
+            ),
+        ],
+    )
+    def test_bad_vertex_arguments_are_invalid_input(self, call, message):
+        g = theta_graph(2, 3, 4)
+        with pytest.raises(InvalidInput, match=message):
+            call(g, color_rc2(g).coloring)
 
 
 class TestIsRainbowTwoConnected:
@@ -385,7 +401,7 @@ def broken_wheel(k, at):
     return g, EdgeColoring.from_assignment({(e["u"], e["v"]): e["color"] for e in obj["edges"]})
 
 
-class TestCycleStore:
+class TestAcceptedCycles:
     """The record's lookup: pairs on an accepted witness's cycle take its two
     rainbow arcs, and only accepted witnesses add cycles."""
 
@@ -664,15 +680,14 @@ class TestCheckedCycles:
         assert error is not None and error == verify.pair_witness_error(coloring, 0, 1, witness)
 
     @pytest.mark.parametrize("extra, at", [(1, (0, 5)), (6, (0, 4))])
-    def test_a_store_that_over_reports_reach_cannot_pass(self, monkeypatch, extra, at):
-        """The lookup keeps no ``reach``: it proposes every pair on a
-        recorded ring, as a store whose reach over-reported by ``extra``
-        edges would.  (0, 1) records the ring 0 4 1 3 2 5; an arc of ``at``
-        runs past its rainbow stretch by one edge up to ``extra``, so one
-        edge too many proposes (0, 5), the true first failure, and every
-        arc proposes (0, 4) before it.  The masks refuse the arcs before
-        they are handed out, so that pair is searched and the report is the
-        one of a record whose zeroed masks refuse every proposal."""
+    def test_an_arc_past_its_rainbow_stretch_is_searched_not_served(self, monkeypatch, extra, at):
+        """The lookup proposes every pair on a recorded ring, whether or not
+        its arcs are rainbow.  (0, 1) records the ring 0 4 1 3 2 5; an arc of
+        ``at`` runs past its rainbow stretch by one edge up to ``extra``: one
+        edge for (0, 5), the true first failure, and up to six edges for
+        (0, 4) before it.  The masks refuse the arcs before they are handed
+        out, so that pair is searched and the report is the one of a record
+        whose zeroed masks refuse every proposal."""
         g, coloring, _ = hand_cycle()
         zeroed = faulty_record("x", lambda x: [0] * len(x))
         with monkeypatch.context() as m:
@@ -836,61 +851,69 @@ class TestRainbowIndexOracle:
         assert index.feasible(colors) is naive
 
 
-class TestFanAndLinkage:
+def pairings(a, b, c, d):
+    """The three ways to split a sorted quadruple into two pairs, in the
+    order the replay tries them for A3."""
+    return ((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))
+
+
+def path_table(g, coloring):
+    """The replay's path table of g under ``coloring``, over all its vertices."""
+    return verify._all_pair_paths(g, coloring.assignment, list(range(g.vertex_count)))
+
+
+def check_table_scans(g, coloring, verts):
+    """``_first_pair`` on the replay's path table finds a fan (paths sharing
+    only the center) or a linkage (disjoint paths) exactly when a search over
+    all simple paths finds one, and what it finds meets in exactly that."""
+    table = verify._all_pair_paths(g, coloring.assignment, verts)
+    paths = {pair: rainbow_simple_paths(g, coloring, *pair) for pair in combinations(verts, 2)}
+
+    def agree(pair1, pair2, shared):
+        found = verify._first_pair(table[pair1], table[pair2], sum(1 << x for x in shared))
+        expect = any(set(p) & set(q) == shared for p in paths[pair1] for q in paths[pair2])
+        assert (found is not None) == expect, (pair1, pair2, shared)
+        if found is not None:
+            assert set(found[0]) & set(found[1]) == shared
+
+    for center in verts:
+        for t1, t2 in combinations([x for x in verts if x != center], 2):
+            agree(edge(center, t1), edge(center, t2), {center})
+    for quad in combinations(verts, 4):
+        for pair1, pair2 in pairings(*quad):
+            agree(pair1, pair2, set())
+
+
+class TestPathTableScans:
+    """The replay's scans of its own path table, ``_first_pair`` for fans
+    (A2) and linkages (A3), and the pair search, against brute force."""
+
     def test_fan_on_rainbow_c4(self):
         g, coloring = rainbow_c4()
-        p, q = check_fan(g, coloring, 0, 1, 3)
+        table = path_table(g, coloring)
+        p, q = verify._first_pair(table[0, 1], table[0, 3], 1 << 0)
         assert set(p) & set(q) == {0}
-
-    def test_fan_needs_distinct_vertices(self):
-        g, coloring = rainbow_c4()
-        with pytest.raises(InvalidInput, match="three distinct vertices"):
-            check_fan(g, coloring, 0, 0, 1)
-
-    def test_linkage_needs_distinct_vertices(self):
-        g, coloring = rainbow_c4()
-        with pytest.raises(InvalidInput, match="four distinct vertices"):
-            check_linkage(g, coloring, (0, 1, 2, 1))
-
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (lambda g, c: check_linkage(g, c, (0, 1, 2)), "four distinct vertices"),
-            (
-                lambda g, c: has_two_internally_disjoint_rainbow_paths(g, c, 0, 99),
-                "endpoints 0 and 99 must be vertices 0..7",
-            ),
-            (lambda g, c: check_fan(g, c, 0, 1, 99), "endpoints 0 and 99 must be vertices 0..7"),
-            (
-                lambda g, c: next(enumerate_rainbow_paths(g, c, -1, 2)),
-                "endpoints -1 and 2 must be vertices 0..7",
-            ),
-        ],
-    )
-    def test_bad_vertex_arguments_are_invalid_input(self, call, message):
-        g = theta_graph(2, 3, 4)
-        with pytest.raises(InvalidInput, match=message):
-            call(g, color_rc2(g).coloring)
 
     def test_fan_fails_on_mono(self):
         g, coloring = mono_c4()
-        assert check_fan(g, coloring, 0, 1, 2) is None
+        table = path_table(g, coloring)
+        assert table[0, 2] == []
+        assert verify._first_pair(table[0, 1], table[0, 2], 1 << 0) is None
 
     def test_linkage_mono_c4_satisfied_by_adjacent_split(self):
         """Even the monochromatic C4 links its four vertices: the pairing
         (0,1),(2,3) uses two disjoint single edges."""
         g, coloring = mono_c4()
-        pair1, pair2, p, q = check_linkage(g, coloring, (0, 1, 2, 3))
-        assert (pair1, pair2) == ((0, 1), (2, 3))
-        assert p == (0, 1) and q == (2, 3)
+        table = path_table(g, coloring)
+        assert verify._first_pair(table[0, 1], table[2, 3], 0) == ((0, 1), (2, 3))
 
     @given(two_connected_graphs(max_n=6), st.data())
     @settings(max_examples=40)
     def test_pair_fan_and_linkage_agree_with_brute_force(self, g, data):
-        """Witnesses match a search over all simple paths, each list nearest
-        to its target first: for a pair, the first path with a partner, and
-        its first partner; for a fan, the first path to t1 with its first
-        partner to t2; for a linkage, the first pairing in order."""
+        """The pair search's witness matches a search over all simple paths,
+        each list nearest to v first: the first path with a partner, and its
+        first partner.  The replay's path table has a fan or a linkage
+        exactly when that search has one."""
         coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=4)))
         verts = range(g.vertex_count)
         for u, v in combinations(verts, 2):
@@ -900,30 +923,20 @@ class TestFanAndLinkage:
                 None,
             )
             assert has_two_internally_disjoint_rainbow_paths(g, coloring, u, v) == expect
-        for center in verts:
-            for t1, t2 in combinations([x for x in verts if x != center], 2):
-                expect = next(
-                    (
-                        (p, q)
-                        for p in rainbow_simple_paths(g, coloring, center, t1)
-                        for q in rainbow_simple_paths(g, coloring, center, t2)
-                        if set(p) & set(q) == {center}
-                    ),
-                    None,
-                )
-                assert check_fan(g, coloring, center, t1, t2) == expect
-        for a, b, c, d in combinations(verts, 4):
-            expect = next(
-                (
-                    (pair1, pair2, p, q)
-                    for pair1, pair2 in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
-                    for p in rainbow_simple_paths(g, coloring, *pair1)
-                    for q in rainbow_simple_paths(g, coloring, *pair2)
-                    if not set(p) & set(q)
-                ),
-                None,
-            )
-            assert check_linkage(g, coloring, (d, b, c, a)) == expect
+        check_table_scans(g, coloring, list(verts))
+
+    def test_every_corpus_level_table_agrees_with_brute_force(self):
+        """Each level of the multi-level corpus traces, on its own vertices,
+        as the replay scans it."""
+        levels = [
+            (Graph(g.vertex_count, frozenset(assign)), assign)
+            for res, g in multi_level_corpus()
+            for assign, _ in fold_levels(res.trace)
+        ]
+        assert len(levels) == 23
+        for sub, assign in levels:
+            coloring = EdgeColoring(assign, len(set(assign.values())))
+            check_table_scans(sub, coloring, sorted({x for e in assign for x in e}))
 
     def test_a_path_is_not_its_own_partner(self):
         """The edge 01 meets itself exactly in {0, 1}, but only a second path
@@ -938,7 +951,9 @@ class TestFanAndLinkage:
         # predicate; all pairings collide at the hub
         g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         coloring = EdgeColoring.from_assignment({(0, 1): 0, (0, 2): 1, (0, 3): 2})
-        assert check_linkage(g, coloring, (0, 1, 2, 3)) is None
+        table = path_table(g, coloring)
+        for pair1, pair2 in pairings(0, 1, 2, 3):
+            assert verify._first_pair(table[pair1], table[pair2], 0) is None
 
 
 def sorted_paths_per_pair(sub, coloring, verts):
