@@ -26,6 +26,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+from rc2.graphs import Graph, degree_two_set
 from rc2.oracle import CENSUS_SIZES, census_csv, census_small_graphs
 
 
@@ -51,12 +52,9 @@ def sharp_kind(row):
     length at least 2 (m = n + 2: four vertices of degree 3, the rest of
     degree 2, and exactly one of the six chains between them has interior
     vertices), and "other" for every other graph."""
-    pairs = [tuple(map(int, e.split("-"))) for e in row.edges.split(";")]
-    adj = {v: [] for v in range(row.n)}
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    branch = {v for v, nbrs in adj.items() if len(nbrs) != 2}
+    g = Graph.from_edges(row.n, [map(int, e.split("-")) for e in row.edges.split(";")])
+    adj = g.adjacency()
+    branch = set(adj).difference(degree_two_set(g))
     if any(len(adj[v]) != 3 for v in branch):
         return "other"
     if row.m == row.n + 1 and len(branch) == 2:

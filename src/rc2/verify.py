@@ -310,7 +310,7 @@ def _color_map_violation(
     for e, c in assign.items():
         by_color.setdefault(c, []).append(e)
     for v, c in sorted(mapping.items()):
-        hits = sorted(by_color.get(c, []))
+        hits = by_color.get(c, [])
         if len(hits) != 1:
             return "A5", (v, c), f"color {c} sits on {len(hits)} edges, not one"
         if v not in hits[0]:

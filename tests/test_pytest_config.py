@@ -6,6 +6,7 @@ name; as an error, that warning aborted the whole session with an
 INTERNALERROR, and the tests after the failing one never ran.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,7 +32,11 @@ def test_failing_given_test_does_not_abort_the_session(tmp_path):
     (tmp_path / "test_sample.py").write_text(FAILING_THEN_PASSING)
     argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     argv += ["-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_sample.py"]
-    done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    # The child runs plain even when this session runs under PYTHONOPTIMIZE:
+    # there pytest warns that asserts are ignored, and the "error" filter
+    # would abort the child on that warning.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True, timeout=120, env=env)
     output = done.stdout + done.stderr
     assert done.returncode == 1, output
     assert "INTERNALERROR" not in output

@@ -10,6 +10,7 @@ are recorded again on purpose, with the reason in CHANGES.md.
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import os
 import subprocess
@@ -22,6 +23,7 @@ from rc2.coloring import EdgeColoring
 from rc2.reports import skipped
 
 from .common import census_rows
+from .test_oracle import CENSUS_CSV_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -144,6 +146,16 @@ def test_run_census_counts_graphs_and_classes():
     assert done.stdout.startswith("n=4: 10 graphs (3 classes) in ")
     # The diamond needs 3 colors; the 4-cycle needs 4 and K4 needs 2.
     assert done.stdout.splitlines()[1] == "  classes needing n-1 = 3 colors: 1/3"
+
+
+def test_run_census_writes_the_pinned_csv_of_every_size(tmp_path):
+    """With no --n the census runs every size and exits 0, so no row breaks
+    the theorem; each CSV it writes hashes to its pin. Under python -O this
+    checks that the census and the oracle do not depend on asserts."""
+    done = run_script("run_census.py", "--out-dir", str(tmp_path))
+    assert done.returncode == 0, done.stdout + done.stderr
+    for n, digest in CENSUS_CSV_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"census_{n}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_run_census_refuses_n_7():
