@@ -2,14 +2,16 @@
 """Color and verify the whole benchmark corpus, then print a summary table.
 
 For every corpus member this colors the graph, checks the rainbow
-2-connection property exhaustively, and records colors used against the
-n-1 budget.  Every ear-induction coloring is colored with its trace, and
-the trace is replayed with ``check_induction_invariants``.  A graph fails
-when its verification or its replay fails or is skipped, or when its
+2-connection property exhaustively, searching the coloring's support before
+the whole graph, and records colors used against the n-1 budget.  Every
+ear-induction coloring is colored with its trace, and the trace is replayed
+with ``check_induction_invariants``.  A graph fails when its verification
+or its replay fails or is skipped, or when its
 coloring uses more than n-1 colors; each failure is named on its own line,
 and any failure makes the exit status 1.  The per-family summary shows how
 much of the budget the construction actually spends.  Under the summary
-line and the replay count it prints the sha256
+line it prints the replay count, the number of pairs whose witness the
+support did not hold (summed over the corpus), and the sha256
 of the canonical coloring JSON, one line per corpus member, and the sha256
 of the traced coloring JSON (what ``rc2 color --trace`` writes: the
 coloring plus one delta per construction level), one line per corpus
@@ -29,6 +31,7 @@ from collections import defaultdict
 
 from rc2.coloring import color_rc2
 from rc2.corpus import standard_corpus
+from rc2.reports import DEFAULT_GUARD
 from rc2.verify import check_induction_invariants, is_rainbow_two_connected
 
 
@@ -42,12 +45,14 @@ def main(argv=None):
     digest = hashlib.sha256()
     traces = hashlib.sha256()
     replays = 0
+    fallbacks = 0
     t0 = time.perf_counter()
     for spec, g in standard_corpus():
         result = color_rc2(g, with_trace=True)
         digest.update(result.to_json_text().encode() + b"\n")
         traces.update(result.to_json_text(include_trace=True).encode() + b"\n")
-        report = is_rainbow_two_connected(g, result.coloring)
+        report = is_rainbow_two_connected(g, result.coloring, DEFAULT_GUARD, result.support)
+        fallbacks += dict(report.witnesses).get("support_fallbacks", 0)
         used = result.coloring.color_count
         budget = g.vertex_count - 1
         checks = [("verification", report)]
@@ -97,6 +102,7 @@ def main(argv=None):
     failures = sum(agg["failures"] for agg in by_family.values())
     print(f"\n{len(rows)} graphs, {failures} failures, {elapsed:.2f}s")
     print(f"{replays} traced colorings replayed")
+    print(f"support fallbacks {fallbacks}")
     print(f"colorings sha256 {digest.hexdigest()}")
     print(f"traces sha256 {traces.hexdigest()}")
 

@@ -22,7 +22,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .coloring import color_rc2, coloring_from_json_obj, to_dot
+from .coloring import color_rc2, coloring_from_json_obj, support_from_json_obj, to_dot
 from .corpus import standard_corpus
 from .ears import build_ear_decomposition
 from .errors import BudgetExceeded, InvalidInput, PreconditionViolated, Rc2Error
@@ -104,9 +104,10 @@ def _cmd_verify(args) -> int:
     if g.vertex_count == 0:
         # The bound of n - 1 colors would read -1.
         raise PreconditionViolated("the graph has no vertices, so there is nothing to verify")
-    coloring = coloring_from_json_obj(parse_json(_read_text(args.coloring), "coloring JSON"))
+    obj = parse_json(_read_text(args.coloring), "coloring JSON")
+    coloring = coloring_from_json_obj(obj)
     guard = SizeGuard(args.max_vertices, args.max_edges)
-    report = is_rainbow_two_connected(g, coloring, guard)
+    report = is_rainbow_two_connected(g, coloring, guard, support_from_json_obj(obj))
     allowed = g.vertex_count if is_cycle_graph(g) else g.vertex_count - 1
     used = coloring.color_count
     bound_ok = used <= allowed

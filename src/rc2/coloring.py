@@ -6,7 +6,8 @@ them, which is optimal).  Everything else is first thinned to a minimally
 a direct scheme when the thinned graph is a Hamiltonian cycle (the original
 then has a chord) or by induction over an ear decomposition.  Edges outside
 the thinned subgraph reuse color 0: extra edges only add paths, so the
-verified pairs survive.
+verified pairs survive.  A result that pads edges that way keeps the edges
+its scheme colored as its support, which the verifier searches first.
 """
 
 from __future__ import annotations
@@ -85,14 +86,26 @@ def _step_obj(step: TraceStep) -> dict:
 
 @dataclass
 class ColoringResult:
+    """A coloring with the scheme that made it.
+
+    ``support`` is the edge set the scheme colored, kept by
+    :func:`color_rc2` when it gives the remaining edges color 0: the cycle
+    plus its chord, or the minimally 2-connected subgraph.  It is None when
+    the scheme colored every edge (a cycle, or an input that is already
+    minimal).  The paper's theorem holds on the support by itself, so the
+    verifier searches it first.
+    """
+
     coloring: EdgeColoring
     strategy: str
     trace: tuple[TraceStep, ...] | None = None
+    support: frozenset[Edge] | None = None
 
     def to_json_text(self, include_trace: bool = False) -> str:
         """The result as canonical JSON text (sorted keys, no spaces).
 
-        The trace, when asked for and present, holds one object per level:
+        The support, when set, is a sorted list of ``[u, v]`` pairs.  The
+        trace, when asked for and present, holds one object per level:
         its :class:`TraceStep`, with ``colored`` as sorted ``[u, v, c]``
         triples and string keys in ``mapped``.  Folding the levels in order,
         as :meth:`TraceStep.apply` folds the steps, gives each level.
@@ -105,6 +118,9 @@ class ColoringResult:
             f'{{"colors":{self.coloring.color_count},"edges":[{edges}],'
             f'"strategy":{json.dumps(self.strategy)}'
         )
+        if self.support is not None:
+            pairs = ",".join(f"[{u},{v}]" for u, v in sorted(self.support))
+            head += f',"support":[{pairs}]'
         if include_trace and self.trace is not None:
             return head + ',"trace":' + canonical_json(list(map(_step_obj, self.trace))) + "}"
         return head + "}"
@@ -132,6 +148,25 @@ def coloring_from_json_obj(obj) -> EdgeColoring:
         raw[e] = item["color"]
     rank = {c: i for i, c in enumerate(sorted(set(raw.values())))}
     return EdgeColoring.from_assignment({e: rank[c] for e, c in raw.items()})
+
+
+def support_from_json_obj(obj: dict) -> frozenset[Edge] | None:
+    """The optional ``support`` edge list of a coloring's JSON form, or None.
+
+    Only the entries' form is checked here: each is a pair of ints.
+    :func:`~rc2.verify.is_rainbow_two_connected` refuses a pair that is not
+    an edge of the graph, a self-loop among them.
+    """
+    if "support" not in obj:
+        return None
+    raw = obj["support"]
+    if not isinstance(raw, list):
+        raise InvalidInput('the coloring\'s "support" must be a list of edges')
+    for item in raw:
+        # type() and not isinstance(): JSON true/false are bools, and bool is an int.
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
+            raise InvalidInput(f"bad support entry {item!r}")
+    return frozenset(edge(u, v) for u, v in raw)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +369,9 @@ def color_minimally_two_connected(g: Graph, with_trace: bool = False) -> Colorin
 def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
     """Rainbow-2-connected coloring of any 2-connected graph.
 
-    Cycles use n colors (optimal); everything else at most n-1.
+    Cycles use n colors (optimal); everything else at most n-1.  When edges
+    outside the scheme's colored subgraph get color 0, that subgraph's
+    edges are kept as the result's ``support``.
     """
     if not is_two_connected(g):
         raise PreconditionViolated("rainbow 2-connection needs a 2-connected graph")
@@ -348,6 +385,8 @@ def color_rc2(g: Graph, with_trace: bool = False) -> ColoringResult:
     else:
         result = color_minimally_two_connected(h, with_trace)
     assign = result.coloring.assignment
+    if len(assign) < g.edge_count:
+        result.support = frozenset(assign)
     # The chord already has its color.
     for e in dropped:
         assign.setdefault(e, 0)

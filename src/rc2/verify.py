@@ -6,10 +6,13 @@ joined by two rainbow paths sharing only their endpoints.  The checks are
 exhaustive path enumerations, so a :class:`~rc2.reports.SizeGuard` refuses
 inputs that would blow up; a refused check comes back as a skipped report,
 never as a silent pass.  The headline check searches only the pairs that no
-accepted witness's cycle joins by two rainbow arcs.  Every witness is
-checked apart from the search and that lookup: two arcs of an accepted
-cycle by the color parity of each arc, in a fixed number of steps, before
-they are handed out, and any other witness by :func:`pair_witness_error`.
+accepted witness's cycle joins by two rainbow arcs.  Given a support, a
+subgraph such as the one :func:`~rc2.coloring.color_rc2` colored with care,
+it searches each such pair there first and in the whole graph only when
+the support has no witness.  Every witness is checked apart from the
+searches and that lookup: two arcs of an accepted cycle by the color parity
+of each arc, in a fixed number of steps, before they are handed out, and
+any other witness by :func:`pair_witness_error`.
 
 :func:`check_induction_invariants` replays a traced construction level by
 level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
@@ -132,7 +135,12 @@ def _first_pair(entries1: Iterable[PathEntry], entries2: Sequence[PathEntry], sh
 
 
 def has_two_internally_disjoint_rainbow_paths(
-    g: Graph, coloring: EdgeColoring, u: int, v: int, cycles: _AcceptedCycles | None = None
+    g: Graph,
+    coloring: EdgeColoring,
+    u: int,
+    v: int,
+    cycles: _AcceptedCycles | None = None,
+    support: Graph | None = None,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Two rainbow u-v paths that share only their endpoints, or None.
 
@@ -144,7 +152,10 @@ def has_two_internally_disjoint_rainbow_paths(
     With a record of accepted ``cycles``, a pair that two rainbow arcs of a
     recorded cycle join gets those arcs, checked by the record before it
     hands them out, and runs no search.  The call records nothing, and
-    without a record every call searches.
+    without a record every call searches.  With a ``support``, a subgraph
+    of g on the same vertices, the search runs on it first, and on g only
+    when the support has no witness: two such paths in a subgraph are two
+    such paths in g.
     """
     if u == v:
         raise InvalidInput("path endpoints must differ")
@@ -152,11 +163,12 @@ def has_two_internally_disjoint_rainbow_paths(
         reused = cycles.witness(u, v)
         if reused is not None:
             return reused
-    for p in enumerate_rainbow_paths(g, coloring, u, v):
-        for q in enumerate_rainbow_paths(g, coloring, u, v, frozenset(p[1:-1])):
-            # The single edge uv avoids its own empty interior.
-            if q != p:
-                return p, q
+    for h in (g,) if support is None else (support, g):
+        for p in enumerate_rainbow_paths(h, coloring, u, v):
+            for q in enumerate_rainbow_paths(h, coloring, u, v, frozenset(p[1:-1])):
+                # The single edge uv avoids its own empty interior.
+                if q != p:
+                    return p, q
     return None
 
 
@@ -205,10 +217,17 @@ class _AcceptedCycles:
     a fault in ``pos`` cannot produce a pass.  No cycle comes twice: a
     searched pair's witness lies on no recorded cycle, since that cycle
     would have served the pair two rainbow arcs.
+
+    Given the ``support`` searched first, ``fallbacks`` counts the accepted
+    searched witnesses with an edge outside it: the graph's search found
+    them, since the support's search finds a witness whenever the support
+    has one.
     """
 
-    def __init__(self, coloring: EdgeColoring):
+    def __init__(self, coloring: EdgeColoring, support: frozenset | None = None):
         self._coloring = coloring
+        self._support = support
+        self.fallbacks = 0
         # vertex -> the cycles through it, oldest first: (pos, ring, x), where
         # pos proposes positions and the doubled ring and x confirm them.
         self._by_vertex: dict[int, list[tuple]] = {}
@@ -250,10 +269,12 @@ class _AcceptedCycles:
         """Keep an accepted witness's ``ring``, a simple cycle of colored
         edges, by its positions, doubled ring and parity masks."""
         assign = self._coloring.assignment
-        hops = zip(ring, ring[1:] + ring[:1])
+        hops = list(map(edge, ring, ring[1:] + ring[:1]))
+        if self._support is not None and not self._support.issuperset(hops):
+            self.fallbacks += 1
         # Each color of the cycle gets a bit, in order of first sight.
         bits: dict[int, int] = {}
-        ones = [bits.setdefault(assign[edge(a, b)], 1 << len(bits)) for a, b in hops]
+        ones = [bits.setdefault(assign[e], 1 << len(bits)) for e in hops]
         x = list(accumulate(ones + ones, xor, initial=0))
         entry = ({y: i for i, y in enumerate(ring)}, ring + ring, x)
         for y in ring:
@@ -261,7 +282,10 @@ class _AcceptedCycles:
 
 
 def is_rainbow_two_connected(
-    g: Graph, coloring: EdgeColoring, guard: SizeGuard = DEFAULT_GUARD
+    g: Graph,
+    coloring: EdgeColoring,
+    guard: SizeGuard = DEFAULT_GUARD,
+    support: Iterable[tuple[int, int]] | None = None,
 ) -> VerificationReport:
     """Exhaustively verify the headline property over all vertex pairs.
 
@@ -274,16 +298,30 @@ def is_rainbow_two_connected(
     served for the pair, and sends any other witness to
     :func:`pair_witness_error`; neither check reads the search or the
     lookup, so a fault in either cannot produce a pass.
+
+    A ``support``, edges of g such as a :class:`~rc2.coloring.ColoringResult`'s,
+    is searched before g for each pair the record does not serve.  A pair
+    that fails on g fails on the support too, so the verdict and the first
+    failing pair are the same with it and without; only the witnesses of
+    passing pairs may differ.  A support pair that is not an edge of g is
+    refused.  The size guard reads g.  A pass given a support also reports
+    ``support_fallbacks``, the pairs that g's search served.
     """
     if set(coloring.assignment) != g.edges:
         raise InvalidInput("coloring must cover exactly the graph's edges")
+    s = None
+    if support is not None:
+        s = Graph(g.vertex_count, frozenset(edge(a, b) for a, b in support))
+        stray = min(s.edges - g.edges, default=None)
+        if stray is not None:
+            raise InvalidInput(f"support edge {stray} is not an edge of the graph")
     refusal = guard.refusal(g.vertex_count, g.edge_count)
     if refusal is not None:
         return skipped("A1", refusal)
-    cycles = _AcceptedCycles(coloring)
+    cycles = _AcceptedCycles(coloring, None if s is None else s.edges)
     for u, v in combinations(range(g.vertex_count), 2):
         # The record goes by position, so a stand-in taking ``*args`` still fits.
-        witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles)
+        witness = has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, cycles, s)
         if witness is None:
             return failing(
                 "A1",
@@ -292,7 +330,10 @@ def is_rainbow_two_connected(
         error = cycles.error(u, v, witness)
         if error is not None:
             return failing("A1", [Violation("A1", (u, v), f"witness rejected: {error}")])
-    return passing("A1", [("pairs_checked", g.vertex_count * (g.vertex_count - 1) // 2)])
+    witnesses = [("pairs_checked", g.vertex_count * (g.vertex_count - 1) // 2)]
+    if s is not None:
+        witnesses.append(("support_fallbacks", cycles.fallbacks))
+    return passing("A1", witnesses)
 
 
 def _color_map_violation(

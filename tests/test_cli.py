@@ -296,6 +296,39 @@ def test_verify_json_payload(capsys, tmp_path):
     assert payload["report"]["checked_property"] == "A1"
 
 
+def test_verify_json_counts_support_fallbacks(capsys, tmp_path):
+    """``rc2 color`` writes K4's support, its Hamiltonian cycle and chord;
+    a pass given one reports how many pairs the whole graph's search served."""
+    gpath, cpath = colored_graph(capsys, tmp_path, k4())
+    with open(cpath) as fh:
+        assert len(json.load(fh)["support"]) == 5
+    code, out, _ = run(capsys, ["verify", "--graph", gpath, "--coloring", cpath, "--json"])
+    assert code == 0
+    assert json.loads(out)["report"]["witnesses"] == [["pairs_checked", 6], ["support_fallbacks", 0]]
+
+
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ([0, 2], "support edge (0, 2) is not an edge of the graph"),
+        ([1, 1], "support edge (1, 1) is not an edge of the graph"),
+        ([True, 1], "bad support entry [True, 1]"),
+        ([0, "1"], "bad support entry [0, '1']"),
+        ([0, 1.5], "bad support entry [0, 1.5]"),
+        ([0, 1, 2], "bad support entry [0, 1, 2]"),
+        (1, "bad support entry 1"),
+    ],
+    ids=["non-edge", "self-loop", "bool", "string", "float", "triple", "not-a-pair"],
+)
+def test_verify_refuses_a_bad_support_entry(capsys, tmp_path, entry, reason):
+    g = cycle(4)
+    entries = [{"u": u, "v": v, "color": i} for i, (u, v) in enumerate(sorted(g.edges))]
+    cpath = tmp_path / "col.json"
+    cpath.write_text(json.dumps({"edges": entries, "support": [[0, 1], entry]}))
+    code, out, err = run(capsys, ["verify", "--graph", graph_file(tmp_path, g), "--coloring", str(cpath)])
+    assert (code, out, err) == (2, "", f"error: {reason}\n")
+
+
 def test_verify_guard_skip_exits_2(capsys, tmp_path):
     gpath, cpath = colored_graph(capsys, tmp_path, cycle(4))
     code, out, _ = run(

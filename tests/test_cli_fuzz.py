@@ -1,6 +1,7 @@
 """Fuzzing ``rc2 color``, ``verify``, ``minimalize`` and ``decompose`` with
-malformed and oversized input.  ``oracle`` and ``census`` are left out: their
-brute force can run for a very long time on a fuzzed graph.
+malformed and oversized input, coloring supports among it.  ``oracle`` and
+``census`` are left out: their brute force can run for a very long time on a
+fuzzed graph.
 
 The exit-code contract: 0 success, 1 only a verification that ran and
 failed, 2 bad input or a refusal, and never a traceback.  ``main`` runs in
@@ -59,9 +60,21 @@ malformed_graphs = st.one_of(
 small_graphs = st.builds(random_two_connected, st.integers(5, 11), st.integers(1, 2), st.integers(0, 10**6))
 
 
+def supports_of(edges):
+    """``support`` values: the graph's own edges, mixed with non-edges,
+    self-loops and entries of the wrong shape or type, or no list at all."""
+    entry = st.one_of(
+        st.sampled_from([list(e) for e in edges]),
+        st.lists(st.integers(-1, 12), min_size=2, max_size=2),
+        st.lists(values, max_size=3),
+        values,
+    )
+    return st.one_of(st.lists(entry, max_size=8), values)
+
+
 @st.composite
 def colorings_of(draw, edges):
-    """Colorings of the given edges, some then damaged."""
+    """Colorings of the given edges, some then damaged, some with a support."""
     k = draw(st.integers(1, len(edges) + 1))
     rng = draw(st.randoms(use_true_random=False))
     entries = [{"u": u, "v": v, "color": rng.randrange(k)} for u, v in edges]
@@ -72,12 +85,16 @@ def colorings_of(draw, edges):
         entries.append(dict(entries[0]))
     elif entries and damage == "field":
         entries[0][draw(st.sampled_from(["u", "v", "color"]))] = draw(values)
-    return json.dumps({"edges": entries})
+    obj = {"edges": entries}
+    if draw(st.booleans()):
+        obj["support"] = draw(supports_of(edges))
+    return json.dumps(obj)
 
 
 malformed_colorings = st.one_of(
     st.fixed_dictionaries(
-        {"edges": st.one_of(values, st.lists(st.dictionaries(st.sampled_from(["u", "v", "color"]), values), max_size=6))}
+        {"edges": st.one_of(values, st.lists(st.dictionaries(st.sampled_from(["u", "v", "color"]), values), max_size=6))},
+        optional={"support": supports_of([(0, 1)])},
     ).map(json.dumps),
     nested.map(lambda s: '{"edges": ' + s + "}"),
     st.text(max_size=40),
@@ -96,7 +113,10 @@ def cli_cases(draw):
             graph = draw(st.text(min_size=1, max_size=3)) + graph
         kind = draw(st.sampled_from(["constructed", "random", "malformed"]))
         if kind == "constructed":
-            coloring = color_rc2(g).to_json_text()
+            obj = color_rc2(g).to_json_obj()
+            if draw(st.booleans()):
+                obj["support"] = draw(supports_of(sorted(g.edges)))
+            coloring = json.dumps(obj)
         else:
             coloring = draw(colorings_of(sorted(g.edges)) if kind == "random" else malformed_colorings)
     graph = graph.encode()

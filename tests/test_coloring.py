@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,12 @@ from rc2 import (
     to_dot,
 )
 from rc2 import verify
-from rc2.coloring import color_base_subgraph, coloring_from_json_obj, extend_with_ear
+from rc2.coloring import (
+    color_base_subgraph,
+    coloring_from_json_obj,
+    extend_with_ear,
+    support_from_json_obj,
+)
 from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.generators import theta_graph
 from rc2.graphs import degree_two_set, is_cycle_graph, parse_edge_list
@@ -362,6 +368,56 @@ class TestColoringJson:
         ]}
         with pytest.raises(InvalidInput, match=r"edge \(0, 1\) colored twice"):
             coloring_from_json_obj(obj)
+
+
+class TestSupport:
+    """``color_rc2`` keeps the edges a scheme colored as the support when it
+    gives the others color 0, and writes them as a sorted ``support`` list."""
+
+    @pytest.mark.parametrize("g", [cycle(6), k23()], ids=["cycle", "k23"])
+    def test_absent_when_every_edge_is_colored_by_a_scheme(self, g):
+        res = color_rc2(g)
+        assert res.support is None
+        obj = res.to_json_obj(include_trace=True)
+        assert "support" not in obj
+        assert support_from_json_obj(obj) is None
+
+    def test_w5_keeps_its_cycle_and_chord(self):
+        """W5 (hub 0, rim 1-2-3-4) minimalizes to the 5-cycle 0-1-2-3-4-0;
+        the smallest dropped edge, (0, 2), is the chord, and the other two,
+        (0, 3) and the rim edge (1, 4), are padded with color 0."""
+        g = wheel(5)
+        res = color_rc2(g)
+        assert res.strategy == "hamiltonian_chord"
+        assert res.support == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)}
+        assert g.edges - res.support == {(0, 3), (1, 4)}
+        assert res.coloring.assignment[0, 3] == res.coloring.assignment[1, 4] == 0
+        obj = res.to_json_obj()
+        assert obj["support"] == [[0, 1], [0, 2], [0, 4], [1, 2], [2, 3], [3, 4]]
+        assert list(obj) == ["colors", "edges", "strategy", "support"]
+
+    @given(two_connected_graphs(max_n=9))
+    @settings(max_examples=40)
+    def test_round_trips_through_json(self, g):
+        res = color_rc2(g, with_trace=True)
+        for include_trace in (False, True):
+            assert support_from_json_obj(res.to_json_obj(include_trace)) == res.support
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (3, 'the coloring\'s "support" must be a list of edges'),
+            ([[0, 1], [True, 2]], "bad support entry [True, 2]"),
+            ([[0, 1.0]], "bad support entry [0, 1.0]"),
+            ([["0", 1]], "bad support entry ['0', 1]"),
+            ([[0, 1, 2]], "bad support entry [0, 1, 2]"),
+            ([{"u": 0, "v": 1}], "bad support entry {'u': 0, 'v': 1}"),
+        ],
+        ids=["not-a-list", "bool", "float", "string", "triple", "object"],
+    )
+    def test_a_malformed_entry_is_invalid_input(self, raw, message):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            support_from_json_obj({"edges": [], "support": raw})
 
 
 class TestDot:

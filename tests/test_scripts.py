@@ -3,8 +3,9 @@ package taken from ``src/``, or loaded from its file to damage what it
 checks.
 
 ``run_corpus.py`` prints a digest of the corpus colorings and one of the
-traced colorings; both are pinned here and quoted in the README, so a
-change to any corpus coloring or trace fails this test until its digests
+traced colorings, each over the JSON that ``rc2 color`` writes (support
+included); both are pinned here and quoted in the README, so a change to
+any corpus coloring, support or trace fails this test until its digests
 are recorded again on purpose, with the reason in CHANGES.md.
 """
 
@@ -27,8 +28,8 @@ from .test_oracle import CENSUS_CSV_SHA256
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COLORINGS_SHA256 = "c06ef980d358372d693f88f973553b1248dc5f537f710d18385e71619c8a2532"
-TRACES_SHA256 = "11ef179ce5ed25b4c61ba8b3def157ecfa06a447743592ff0369155734dc9529"
+COLORINGS_SHA256 = "a16099e422baddd81061b653ac531810c6a9f789382cea00e5ba6126f5bffd17"
+TRACES_SHA256 = "98b4383c3b6e4596c587cea2fa5e0371dafe47760b742abc7de1264b4514b787"
 
 
 def run_script(name, *args):
@@ -49,6 +50,8 @@ def test_run_corpus_prints_the_pinned_digests():
     assert f"traces sha256 {TRACES_SHA256}" in lines
     # Every ear-induction coloring of the corpus is replayed.
     assert "98 traced colorings replayed" in lines
+    # Each corpus coloring's support holds every pair's witness.
+    assert "support fallbacks 0" in lines
 
 
 def test_run_corpus_writes_one_verified_csv_row_per_graph(tmp_path):
@@ -106,7 +109,7 @@ def test_run_corpus_fails_a_coloring_over_n_minus_one_colors(monkeypatch, capsys
     assert damage_first(script, monkeypatch, False, fresh_color) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "wheel(n=4): 4 colors, more than n - 1 = 3"
-    assert "154 graphs, 1 failures" in lines[-4]
+    assert "154 graphs, 1 failures" in lines[-5]
 
 
 @pytest.mark.parametrize("how", ["damaged", "skipped"])

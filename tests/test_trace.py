@@ -4,9 +4,10 @@
 delta: its ear, the edges it colors and the color-map entries it adds.
 Here the parsed deltas are folded level by level and compared with
 snapshot objects built from the steps folded with ``TraceStep.apply``
-(``fold_levels``); the untraced head is
-compared with ``canonical_json`` of a reference object, and the deltas are
-checked to color each edge of the minimalized subgraph once.  The snapshot
+(``fold_levels``); the untraced head, with the result's support when it
+has one, is compared with ``canonical_json`` of a reference object, and the
+deltas are checked to color each edge of the minimalized subgraph once,
+which is then the support unless it is the whole graph.  The snapshot
 reference ``reference_obj`` is also what ``tests/test_pinned_colorings.py``
 hashes.  A snapshot also names each level's recycled color and fresh
 colors, which both read off the level's edges (``derived``).
@@ -93,6 +94,8 @@ def fold_json_trace(trace: list) -> list[dict]:
 
 def assert_renders_like_the_reference(result):
     head = reference_obj(result, include_trace=False)
+    if result.support is not None:
+        head["support"] = [list(e) for e in sorted(result.support)]
     assert result.to_json_text() == canonical_json(head)
     assert result.to_json_obj() == head
     text = result.to_json_text(include_trace=True)
@@ -169,6 +172,7 @@ def test_each_minimal_edge_is_colored_at_exactly_one_level():
         counts = Counter(e for step in result.trace for e in step.colored)
         assert counts == Counter(h.edges)
         assert sum(len(step.colored) for step in result.trace) == h.edge_count
+        assert result.support == (None if h.edges == g.edges else h.edges)
         if DEFAULT_GUARD.refusal(g.vertex_count, g.edge_count) is None:
             report = check_induction_invariants(result, g)
             assert dict(report.witnesses)["levels_checked"] == len(result.trace)

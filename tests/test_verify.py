@@ -3,16 +3,19 @@ import hashlib
 import importlib.util
 import pathlib
 import random
+import re
 import sys
 from collections import deque
 from functools import cache
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rc2 import (
+    DEFAULT_GUARD,
     ColoringResult,
     EdgeColoring,
     Graph,
@@ -34,8 +37,9 @@ from rc2.errors import InvalidInput, PreconditionViolated
 from rc2.generators import complete_graph, random_two_connected, theta_graph, wheel_graph
 from rc2.reports import failing
 
-from .common import K23_COLORING, cycle, fold_levels, k23, k24
+from .common import K23_COLORING, census_rows, cycle, fold_levels, k23, k24
 from .strategies import colorings_of, two_connected_graphs
+from .test_pinned_reports import merge_last_two_classes
 
 
 def mono_c4():
@@ -511,6 +515,155 @@ class TestPairCallContract:
         assert [(v.kind, v.subject) for v in report.violations] == [("A1", (11, 12))]
         pairs = list(combinations(range(g.vertex_count), 2))
         assert [args[2:4] for args in calls] == pairs[: pairs.index((11, 12)) + 1]
+
+
+def verdict(report):
+    return report.passed, [(v.kind, v.subject, v.reason) for v in report.violations]
+
+
+def dfs_tree(g):
+    """The edges of a depth-first spanning tree of g from vertex 0: a
+    spanning path whenever the search never backs up."""
+    adj, seen, tree, stack = g.adjacency(), {0}, set(), [0]
+    while stack:
+        x = stack[-1]
+        y = next((y for y in adj[x] if y not in seen), None)
+        if y is None:
+            stack.pop()
+        else:
+            seen.add(y)
+            tree.add(edge(x, y))
+            stack.append(y)
+    return frozenset(tree)
+
+
+class TestSupportFirst:
+    """A support is searched before the whole graph, pair by pair.  Two
+    rainbow paths in a subgraph are two in the graph, so the verdict and
+    the first failing pair never change; only passing pairs' witnesses and
+    the count of fallbacks to the graph's search depend on the support."""
+
+    def test_every_corpus_coloring_is_served_by_its_support(self):
+        supported = 0
+        for _, g in standard_corpus():
+            result = color_rc2(g)
+            plain = is_rainbow_two_connected(g, result.coloring)
+            report = is_rainbow_two_connected(g, result.coloring, DEFAULT_GUARD, result.support)
+            assert verdict(report) == verdict(plain) == (True, [])
+            if result.support is not None:
+                supported += 1
+                assert report.witnesses == plain.witnesses + [("support_fallbacks", 0)]
+            broken = merge_last_two_classes(result.coloring)
+            assert verdict(
+                is_rainbow_two_connected(g, broken, DEFAULT_GUARD, result.support)
+            ) == verdict(is_rainbow_two_connected(g, broken))
+        # The 56 minimal members, and the 18 that are a Hamiltonian cycle with
+        # one chord, have every edge colored by a scheme: no support.
+        assert supported == 154 - 56 - 18
+
+    def test_every_labeled_graph_on_five_vertices(self):
+        rows = census_rows(5)
+        assert len(rows) == 238
+        for row in rows:
+            g = Graph.from_edges(5, (map(int, e.split("-")) for e in row.edges.split(";")))
+            result = color_rc2(g)
+            if result.support is None:
+                continue
+            report = is_rainbow_two_connected(g, result.coloring, DEFAULT_GUARD, result.support)
+            assert verdict(report) == (True, [])
+            assert ("support_fallbacks", 0) in report.witnesses
+            broken = merge_last_two_classes(result.coloring)
+            assert verdict(
+                is_rainbow_two_connected(g, broken, DEFAULT_GUARD, result.support)
+            ) == verdict(is_rainbow_two_connected(g, broken))
+
+    @pytest.mark.parametrize("k, at", WORKLOADS.FAIL_WHEELS)
+    def test_a_broken_ear_fails_at_its_pair_with_the_support(self, k, at):
+        g, coloring = broken_wheel(k, at)
+        support = color_rc2(g).support
+        assert support is not None
+        guard = SizeGuard(g.vertex_count, g.edge_count)
+        report = is_rainbow_two_connected(g, coloring, guard, support)
+        assert verdict(report) == verdict(is_rainbow_two_connected(g, coloring, guard))
+        assert [v.subject for v in report.violations] == [(at, at + 1)]
+
+    @given(two_connected_graphs(max_n=8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_any_subgraph_as_support_keeps_the_verdict(self, g, data):
+        """Damaged or random colorings, with the support empty, a DFS tree,
+        the construction's support (or the graph) less one edge, or any
+        edge subset: the report equals the plain one, and a pass counts as
+        fallbacks exactly the pairs that the record did not serve and that
+        have no witness in the support by its own search."""
+        result = color_rc2(g)
+        if data.draw(st.booleans()):
+            coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=5)))
+        else:
+            coloring = merge_last_two_classes(result.coloring)
+        edges = sorted(g.edges)
+        care = sorted(result.support or g.edges)
+        support = data.draw(
+            st.one_of(
+                st.just(frozenset()),
+                st.just(dfs_tree(g)),
+                st.sampled_from(care).map(lambda e: frozenset(care) - {e}),
+                st.sets(st.sampled_from(edges)).map(frozenset),
+            )
+        )
+        s = Graph(g.vertex_count, support)
+        unserved = []
+        original = verify.has_two_internally_disjoint_rainbow_paths
+
+        def spy(g, coloring, u, v, cycles, support):
+            if cycles.witness(u, v) is None and original(s, coloring, u, v) is None:
+                unserved.append((u, v))
+            return original(g, coloring, u, v, cycles, support)
+
+        plain = is_rainbow_two_connected(g, coloring)
+        with mock.patch.object(verify, "has_two_internally_disjoint_rainbow_paths", spy):
+            report = is_rainbow_two_connected(g, coloring, DEFAULT_GUARD, support)
+        assert verdict(report) == verdict(plain)
+        if report.passed:
+            assert report.witnesses == plain.witnesses + [("support_fallbacks", len(unserved))]
+
+    @given(two_connected_graphs(max_n=8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_the_witness_is_the_supports_when_it_has_one(self, g, data):
+        coloring = EdgeColoring.from_assignment(data.draw(colorings_of(g, max_colors=5)))
+        s = Graph(g.vertex_count, frozenset(data.draw(st.sets(st.sampled_from(sorted(g.edges))))))
+        for u, v in combinations(range(g.vertex_count), 2):
+            within = has_two_internally_disjoint_rainbow_paths(s, coloring, u, v)
+            expect = within if within is not None else has_two_internally_disjoint_rainbow_paths(g, coloring, u, v)
+            assert has_two_internally_disjoint_rainbow_paths(g, coloring, u, v, None, s) == expect
+
+    @pytest.mark.parametrize("support, fallbacks", [((), 1), ([(0, 1), (1, 2), (2, 3)], 1), (None, 0)])
+    def test_a_pair_the_support_cannot_serve_falls_back(self, support, fallbacks):
+        """The rainbow C4: (0, 1) is searched and its witness is the whole
+        cycle, whose arcs then serve every other pair.  Neither the empty
+        support nor the path 0-1-2-3 holds that witness; the cycle does."""
+        g, coloring = rainbow_c4()
+        support = g.edges if support is None else support
+        report = is_rainbow_two_connected(g, coloring, DEFAULT_GUARD, support)
+        assert report.witnesses == [("pairs_checked", 6), ("support_fallbacks", fallbacks)]
+
+    def test_a_pass_with_a_support_calls_once_per_pair(self, monkeypatch):
+        g = wheel_graph(30)
+        result = color_rc2(g)
+        calls = spy_on(monkeypatch, "has_two_internally_disjoint_rainbow_paths")
+        guard = SizeGuard(g.vertex_count, g.edge_count)
+        report = is_rainbow_two_connected(g, result.coloring, guard, result.support)
+        assert report.passed and ("support_fallbacks", 0) in report.witnesses
+        assert [args[2:4] for args in calls] == list(combinations(range(g.vertex_count), 2))
+
+    @pytest.mark.parametrize(
+        "support, stray",
+        [([(0, 2)], (0, 2)), ([(0, 1), (3, 3)], (3, 3)), ([(1, 0), (0, 9)], (0, 9)), ([(-1, 0)], (-1, 0))],
+        ids=["non-edge", "self-loop", "out-of-range", "negative"],
+    )
+    def test_a_support_edge_off_the_graph_is_refused(self, support, stray):
+        g, coloring = rainbow_c4()
+        with pytest.raises(InvalidInput, match=re.escape(f"support edge {stray} is not an edge of the graph")):
+            is_rainbow_two_connected(g, coloring, DEFAULT_GUARD, support)
 
 
 # sha256 of each checked pair's witness, one line ``(u, v) witness`` per
