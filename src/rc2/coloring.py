@@ -24,6 +24,7 @@ from .graphs import (
     Path,
     VertexSet,
     canonical_json,
+    check_int_pairs,
     cycle_edges,
     degree_two_set,
     edge,
@@ -162,10 +163,7 @@ def support_from_json_obj(obj: dict) -> frozenset[Edge] | None:
     raw = obj["support"]
     if not isinstance(raw, list):
         raise InvalidInput('the coloring\'s "support" must be a list of edges')
-    for item in raw:
-        # type() and not isinstance(): JSON true/false are bools, and bool is an int.
-        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
-            raise InvalidInput(f"bad support entry {item!r}")
+    check_int_pairs(raw, "support")
     return frozenset(edge(u, v) for u, v in raw)
 
 

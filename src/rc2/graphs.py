@@ -233,18 +233,24 @@ def parse_json(text: str, what: str):
         raise InvalidInput(f"bad {what}: {exc}") from exc
 
 
+def check_int_pairs(items: list, what: str) -> None:
+    """Refuse the first of a JSON list's entries that is not a pair of ints,
+    as ``bad {what} entry``."""
+    for item in items:
+        # type() and not isinstance(): JSON true/false are bools, and bool is an int.
+        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
+            raise InvalidInput(f"bad {what} entry {item!r}")
+
+
 def graph_from_json(text: str) -> Graph:
     obj = parse_json(text, "JSON")
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InvalidInput('graph JSON needs keys "n" and "edges"')
     n = obj["n"]
     raw = obj["edges"]
-    # type() and not isinstance(): JSON true/false are bools, and bool is an int.
     if type(n) is not int or n < 0 or not isinstance(raw, list):
         raise InvalidInput("graph JSON has malformed fields")
-    for item in raw:
-        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
-            raise InvalidInput(f"bad edge entry {item!r}")
+    check_int_pairs(raw, "edge")
     return _checked_graph(n, [(None, u, v) for u, v in raw], None)
 
 

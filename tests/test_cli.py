@@ -1,10 +1,11 @@
 """Command line behaviour: exit codes, output shapes, stdin, determinism.
 
 Most cases drive ``main(argv)`` in process and read captured stdout; a
-couple of subprocess runs check the installed entry point end to end.
+few subprocess runs check ``python -m rc2`` end to end.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 from rc2 import cli
 from rc2.cli import main
-from rc2.generators import complete_bipartite_graph
+from rc2.generators import complete_bipartite_graph, complete_graph, random_two_connected, wheel_graph
 from rc2.graphs import graph_to_json
 
 from .common import c6_with_chord, cycle, diamond, k4, k23, wheel
@@ -128,11 +129,24 @@ def test_color_writes_canonical_json(capsys, tmp_path):
 
 
 def test_color_trace_to_stdout(capsys, tmp_path):
-    code, out, err = run(capsys, ["color", "--input", graph_file(tmp_path, k23()), "--trace"])
-    assert code == 0 and err == ""
-    obj = json.loads(out)
-    assert obj["strategy"] == "ear_induction"
-    assert [level["ear"] for level in obj["trace"]] == [[0, 4, 1]]
+    """Each level has exactly the keys ear, colored and mapped, and after the
+    first level the ear's consecutive pairs are the edges the level colors;
+    K_{2,5}'s three levels check that on later levels."""
+    for g, ears in [
+        (k23(), [[0, 4, 1]]),
+        (complete_bipartite_graph(2, 5), [[0, 4, 1], [0, 5, 1], [0, 6, 1]]),
+    ]:
+        code, out, err = run(capsys, ["color", "--input", graph_file(tmp_path, g), "--trace"])
+        assert code == 0 and err == ""
+        obj = json.loads(out)
+        assert obj["strategy"] == "ear_induction"
+        assert [level["ear"] for level in obj["trace"]] == ears
+        for i, level in enumerate(obj["trace"]):
+            assert sorted(level) == ["colored", "ear", "mapped"]
+            ear = level["ear"]
+            if i:
+                pairs = sorted(sorted(p) for p in zip(ear, ear[1:]))
+                assert pairs == sorted([u, v] for u, v, _ in level["colored"])
 
 
 def test_color_trace_to_file(capsys, tmp_path):
@@ -297,14 +311,20 @@ def test_verify_json_payload(capsys, tmp_path):
 
 
 def test_verify_json_counts_support_fallbacks(capsys, tmp_path):
-    """``rc2 color`` writes K4's support, its Hamiltonian cycle and chord;
-    a pass given one reports how many pairs the whole graph's search served."""
-    gpath, cpath = colored_graph(capsys, tmp_path, k4())
-    with open(cpath) as fh:
-        assert len(json.load(fh)["support"]) == 5
-    code, out, _ = run(capsys, ["verify", "--graph", gpath, "--coloring", cpath, "--json"])
-    assert code == 0
-    assert json.loads(out)["report"]["witnesses"] == [["pairs_checked", 6], ["support_fallbacks", 0]]
+    """``rc2 color`` writes the support it colored: K4's and K40's Hamiltonian
+    cycle and chord, and W80's. A pass given one reports how many pairs the
+    whole graph's search served: none here, with the guard raised to K40's
+    and W80's sizes. W80's pass checks all 80 * 79 / 2 pairs, most of them
+    as long arcs of earlier witnesses' cycles."""
+    for g, support, pairs in [(k4(), 5, 6), (complete_graph(40), 41, 780), (wheel_graph(80), 81, 3160)]:
+        gpath, cpath = colored_graph(capsys, tmp_path, g)
+        with open(cpath) as fh:
+            assert len(json.load(fh)["support"]) == support
+        guard = ["--max-vertices", str(g.vertex_count), "--max-edges", str(g.edge_count)]
+        code, out, _ = run(capsys, ["verify", "--graph", gpath, "--coloring", cpath, "--json", *guard])
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] is True
+        assert payload["report"]["witnesses"] == [["pairs_checked", pairs], ["support_fallbacks", 0]]
 
 
 @pytest.mark.parametrize(
@@ -479,6 +499,55 @@ def test_decompose_refuses_a_plain_cycle(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+# --- larger graphs -----------------------------------------------------
+# sha256 of ``rc2 minimalize``'s output, the same plain and under python -O:
+# the minimalizer's closing 2-connectivity check raises in every mode.
+K40_MINIMAL_SHA256 = "0559f32338d816c3bf327e75a8b05e4344ff06cc2070b83523cba647611f82c3"
+R128_MINIMAL_SHA256 = "5752f472fad1cfa6b176ce5c458cf30001a068d2f9ed26261e3a33a2a3a0cddb"
+
+
+def minimalized(capsys, tmp_path, gpath):
+    code, out, err = run(capsys, ["minimalize", "--input", gpath])
+    assert code == 0 and err == ""
+    mpath = tmp_path / "minimal.json"
+    mpath.write_text(out)
+    return out, str(mpath)
+
+
+def test_k40_minimalizes_to_a_cycle_that_does_not_decompose(capsys, tmp_path):
+    """K40's DFS from vertex 0 is the path 0..39, so its carving, where the
+    minimalizer's sweep starts, is the Hamiltonian cycle with 40 edges; a
+    cycle has no ear to decompose."""
+    out, mpath = minimalized(capsys, tmp_path, graph_file(tmp_path, complete_graph(40)))
+    assert len(json.loads(out)["edges"]) == 40
+    assert hashlib.sha256(out.encode()).hexdigest() == K40_MINIMAL_SHA256
+    code, out, err = run(capsys, ["decompose", "--input", mpath])
+    assert (code, out, err) == (2, "", "error: a cycle decomposes into just itself\n")
+
+
+def test_r128_verifies_with_the_guard_at_its_size(capsys, tmp_path):
+    gpath, cpath = colored_graph(capsys, tmp_path, random_two_connected(128, 42, 3))
+    argv = ["verify", "--graph", gpath, "--coloring", cpath, "--max-vertices", "128", "--max-edges", "170"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and out.splitlines()[-1] == "overall: pass"
+
+
+def test_only_the_minimalized_r128_decomposes(capsys, tmp_path):
+    """The base cycle and ears of the minimalized graph cover its 140 edges.
+    The raw graph, 170 edges, is not minimal: the ears through its degree-2
+    vertices leave edges over."""
+    gpath = graph_file(tmp_path, random_two_connected(128, 42, 3))
+    out, mpath = minimalized(capsys, tmp_path, gpath)
+    assert hashlib.sha256(out.encode()).hexdigest() == R128_MINIMAL_SHA256
+    code, out, _ = run(capsys, ["decompose", "--input", mpath])
+    assert code == 0
+    dec = json.loads(out)
+    assert len(dec["base"]) + sum(len(ear) - 1 for ear in dec["ears"]) == 140
+    code, out, err = run(capsys, ["decompose", "--input", gpath])
+    assert (code, out) == (2, "")
+    assert err == "error: ears through degree-2 vertices did not exhaust the graph\n"
+
+
 # --- oracle ------------------------------------------------------------
 
 
@@ -639,7 +708,7 @@ def test_help_is_the_same_every_call(capsys, tmp_path):
     assert helps[0].startswith("usage: rc2 verify ") and "(default 12)" in helps[0]
 
 
-# --- installed entry point ---------------------------------------------
+# --- python -m rc2 -----------------------------------------------------
 
 
 def run_subprocess(argv, stdin_text=None):
