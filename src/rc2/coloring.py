@@ -23,7 +23,6 @@ from .graphs import (
     Graph,
     Path,
     VertexSet,
-    canonical_json,
     check_int_pairs,
     cycle_edges,
     degree_two_set,
@@ -77,12 +76,13 @@ class TraceStep:
         mapping.update(self.mapped)
 
 
-def _step_obj(step: TraceStep) -> dict:
-    return {
-        "ear": list(step.ear.vertices),
-        "colored": [[u, v, c] for (u, v), c in sorted(step.colored.items())],
-        "mapped": {str(x): c for x, c in step.mapped.items()},
-    }
+def _step_text(step: TraceStep) -> str:
+    """One trace level as canonical JSON text: keys in sorted order, and
+    ``mapped`` keys sorted as the strings they become."""
+    colored = ",".join(f"[{u},{v},{c}]" for (u, v), c in sorted(step.colored.items()))
+    ear = ",".join(map(str, step.ear.vertices))
+    mapped = ",".join(f'"{x}":{c}' for x, c in sorted((str(x), c) for x, c in step.mapped.items()))
+    return f'{{"colored":[{colored}],"ear":[{ear}],"mapped":{{{mapped}}}}}'
 
 
 @dataclass
@@ -123,7 +123,7 @@ class ColoringResult:
             pairs = ",".join(f"[{u},{v}]" for u, v in sorted(self.support))
             head += f',"support":[{pairs}]'
         if include_trace and self.trace is not None:
-            return head + ',"trace":' + canonical_json(list(map(_step_obj, self.trace))) + "}"
+            return head + ',"trace":[' + ",".join(map(_step_text, self.trace)) + "]}"
         return head + "}"
 
     def to_json_obj(self, include_trace: bool = False) -> dict:

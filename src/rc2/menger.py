@@ -16,6 +16,11 @@ out-arcs, so a search never gets past the anchor set; when the anchors are
 the vertices already covered by an ear decomposition, the search stays on
 v0's bridge (the component of the uncovered part that contains v0).  Each
 breadth-first search stops as soon as it reaches the sink.
+
+An ear fan from a source of degree 2 is often forced: when the chain
+through v0 runs straight to two distinct anchors, those two walks are the
+only fan, and ``two_fan_to_subgraph`` returns them without the flows.  Every
+other fan, and every removability test, still goes through the flows.
 """
 
 from __future__ import annotations
@@ -107,12 +112,40 @@ def _two_unit_flows(
     return None
 
 
+def _chain_walk(
+    adj: Mapping[int, Sequence[int]], anchors: Container[int], v0: int, y: int
+) -> tuple[int, ...] | None:
+    """The walk from v0 through its neighbour y along degree-2 vertices
+    outside ``anchors``, up to the first anchor; None when it stops at any
+    other vertex or comes back to v0."""
+    walk = [v0]
+    while y not in anchors:
+        nbrs = adj[y]
+        if len(nbrs) != 2 or y == v0:
+            return None
+        walk.append(y)
+        a, b = nbrs
+        y = b if a == walk[-2] else a
+    walk.append(y)
+    return tuple(walk)
+
+
 def two_fan_to_subgraph(g: Graph, anchors: VertexSet | set[int], v0: int) -> tuple[Path, Path]:
     """Two paths from v0 to distinct anchor vertices, disjoint except at v0.
 
     Internal path vertices avoid ``anchors`` entirely.  The returned pair is
     sorted by terminal anchor id.  Raises PreconditionViolated when no such
     pair exists or the arguments are malformed.
+
+    A source of degree 2 is first tried by walking its chain both ways
+    (``_chain_walk``).  The two paths of a fan leave v0 by its two edges,
+    and a path that enters a degree-2 vertex outside the anchor set can
+    only go on by its other edge, so each fan path starts with one walk.
+    A walk that ends at an anchor ends its path there.  So when both walks
+    end at distinct anchors, they are the one fan there is, and the flows
+    would find just it.  A walk that stops at another vertex or comes back
+    to v0, or two walks that end at the same anchor, leave the answer to
+    the flows.
     """
     if v0 in anchors:
         raise PreconditionViolated(f"fan source {v0} lies in the anchor set")
@@ -121,7 +154,14 @@ def two_fan_to_subgraph(g: Graph, anchors: VertexSet | set[int], v0: int) -> tup
     if not (0 <= v0 < g.vertex_count):
         raise PreconditionViolated(f"vertex {v0} out of range")
 
-    into = _two_unit_flows(g.adjacency(), anchors, v0)
+    adj = g.adjacency()
+    if len(adj[v0]) == 2:
+        walks = [_chain_walk(adj, anchors, v0, y) for y in adj[v0]]
+        if None not in walks and walks[0][-1] != walks[1][-1]:
+            p, q = sorted(walks, key=lambda walk: walk[-1])
+            return Path(p), Path(q)
+
+    into = _two_unit_flows(adj, anchors, v0)
     if into is None:
         raise PreconditionViolated(f"no two disjoint paths from {v0} into the anchor set")
     paths = []

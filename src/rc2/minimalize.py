@@ -118,9 +118,21 @@ def _splice(adj: dict[int, list[int]], x: int) -> None:
 
 
 def spanning_minimally_two_connected(g: Graph) -> Graph:
-    """Delete removable edges (smallest first) until none remain."""
+    """Delete removable edges (smallest first) until none remain.
+
+    An input whose every edge has an end of degree 2 is returned as it is.
+    Deleting any of its edges leaves a vertex of degree 1, so it is already
+    minimally 2-connected: its carving is all of it, and the sweep would
+    test no edge and keep every one.  Nothing is deleted on that path, so
+    none of the module's lemmas is used, and the output is the input, which
+    the entry scan has certified; the closing scan has nothing to check.
+    """
     if not is_two_connected(g):
         raise PreconditionViolated("input must be 2-connected")
+    d = degree_two_set(g)
+    if all(u in d or v in d for u, v in g.edges):
+        assert is_minimally_two_connected(g)
+        return g
     n = g.vertex_count
     c = Graph(n, carving(g))
     adj = {x: list(nbrs) for x, nbrs in c.adjacency().items()}

@@ -193,9 +193,14 @@ def census_small_graphs(n: int) -> list[CensusRow]:
     slots = list(combinations(range(n), 2))
     position = {e: b for b, e in enumerate(slots)}
     tables = [[1 << position[edge(p[u], p[v])] for u, v in slots] for p in permutations(range(n))]
+    # A 2-connected graph has minimum degree 2, so a mask that holds at most
+    # one of some vertex's slots is skipped before a Graph is built.
+    at_vertex = [sum(1 << b for b, e in enumerate(slots) if v in e) for v in range(n)]
     class_of: dict[int, tuple[int, int]] = {}
     rows: list[CensusRow] = []
     for mask in range(1 << len(slots)):
+        if any((mask & s).bit_count() < 2 for s in at_vertex):
+            continue
         bits = [b for b in range(len(slots)) if mask >> b & 1]
         g = Graph.from_edges(n, [slots[b] for b in bits])
         if not is_two_connected(g):

@@ -308,8 +308,10 @@ class TestDispatch:
 
     def test_scans_for_cut_vertices_only_on_input_and_minimalized_graph(self, monkeypatch):
         """Every layer checks 2-connectivity, but the verdict is kept on the
-        graph, so the lowpoint scan runs once on the input and once as the
-        minimalizer's own check of its output."""
+        graph, so the lowpoint scan runs once on the input and, after a
+        sweep, once as the minimalizer's own check of its output.  An input
+        that is already minimal, as K_{2,4} is, skips the sweep and that
+        check."""
         import rc2.graphs
 
         scans = []
@@ -320,6 +322,10 @@ class TestDispatch:
         assert len(scans) == 4
         scans.clear()
         assert color_rc2(k24()).strategy == "ear_induction"
+        assert len(scans) == 1
+        scans.clear()
+        hub_edge = Graph.from_edges(6, k24().edges | {(0, 1)})
+        assert color_rc2(hub_edge).strategy == "ear_induction"
         assert len(scans) == 2
 
     @given(two_connected_graphs(max_n=11))

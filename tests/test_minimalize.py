@@ -14,6 +14,7 @@ from rc2.errors import PreconditionViolated
 from rc2.generators import complete_bipartite_graph, complete_graph, theta_graph, wheel_graph
 from rc2.graphs import (
     carving,
+    degree_two_set,
     find_cycle,
     is_cycle_graph,
     is_two_connected,
@@ -73,6 +74,36 @@ class TestSpanningMinimal:
     def test_rejects_non_two_connected(self):
         with pytest.raises(PreconditionViolated, match="input must be 2-connected"):
             spanning_minimally_two_connected(Graph.from_edges(3, [(0, 1), (1, 2)]))
+
+    @given(
+        st.one_of(
+            two_connected_graphs(), dense_two_connected_graphs(max_n=10), minimal_noncycle_graphs()
+        )
+    )
+    @settings(max_examples=80)
+    def test_input_comes_back_exactly_when_every_edge_has_a_degree_two_end(self, g):
+        """The early return hands back the input itself, and only when no
+        edge joins two vertices of degree 3 or more; it then runs no sweep
+        and no closing scan."""
+        d = degree_two_set(g)
+        forced = all(u in d or v in d for u, v in g.edges)
+        with mock.patch.object(minimalize, "is_two_connected_sub", wraps=is_two_connected_sub) as scan:
+            h = spanning_minimally_two_connected(g)
+        assert (h is g) == forced
+        assert scan.call_count == (0 if forced else 1)
+
+    def test_one_branch_edge_still_runs_the_sweep(self):
+        """four_hub is minimal, but its edge (0, 1) joins two branch
+        vertices: the sweep tests it, keeps it, and the closing scan runs."""
+        g = four_hub()
+        removable = mock.patch.object(minimalize, "_removable", wraps=_removable)
+        closing = mock.patch.object(minimalize, "is_two_connected_sub", wraps=is_two_connected_sub)
+        with removable as tested, closing as scan:
+            h = spanning_minimally_two_connected(g)
+        assert h is not g and h.edges == g.edges
+        # Without -O the closing minimality assert tests (0, 1) once more.
+        assert {c.args[1:] for c in tested.call_args_list} == {(0, 1)}
+        assert scan.call_count == 1
 
     @given(st.one_of(two_connected_graphs(), dense_two_connected_graphs(max_n=10)))
     @settings(max_examples=60)

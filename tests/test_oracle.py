@@ -1,6 +1,7 @@
 import hashlib
 import random
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +378,23 @@ class TestCensus:
         )
         twin = next(r for r in census_rows(n) if r.graph_id == relabeled)
         assert (twin.class_id, twin.rc2_exact) == (row.class_id, row.rc2_exact)
+
+    def test_builds_graphs_only_of_minimum_degree_two(self):
+        """The census skips every mask with a vertex of degree below 2
+        before it builds a Graph, and builds one for every other mask; the
+        2-connectivity scan still decides which of them are rows."""
+        n = 5
+        slots = list(combinations(range(n), 2))
+        expected = [
+            mask
+            for mask in range(1 << len(slots))
+            if all(sum(mask >> b & 1 for b, e in enumerate(slots) if v in e) >= 2 for v in range(n))
+        ]
+        with mock.patch.object(Graph, "from_edges", wraps=Graph.from_edges) as from_edges:
+            rows = census_small_graphs(n)
+        masks = [sum(1 << slots.index(e) for e in c.args[1]) for c in from_edges.call_args_list]
+        assert masks == expected
+        assert (len(masks), len(rows)) == (253, TWO_CONNECTED_COUNTS[n])
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_brute_force_runs_once_per_class(self, n):

@@ -125,7 +125,9 @@ def test_trace_text_matches_snapshot_objects_on_random_graphs(n, ears, seed):
 
 
 def test_trace_text_matches_snapshot_objects_on_the_corpus():
-    results = [color_rc2(g, with_trace=True) for _, g in standard_corpus()]
+    """The corpus, and K_{2,140}: the benchmark's longest trace."""
+    graphs = [g for _, g in standard_corpus()] + [complete_bipartite_graph(2, 140)]
+    results = [color_rc2(g, with_trace=True) for g in graphs]
     for result in results:
         assert_renders_like_the_reference(result)
     assert any(string_order_differs(r) for r in results)
