@@ -3,16 +3,19 @@
 Subcommands: ``gen`` (family generators), ``color`` (produce a coloring),
 ``verify`` (check a coloring), ``minimalize``, ``decompose``, ``oracle``
 (exact minimum by pruned search), ``census`` (exact-vs-constructed table
-for tiny n).
+for tiny n, each row checked against the theorem) and ``corpus`` (color,
+verify and replay the benchmark corpus).  ``census`` and ``corpus`` write
+their table on stdout and their report on stderr.
 
 Graphs come from ``--input`` (``--graph`` for ``verify``) or stdin.  A text
 whose first non-blank character is ``{`` is read as JSON
 (``{"n": ..., "edges": ...}``), any other as a whitespace edge list; an edge
 list that starts with ``{`` needs a ``#`` comment line first.  Exit codes: 0
-success, 1 a verification failed or a color bound was exceeded, 2 a usage
-error or a refusal: ``InvalidInput`` (malformed input),
-``PreconditionViolated`` (well-formed input the command does not apply to),
-an unreadable path, or a graph over the verifier's size guard.
+success, 1 a verification failed or a color bound was exceeded, a census
+row broke the theorem or a corpus graph failed its check, 2 a usage error
+or a refusal: ``InvalidInput`` (malformed input), ``PreconditionViolated``
+(well-formed input the command does not apply to), an unreadable path, or a
+graph over the verifier's size guard.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .coloring import color_rc2, coloring_from_json_obj, support_from_json_obj, to_dot
-from .corpus import standard_corpus
+from .corpus import check_corpus
 from .ears import build_ear_decomposition
 from .errors import BudgetExceeded, InvalidInput, PreconditionViolated, Rc2Error
 from .generators import FamilySpec, generate_family
@@ -38,7 +42,15 @@ from .graphs import (
     parse_json,
 )
 from .minimalize import spanning_minimally_two_connected
-from .oracle import CENSUS_SIZES, DEFAULT_BUDGET, census_csv, census_small_graphs, exact_rc2
+from .oracle import (
+    CENSUS_SIZES,
+    DEFAULT_BUDGET,
+    census_csv,
+    census_small_graphs,
+    exact_rc2,
+    sharp_kind,
+    theorem_faults,
+)
 from .reports import DEFAULT_GUARD, SizeGuard
 from .verify import is_rainbow_two_connected
 
@@ -160,16 +172,79 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _note(line: str) -> None:
+    """A report line on stderr; stdout keeps the command's table."""
+    print(line, file=sys.stderr)
+
+
 def _cmd_census(args) -> int:
-    rows = census_small_graphs(args.n)
+    """The census CSV, then its report: each row that breaks the theorem,
+    the classes needing n - 1 colors split into theta graphs, K4 with one
+    edge replaced by a longer path and other (a conjecture says none is
+    other, so an other class is named but passes), and the optimality gaps."""
+    n = args.n
+    rows = census_small_graphs(n)
     _emit(census_csv(rows), args.out)
-    return 0
+    broken = 0
+    for row in rows:
+        found = theorem_faults(row)
+        broken += bool(found)
+        for fault in found:
+            _note(f"n={n} graph {row.graph_id} ({row.edges}): {fault}")
+    classes = len({row.class_id for row in rows})
+    _note(f"n={n}: {len(rows)} graphs ({classes} classes)")
+    # Each class once: by its row whose mask is the class_id, its smallest.
+    sharp = [row for row in rows if row.graph_id == row.class_id and row.rc2_exact == n - 1]
+    kinds = [sharp_kind(row) for row in sharp]
+    split = Counter(kinds)
+    _note(f"  classes needing n-1 = {n - 1} colors: {len(sharp)}/{classes}")
+    _note(f"  of these: theta {split['theta']}, K4-path {split['K4-path']}, other {split['other']}")
+    for row, kind in zip(sharp, kinds):
+        if kind == "other":
+            _note(f"  other: class {row.class_id} ({row.edges})")
+    gaps = Counter(row.rc2_constructive - row.rc2_exact for row in rows)
+    _note(f"  construction optimal on {gaps[0]}/{len(rows)}")
+    for gap in sorted(gaps):
+        if gap:
+            _note(f"  gap {gap}: {gaps[gap]} graphs")
+    worst = max(rows, key=lambda row: row.rc2_constructive - row.rc2_exact)
+    if worst.rc2_constructive > worst.rc2_exact:
+        _note(
+            f"  worst: graph {worst.graph_id} ({worst.edges}) "
+            f"exact {worst.rc2_exact}, constructed {worst.rc2_constructive}"
+        )
+    if broken:
+        _note(f"graphs breaking the theorem: {broken}")
+    return 1 if broken else 0
 
 
 def _cmd_corpus(args) -> int:
-    for spec, g in standard_corpus():
-        print(f"{spec.describe()}\t{g.vertex_count}\t{g.edge_count}")
-    return 0
+    """One row per corpus member, then the report: each failure, a table of
+    colors spent against the n - 1 budget per family, and the digests."""
+    run = check_corpus()
+    families: dict[str, list] = {}
+    for row in run.rows:
+        name = row.spec.describe()
+        fields = (name, row.n, row.m, row.strategy, row.colors_used, row.colors_allowed, row.verified)
+        print("\t".join(map(str, fields)))
+        for fault in row.faults:
+            _note(f"{name}: {fault}")
+        families.setdefault(row.spec.name, []).append(row)
+    width = max(map(len, families))
+    _note(f"{'family':<{width}}  graphs  avg colors / avg budget  failures")
+    for name in sorted(families):
+        rows = families[name]
+        used = sum(row.colors_used for row in rows) / len(rows)
+        budget = sum(row.colors_allowed for row in rows) / len(rows)
+        failed = sum(bool(row.faults) for row in rows)
+        _note(f"{name:<{width}}  {len(rows):>6}  {used:>10.2f} / {budget:<10.2f}  {failed:>8}")
+    failures = sum(bool(row.faults) for row in run.rows)
+    _note(f"\n{len(run.rows)} graphs, {failures} failures")
+    _note(f"{run.replays} traced colorings replayed")
+    _note(f"support fallbacks {run.support_fallbacks}")
+    _note(f"colorings sha256 {run.colorings_sha256}")
+    _note(f"traces sha256 {run.traces_sha256}")
+    return 1 if failures else 0
 
 
 @functools.cache
@@ -230,7 +305,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("census", help="exact vs constructed counts for all tiny graphs")
+    p = sub.add_parser(
+        "census", help="exact vs constructed counts for all tiny graphs, checked against the theorem"
+    )
     p.add_argument(
         "--n",
         type=int,
@@ -240,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_census)
 
-    p = sub.add_parser("corpus", help="list the benchmark corpus")
+    p = sub.add_parser("corpus", help="color, verify and replay the benchmark corpus")
     p.set_defaults(func=_cmd_corpus)
 
     return parser

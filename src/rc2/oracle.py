@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .coloring import color_rc2
 from .errors import BudgetExceeded, InvalidInput, PreconditionViolated
-from .graphs import Graph, edge, is_cycle_graph, is_two_connected
+from .graphs import Graph, degree_two_set, edge, is_cycle_graph, is_two_connected
 from .verify import RainbowIndex
 
 DEFAULT_BUDGET = 10**8
@@ -237,3 +237,41 @@ def census_csv(rows: list[CensusRow]) -> str:
             f"{r.rc2_constructive},{'true' if r.is_cycle else 'false'}"
         )
     return "\n".join(lines) + "\n"
+
+
+def theorem_faults(row: CensusRow) -> list[str]:
+    """How the row breaks the theorem, if it does: exact above constructed,
+    exact = n on a non-cycle or other than n on a cycle, or more than n - 1
+    constructed colors on a non-cycle.  Plain checks, not asserts, so
+    ``python -O`` keeps them."""
+    n, exact, built = row.n, row.rc2_exact, row.rc2_constructive
+    found = []
+    if exact > built:
+        found.append(f"exact {exact} above constructed {built}")
+    if row.is_cycle and exact != n:
+        found.append(f"a cycle with exact {exact}, not n = {n}")
+    if not row.is_cycle and exact == n:
+        found.append(f"a non-cycle with exact n = {n}")
+    if not row.is_cycle and built > n - 1:
+        found.append(f"constructed {built}, more than n - 1 = {n - 1}")
+    return found
+
+
+def sharp_kind(row: CensusRow) -> str:
+    """"theta" for a theta graph (m = n + 1: two vertices of degree 3, the
+    rest of degree 2), "K4-path" for K4 with one edge replaced by a path of
+    length at least 2 (m = n + 2: four vertices of degree 3, the rest of
+    degree 2, and exactly one of the six chains between them has interior
+    vertices), and "other" for every other graph."""
+    g = Graph.from_edges(row.n, [map(int, e.split("-")) for e in row.edges.split(";")])
+    adj = g.adjacency()
+    branch = set(adj).difference(degree_two_set(g))
+    # Degrees sum to 2m and none is below 2, so two branch vertices at
+    # m = n + 1, or four at m = n + 2, all have degree 3.
+    if row.m == row.n + 1 and len(branch) == 2:
+        return "theta"
+    # A chain with interior vertices leaves the branch vertices by two edges.
+    leaving = sum(x not in branch for b in branch for x in adj[b])
+    if row.m == row.n + 2 and len(branch) == 4 and leaving == 2:
+        return "K4-path"
+    return "other"

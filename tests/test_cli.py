@@ -2,25 +2,46 @@
 
 Most cases drive ``main(argv)`` in process and read captured stdout; a
 few subprocess runs check ``python -m rc2`` end to end.
+
+``rc2 corpus`` prints a digest of the corpus colorings and one of the
+traced colorings; both are pinned here and quoted in the README.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from rc2 import cli
+from rc2 import cli, corpus
 from rc2.cli import main
+from rc2.coloring import EdgeColoring
 from rc2.generators import complete_bipartite_graph, complete_graph, random_two_connected, wheel_graph
 from rc2.graphs import graph_to_json
+from rc2.reports import SizeGuard, skipped
 
-from .common import c6_with_chord, cycle, diamond, k4, k23, wheel
+from .common import (
+    TWO_CONNECTED_CLASS_COUNTS,
+    TWO_CONNECTED_COUNTS,
+    c6_with_chord,
+    census_rows,
+    cycle,
+    diamond,
+    k4,
+    k23,
+    wheel,
+)
+from .test_oracle import CENSUS_CSV_SHA256
 
+ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SIZE = 154
+COLORINGS_SHA256 = "a16099e422baddd81061b653ac531810c6a9f789382cea00e5ba6126f5bffd17"
+TRACES_SHA256 = "98b4383c3b6e4596c587cea2fa5e0371dafe47760b742abc7de1264b4514b787"
 
 
 def run(capsys, argv):
@@ -598,13 +619,182 @@ def test_census_rejects_out_of_range_n(capsys):
     assert code == 2 and err == "error: census covers 3 to 6 vertices\n"
 
 
+def test_census_unwritable_out_exits_2(capsys, tmp_path):
+    code, out, err = run(capsys, ["census", "--n", "3", "--out", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "n, sharp, split",
+    [
+        (3, "0/1", "theta 0, K4-path 0"),
+        (4, "1/3", "theta 1, K4-path 0"),
+        (5, "1/10", "theta 1, K4-path 0"),
+        (6, "4/56", "theta 3, K4-path 1"),
+    ],
+    ids=["n3", "n4", "n5", "n6"],
+)
+def test_census_report_of_each_size(capsys, monkeypatch, n, sharp, split):
+    """Fed the cached census, ``rc2 census`` writes the pinned CSV, finds no
+    row that breaks the theorem, and splits the classes needing n - 1
+    colors: at n = 4 the diamond (the 4-cycle needs 4 colors and K4 needs
+    2), at n = 6 three thetas and K4 with one edge replaced by a path of
+    length 3, and no other."""
+    monkeypatch.setattr(cli, "census_small_graphs", lambda n: list(census_rows(n)))
+    code, out, err = run(capsys, ["census", "--n", str(n)])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_CSV_SHA256[n]
+    assert err.splitlines()[:3] == [
+        f"n={n}: {TWO_CONNECTED_COUNTS[n]} graphs ({TWO_CONNECTED_CLASS_COUNTS[n]} classes)",
+        f"  classes needing n-1 = {n - 1} colors: {sharp}",
+        f"  of these: {split}, other 0",
+    ]
+
+
+def damaged_census(monkeypatch, pick, **changes):
+    """Make ``rc2 census`` see only the first n = 4 row that ``pick``
+    accepts, with ``changes`` made to it."""
+    rows = census_rows(4)
+    row = next(row for row in rows if pick(row))
+    monkeypatch.setattr(cli, "census_small_graphs", lambda n: [dataclasses.replace(row, **changes)])
+
+
+def test_census_fails_a_row_that_breaks_the_theorem(capsys, monkeypatch):
+    """The diamond's row, given n = 4 constructed colors, breaks the bound
+    of n - 1 for a non-cycle."""
+    damaged_census(monkeypatch, lambda row: row.edges == "0-1;0-2;0-3;1-2;1-3", rc2_constructive=4)
+    code, out, err = run(capsys, ["census", "--n", "4"])
+    assert code == 1
+    assert out.splitlines()[1] == "31,4,5,0-1;0-2;0-3;1-2;1-3,3,4,false"
+    lines = err.splitlines()
+    assert lines[0] == "n=4 graph 31 (0-1;0-2;0-3;1-2;1-3): constructed 4, more than n - 1 = 3"
+    assert lines[-1] == "graphs breaking the theorem: 1"
+
+
+def test_census_names_an_other_class_needing_n_minus_one(capsys, monkeypatch):
+    """K4 is neither a theta graph nor K4 with a subdivided edge, so its
+    row, given 3 = n - 1 exact colors, is named as other.  That no other
+    class needs n - 1 is a conjecture, so the census still passes."""
+    damaged_census(monkeypatch, lambda row: row.m == 6, rc2_exact=3)
+    code, _, err = run(capsys, ["census", "--n", "4"])
+    assert code == 0
+    assert err.splitlines()[1:4] == [
+        "  classes needing n-1 = 3 colors: 1/1",
+        "  of these: theta 0, K4-path 0, other 1",
+        "  other: class 63 (0-1;0-2;0-3;1-2;1-3;2-3)",
+    ]
+
+
+def test_corpus_prints_the_pinned_digests(capsys):
+    """Both digests are over the JSON ``rc2 color`` writes, support
+    included, so a change to any corpus coloring, support or trace fails
+    here until its digests are recorded again on purpose, with the reason
+    in CHANGES.md."""
+    code, _, err = run(capsys, ["corpus"])
+    assert code == 0, err
+    lines = err.splitlines()
+    assert lines[-5:] == [
+        "154 graphs, 0 failures",
+        # Every ear-induction coloring of the corpus is replayed.
+        "98 traced colorings replayed",
+        # Each corpus coloring's support holds every pair's witness.
+        "support fallbacks 0",
+        f"colorings sha256 {COLORINGS_SHA256}",
+        f"traces sha256 {TRACES_SHA256}",
+    ]
+
+
+def test_readme_quotes_the_pinned_digests():
+    """The README quotes the first 8 hex digits of both digests above."""
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert f"colorings sha256 `{COLORINGS_SHA256[:8]}…`" in readme
+    assert f"traces sha256 `{TRACES_SHA256[:8]}…`" in readme
+
+
 def test_corpus_listing(capsys):
     code, out, _ = run(capsys, ["corpus"])
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == CORPUS_SIZE
-    assert lines[0] == "theta(a=2,b=2,c=2)\t5\t6"
-    assert all(len(line.split("\t")) == 3 for line in lines)
+    assert lines[0] == "theta(a=2,b=2,c=2)\t5\t6\tear_induction\t4\t4\tyes"
+    for line in lines:
+        _, n, _, strategy, used, allowed, verified = line.split("\t")
+        assert strategy in ("hamiltonian_chord", "ear_induction")
+        assert int(used) <= int(allowed) == int(n) - 1
+        assert verified == "yes"
+
+
+def damaged_corpus(monkeypatch, traced, damage):
+    """Make ``rc2 corpus`` apply ``damage`` to the first result that has
+    (or, without ``traced``, lacks) a trace."""
+    color_rc2 = corpus.color_rc2
+    damaged = []
+
+    def colored(g, with_trace):
+        result = color_rc2(g, with_trace=with_trace)
+        if not damaged and (result.trace is not None) == traced:
+            damaged.append(result)
+            return damage(result)
+        return result
+
+    monkeypatch.setattr(corpus, "color_rc2", colored)
+
+
+def test_corpus_fails_a_coloring_over_n_minus_one_colors(capsys, monkeypatch):
+    """One edge of the wheel W4's (that is, K4's) Hamiltonian-chord coloring
+    takes a fresh color: the coloring still verifies, but it spends n = 4
+    colors."""
+
+    def fresh_color(result):
+        assign = result.coloring.assignment
+        recolored = {**assign, min(assign): result.coloring.color_count}
+        return dataclasses.replace(result, coloring=EdgeColoring.from_assignment(recolored))
+
+    damaged_corpus(monkeypatch, False, fresh_color)
+    code, out, err = run(capsys, ["corpus"])
+    assert code == 1
+    assert "wheel(n=4)\t4\t6\thamiltonian_chord\t4\t3\tyes" in out.splitlines()
+    lines = err.splitlines()
+    assert lines[0] == "wheel(n=4): 4 colors, more than n - 1 = 3"
+    assert "154 graphs, 1 failures" in lines
+
+
+def test_corpus_fails_a_verification_that_is_skipped(capsys, monkeypatch):
+    """Under a size guard of 5 vertices, each corpus graph on more vertices
+    is not verified, and fails."""
+    monkeypatch.setattr(corpus, "DEFAULT_GUARD", SizeGuard(5, 28))
+    code, out, err = run(capsys, ["corpus"])
+    assert code == 1
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert [row[-1] for row in rows] == ["yes" if int(row[1]) <= 5 else "skipped" for row in rows]
+    faults = [line for line in err.splitlines() if ": verification: skipped " in line]
+    assert faults[0].startswith("theta(a=2,b=2,c=3): ")
+    assert len(faults) == sum(int(row[1]) > 5 for row in rows) > 0
+
+
+@pytest.mark.parametrize("how", ["damaged", "skipped"])
+def test_corpus_fails_a_replay_that_fails_or_is_skipped(capsys, monkeypatch, how):
+    """The first traced coloring keeps its coloring and its verification,
+    but its trace puts another color on one edge, or its replay is skipped."""
+
+    def recolor_in_trace(result):
+        *head, last = result.trace
+        step = dataclasses.replace(last, colored={**last.colored, min(last.colored): 99})
+        return dataclasses.replace(result, trace=(*head, step))
+
+    def refused(result, g):
+        return skipped("induction", "refused")
+
+    if how == "skipped":
+        monkeypatch.setattr(corpus, "check_induction_invariants", refused)
+    else:
+        damaged_corpus(monkeypatch, True, recolor_in_trace)
+    code, _, err = run(capsys, ["corpus"])
+    assert code == 1
+    faults = [line for line in err.splitlines() if ": replay: " in line]
+    assert faults[0].startswith("theta(a=2,b=2,c=2): replay: ")
+    assert len(faults) == (98 if how == "skipped" else 1)
 
 
 # --- --out -------------------------------------------------------------

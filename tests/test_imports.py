@@ -1,8 +1,8 @@
-"""No unused module-level imports in the package, the tests or the scripts,
-no exception class in ``rc2.errors`` that the package neither raises nor
+"""No unused module-level imports in the package or the tests, no
+exception class in ``rc2.errors`` that the package neither raises nor
 catches, no module-level private function or class in the package that
 the package never references, no module-level public function or class
-in the package that no module, script or README word names, no defaulted
+in the package that no module or README word names, no defaulted
 parameter in the package that no caller passes, and no dataclass field
 default in the package that every construction overrides.
 
@@ -20,7 +20,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = sorted(
     path
-    for folder in ("src/rc2", "tests", "scripts")
+    for folder in ("src/rc2", "tests")
     for path in (ROOT / folder).glob("*.py")
     if path != ROOT / "src" / "rc2" / "__init__.py"
 )
@@ -196,7 +196,7 @@ PACKAGE = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "rc2")
 # Every call the package's defaults and fields are checked against.
 CALLERS = [
     path.read_text()
-    for folder in ("src/rc2", "tests", "scripts", "perfbench")
+    for folder in ("src/rc2", "tests", "perfbench")
     for path in sorted((ROOT / folder).glob("*.py"))
 ]
 
@@ -264,22 +264,21 @@ def test_no_field_default_is_overridden_by_every_construction():
     assert overridden_field_defaults(PACKAGE, CALLERS) == []
 
 
-def unnamed_public_definitions(package: dict[str, str], scripts: list[str], readme: str) -> list[str]:
+def unnamed_public_definitions(package: dict[str, str], readme: str) -> list[str]:
     """``module.name`` of each module-level public function or class in
-    ``package`` (module name -> source) that no package module or script
-    reads by name or as an attribute, and that ``readme`` does not name as
-    a whole word."""
+    ``package`` (module name -> source) that no package module reads by name
+    or as an attribute, and that ``readme`` does not name as a whole word."""
     defined: list[str] = []
     read: set[str] = set()
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for module, source in package.items():
+        tree = ast.parse(source)
         defined += [
             f"{module}.{node.name}"
-            for node in ast.parse(source).body
+            for node in tree.body
             if isinstance(node, kinds) and not node.name.startswith("_")
         ]
-    for source in [*package.values(), *scripts]:
-        for node in ast.walk(ast.parse(source)):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -292,20 +291,18 @@ def test_the_scan_finds_unnamed_public_definitions():
     package = {
         "a": "def used(): pass\nclass Dead: pass\ndef documented(): pass\ndef _private(): pass\n",
         "b": "from a import used\nused()\nm.by_attribute()\ndef by_attribute(): pass\n",
-        "c": "def scripted(): pass\ndef dead(): pass\n",
+        "c": "def dead(): pass\n",
     }
-    scripts = ["from c import scripted\nscripted()\n"]
     readme = "Call `documented()`; a dead_end names no helper.\n"
-    assert unnamed_public_definitions(package, scripts, readme) == ["a.Dead", "c.dead"]
+    assert unnamed_public_definitions(package, readme) == ["a.Dead", "c.dead"]
 
 
 def test_every_public_definition_is_named():
-    """A public helper that no module, script or README word names is dead."""
+    """A public helper that no module or README word names is dead."""
     package = {
         path.stem: path.read_text()
         for path in sorted((ROOT / "src" / "rc2").glob("*.py"))
         if path.name != "__init__.py"
     }
-    scripts = [path.read_text() for path in sorted((ROOT / "scripts").glob("*.py"))]
     readme = (ROOT / "README.md").read_text()
-    assert unnamed_public_definitions(package, scripts, readme) == []
+    assert unnamed_public_definitions(package, readme) == []

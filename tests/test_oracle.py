@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from itertools import combinations, product
@@ -19,7 +20,7 @@ from rc2 import (
 from rc2.errors import BudgetExceeded, InvalidInput, PreconditionViolated
 from rc2.corpus import standard_corpus
 from rc2.generators import complete_bipartite_graph, random_two_connected, theta_graph
-from rc2.oracle import _completions, _exact_k_colorings
+from rc2.oracle import CensusRow, _completions, _exact_k_colorings, sharp_kind, theorem_faults
 
 from .common import (
     EXACT_RC2,
@@ -334,6 +335,48 @@ class TestCensus:
                 assert row.rc2_exact == row.n == row.rc2_constructive
             else:
                 assert row.rc2_constructive <= row.n - 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_no_row_breaks_the_theorem(self, n):
+        """Under python -O too: ``theorem_faults`` makes plain checks."""
+        for row in census_rows(n):
+            assert theorem_faults(row) == [], row.edges
+
+    @pytest.mark.parametrize(
+        "edges, changes, faults",
+        [
+            ("0-2;0-3;1-2;1-3", {"rc2_exact": 3}, ["a cycle with exact 3, not n = 4"]),
+            ("0-2;0-3;1-2;1-3", {"rc2_constructive": 3}, ["exact 4 above constructed 3"]),
+            ("0-1;0-2;0-3;1-2;1-3", {"rc2_constructive": 4}, ["constructed 4, more than n - 1 = 3"]),
+            (
+                "0-1;0-2;0-3;1-2;1-3",
+                {"rc2_exact": 4, "rc2_constructive": 4},
+                ["a non-cycle with exact n = 4", "constructed 4, more than n - 1 = 3"],
+            ),
+        ],
+        ids=["c4-exact-3", "c4-constructed-3", "diamond-constructed-4", "diamond-exact-4"],
+    )
+    def test_theorem_faults_name_each_break(self, edges, changes, faults):
+        """A 4-cycle's row and the diamond's, each damaged."""
+        row = next(row for row in census_rows(4) if row.edges == edges)
+        assert theorem_faults(row) == []
+        assert theorem_faults(dataclasses.replace(row, **changes)) == faults
+
+    @pytest.mark.parametrize(
+        "n, edges, kind",
+        [
+            (5, "0-2;0-3;0-4;1-2;1-3;1-4", "theta"),
+            (4, "0-1;0-2;0-3;1-2;1-3;2-3", "other"),
+            (6, "0-4;4-5;1-5;0-2;0-3;1-2;1-3;2-3", "K4-path"),
+            (6, "0-4;1-4;0-2;0-3;1-2;1-3;2-5;3-5", "other"),
+            (5, "0-1;0-2;0-3;0-4;1-2;2-3;3-4;1-4", "other"),
+        ],
+        ids=["theta-2-2-2", "k4", "k4-one-edge-a-path", "k4-two-edges-paths", "wheel-5"],
+    )
+    def test_sharp_kind(self, n, edges, kind):
+        m = edges.count(";") + 1
+        row = CensusRow(0, 0, n, m, edges, n - 1, n - 1, False)
+        assert sharp_kind(row) == kind
 
     def test_out_of_range(self):
         with pytest.raises(InvalidInput, match="census covers 3 to 6 vertices"):
