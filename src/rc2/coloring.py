@@ -141,7 +141,12 @@ def coloring_from_json_obj(obj) -> EdgeColoring:
     raw: dict[Edge, int] = {}
     for item in obj["edges"]:
         # type() and not isinstance(): JSON true/false are bools, and bool is an int.
-        if not (isinstance(item, dict) and all(type(item.get(k)) is int for k in ("u", "v", "color"))):
+        if not (
+            isinstance(item, dict)
+            and type(item.get("u")) is int
+            and type(item.get("v")) is int
+            and type(item.get("color")) is int
+        ):
             raise InvalidInput(f"bad colored-edge entry {item!r}")
         e = edge(item["u"], item["v"])
         if e in raw:

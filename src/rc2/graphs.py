@@ -238,7 +238,9 @@ def check_int_pairs(items: list, what: str) -> None:
     as ``bad {what} entry``."""
     for item in items:
         # type() and not isinstance(): JSON true/false are bools, and bool is an int.
-        if not (isinstance(item, list) and len(item) == 2 and all(type(x) is int for x in item)):
+        if not (
+            isinstance(item, list) and len(item) == 2 and type(item[0]) is int and type(item[1]) is int
+        ):
             raise InvalidInput(f"bad {what} entry {item!r}")
 
 

@@ -10,9 +10,9 @@ accepted witness's cycle joins by two rainbow arcs.  Given a support, a
 subgraph such as the one :func:`~rc2.coloring.color_rc2` colored with care,
 it searches each such pair there first and in the whole graph only when
 the support has no witness.  Every witness is checked apart from the
-searches and that lookup: two arcs of an accepted cycle by the color parity
-of each arc, in a fixed number of steps, before they are handed out, and
-any other witness by :func:`pair_witness_error`.
+searches and that lookup: two arcs of an accepted cycle by the rainbow
+reach of each arc's start, in a fixed number of steps, before they are
+handed out, and any other witness by :func:`pair_witness_error`.
 
 :func:`check_induction_invariants` replays a traced construction level by
 level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
@@ -21,8 +21,7 @@ level and confirms the stronger inductive properties (tags A1-A5, B1, B2 in
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
-from operator import xor
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import ColoringResult, EdgeColoring
@@ -148,6 +147,10 @@ def has_two_internally_disjoint_rainbow_paths(
     :func:`enumerate_rainbow_paths`, that has such a partner, with its first
     partner in that order.  Each path's partner is sought by one search that
     bans the path's interior, so the paths are never stored and compared.
+    When the path is the edge uv, that search bans nothing and so meets
+    every rainbow u-v path of the graph; if none is a partner, the edge is
+    the graph's only rainbow u-v path, and the walk stops there rather than
+    exhaust the same paths again.
 
     With a record of accepted ``cycles``, a pair that two rainbow arcs of a
     recorded cycle join gets those arcs, checked by the record before it
@@ -169,6 +172,9 @@ def has_two_internally_disjoint_rainbow_paths(
                 # The single edge uv avoids its own empty interior.
                 if q != p:
                     return p, q
+            if len(p) == 2:
+                # The edge's partner search met every rainbow u-v path of h.
+                break
     return None
 
 
@@ -209,14 +215,12 @@ class _AcceptedCycles:
     it are a witness for their ends.  :meth:`error` records each cycle it
     accepts, as it comes, in one form: ``pos`` (vertex -> position)
     proposes where u and v sit, and the doubled ring (an arc is one slice)
-    and its parity prefix masks ``x`` confirm it before :meth:`witness`
-    serves the arcs.  ``x[k]`` XORs one bit per color over the first k
-    edges of the doubled ring, and the d edges from i are rainbow exactly
-    when ``x[i + d] ^ x[i]`` has d bits set (it keeps the colors used an
-    odd number of times: at most d, and d only when each occurs once).  So
-    a fault in ``pos`` cannot produce a pass.  No cycle comes twice: a
-    searched pair's witness lies on no recorded cycle, since that cycle
-    would have served the pair two rainbow arcs.
+    and its rainbow ``reach`` confirm it before :meth:`witness` serves the
+    arcs.  ``reach[i]`` is the most consecutive ring edges from position i
+    that repeat no color, so the d edges from i are rainbow exactly when
+    ``d <= reach[i]``.  So a fault in ``pos`` cannot produce a pass.  No
+    cycle comes twice: a searched pair's witness lies on no recorded cycle,
+    since that cycle would have served the pair two rainbow arcs.
 
     Given the ``support`` searched first, ``fallbacks`` counts the accepted
     searched witnesses with an edge outside it: the graph's search found
@@ -228,8 +232,8 @@ class _AcceptedCycles:
         self._coloring = coloring
         self._support = support
         self.fallbacks = 0
-        # vertex -> the cycles through it, oldest first: (pos, ring, x), where
-        # pos proposes positions and the doubled ring and x confirm them.
+        # vertex -> the cycles through it, oldest first: (pos, ring, reach),
+        # where pos proposes positions and the doubled ring and reach confirm them.
         self._by_vertex: dict[int, list[tuple]] = {}
         # The pair last served and the very arcs it got.
         self._served = (None, None)
@@ -237,18 +241,20 @@ class _AcceptedCycles:
     def witness(self, u: int, v: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """Two rainbow u-v arcs of the newest recorded cycle that has them,
         checked, or None."""
-        at_u, at_v = self._by_vertex.get(u, ()), self._by_vertex.get(v, ())
-        for pos, ring, x in reversed(at_u if len(at_u) <= len(at_v) else at_v):
+        at_u, at_v = self._by_vertex.get(u), self._by_vertex.get(v)
+        if at_u is None or at_v is None:
+            return None
+        for pos, ring, reach in reversed(at_u if len(at_u) <= len(at_v) else at_v):
             i, j = pos.get(u), pos.get(v)
             if i is None or j is None:
                 continue
             # The arc from u on to v has d edges; the one from v on to u the rest.
-            size = len(x) // 2
+            size = len(reach)
             i %= size
+            j %= size
             d = (j - i) % size
-            # The ring and the masks confirm the proposal from their own data.
-            xp, xq = x[i + d] ^ x[i], x[i + size] ^ x[i + d]
-            if (ring[i], ring[i + d], xp.bit_count(), xq.bit_count()) == (u, v, d, size - d):
+            # The ring and the reach confirm the proposal from their own data.
+            if d <= reach[i] and size - d <= reach[j] and ring[i] == u and ring[j] == v:
                 arcs = ring[i : i + d + 1], ring[i + d : i + size + 1][::-1]
                 self._served = (u, v), arcs
                 return arcs
@@ -267,16 +273,23 @@ class _AcceptedCycles:
 
     def _record(self, ring: tuple[int, ...]) -> None:
         """Keep an accepted witness's ``ring``, a simple cycle of colored
-        edges, by its positions, doubled ring and parity masks."""
+        edges, by its positions, doubled ring and rainbow reach."""
         assign = self._coloring.assignment
         hops = list(map(edge, ring, ring[1:] + ring[:1]))
         if self._support is not None and not self._support.issuperset(hops):
             self.fallbacks += 1
-        # Each color of the cycle gets a bit, in order of first sight.
-        bits: dict[int, int] = {}
-        ones = [bits.setdefault(assign[e], 1 << len(bits)) for e in hops]
-        x = list(accumulate(ones + ones, xor, initial=0))
-        entry = ({y: i for i, y in enumerate(ring)}, ring + ring, x)
+        # One sliding window over the doubled ring: ``inside`` holds the
+        # colors of edges i to end - 1, none repeated.
+        size = len(ring)
+        colors = [assign[e] for e in hops] * 2
+        reach, inside, end = [], set(), 0
+        for i in range(size):
+            while end < i + size and colors[end] not in inside:
+                inside.add(colors[end])
+                end += 1
+            reach.append(end - i)
+            inside.discard(colors[i])
+        entry = ({y: i for i, y in enumerate(ring)}, ring + ring, reach)
         for y in ring:
             self._by_vertex.setdefault(y, []).append(entry)
 

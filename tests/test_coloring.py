@@ -375,6 +375,22 @@ class TestColoringJson:
         with pytest.raises(InvalidInput, match=r"edge \(0, 1\) colored twice"):
             coloring_from_json_obj(obj)
 
+    @pytest.mark.parametrize("value", [True, 1.5, "1", None], ids=["bool", "float", "string", "missing"])
+    @pytest.mark.parametrize("field", ["u", "v", "color"])
+    def test_names_the_first_malformed_entry(self, field, value):
+        entry = {"u": 1, "v": 2, "color": 1, field: value}
+        if value is None:
+            del entry[field]
+        obj = {"edges": [{"u": 0, "v": 1, "color": 0}, entry, {"u": 0, "v": 2, "color": 2}]}
+        with pytest.raises(InvalidInput) as exc:
+            coloring_from_json_obj(obj)
+        assert str(exc.value) == f"bad colored-edge entry {entry!r}"
+
+    def test_names_a_non_object_entry(self):
+        with pytest.raises(InvalidInput) as exc:
+            coloring_from_json_obj({"edges": [{"u": 0, "v": 1, "color": 0}, [1, 2, 1]]})
+        assert str(exc.value) == "bad colored-edge entry [1, 2, 1]"
+
 
 class TestSupport:
     """``color_rc2`` keeps the edges a scheme colored as the support when it

@@ -147,6 +147,24 @@ class TestJson:
         with pytest.raises(InvalidInput, match="malformed|bad edge"):
             graph_from_json(text)
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [
+            ("[0, true]", "[0, True]"),
+            ("[false, 1]", "[False, 1]"),
+            ("[0, 1.5]", "[0, 1.5]"),
+            ('[0, "1"]', "[0, '1']"),
+            ("[0]", "[0]"),
+            ("[0, 1, 2]", "[0, 1, 2]"),
+            ("1", "1"),
+            ('{"u": 0}', "{'u': 0}"),
+        ],
+    )
+    def test_names_the_first_malformed_edge_entry(self, entry, shown):
+        with pytest.raises(InvalidInput) as exc:
+            graph_from_json(f'{{"n": 3, "edges": [[0, 1], {entry}, [1, 2], [0, 2]]}}')
+        assert str(exc.value) == f"bad edge entry {shown}"
+
     def test_rejects_isolated_vertices(self):
         with pytest.raises(InvalidInput, match="isolated"):
             graph_from_json('{"n": 4, "edges": [[0, 1], [1, 2], [0, 2]]}')

@@ -587,6 +587,31 @@ class TestSupportFirst:
         assert verdict(report) == verdict(is_rainbow_two_connected(g, coloring, guard))
         assert [v.subject for v in report.violations] == [(at, at + 1)]
 
+    @pytest.mark.parametrize("k, at", WORKLOADS.FAIL_WHEELS)
+    @pytest.mark.parametrize("with_support", [False, True], ids=["plain", "support"])
+    def test_a_failing_edge_pair_walks_each_graph_once(self, monkeypatch, k, at, with_support):
+        """The broken ear's pair is an edge and the only rainbow path between
+        its ends.  The edge's partner search bans nothing, so it meets every
+        rainbow path of the graph, and the walk over that graph ends with
+        it: one exhausted walk per graph searched, the support then g."""
+        g, coloring = broken_wheel(k, at)
+        support = color_rc2(g).support if with_support else None
+        exhausted = []
+        original = verify.enumerate_rainbow_paths
+
+        def spy(h, coloring, u, v, *banned):
+            yield from original(h, coloring, u, v, *banned)
+            exhausted.append((h.edges, u, v))
+
+        monkeypatch.setattr(verify, "enumerate_rainbow_paths", spy)
+        guard = SizeGuard(g.vertex_count, g.edge_count)
+        report = is_rainbow_two_connected(g, coloring, guard, support)
+        assert [v.subject for v in report.violations] == [(at, at + 1)]
+        searched = [g.edges] if support is None else [support, g.edges]
+        assert [walk for walk in exhausted if walk[1:] == (at, at + 1)] == [
+            (edges, at, at + 1) for edges in searched
+        ]
+
     @given(two_connected_graphs(max_n=8), st.data())
     @settings(max_examples=80, deadline=None)
     def test_any_subgraph_as_support_keeps_the_verdict(self, g, data):
@@ -732,10 +757,10 @@ def test_each_accepted_cycle_is_recorded_once(monkeypatch, name):
 
 def faulty_record(part, fault):
     """An ``_AcceptedCycles._record`` that replaces one part of each new
-    cycle's entry, ``pos``, the doubled ``ring`` or the masks ``x``, by
-    ``fault`` of it."""
+    cycle's entry, ``pos``, the doubled ``ring`` or the rainbow ``reach``,
+    by ``fault`` of it."""
     record = verify._AcceptedCycles._record
-    index = ("pos", "ring", "x").index(part)
+    index = ("pos", "ring", "reach").index(part)
 
     def faulty(self, ring):
         record(self, ring)
@@ -747,6 +772,13 @@ def faulty_record(part, fault):
     return faulty
 
 
+def rainbow_stretch(colors, i):
+    """The most consecutive entries of the cyclic list ``colors`` from i
+    that repeat no color, by brute force."""
+    run = colors[i:] + colors[:i]
+    return next((k for k in range(1, len(run)) if run[k] in run[:k]), len(run))
+
+
 def lap_back(pos):
     """Every position one lap of the ring back, below 0."""
     return {y: i - len(pos) for y, i in pos.items()}
@@ -754,15 +786,20 @@ def lap_back(pos):
 
 class TestCheckedCycles:
     """The record's check: a witness that is two arcs of an accepted
-    witness's cycle is checked by the color parity of each arc; every
-    verdict is the one ``pair_witness_error`` gives."""
+    witness's cycle is checked by the rainbow reach of each arc's start;
+    every verdict is the one ``pair_witness_error`` gives."""
 
-    @given(st.lists(st.integers(0, 12), max_size=16))
-    def test_parity_has_one_bit_per_entry_iff_entries_are_distinct(self, colors):
-        parity = 0
-        for c in colors:
-            parity ^= 1 << c
-        assert (parity.bit_count() == len(colors)) == (len(set(colors)) == len(colors))
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=15), st.booleans())
+    def test_reach_is_the_longest_rainbow_run_from_each_position(self, drawn, distinct):
+        # A ring of distinct colors, or one where the first color comes again.
+        colors = list(range(len(drawn) + 1)) if distinct else drawn + drawn[:1]
+        size = len(colors)
+        coloring = EdgeColoring({edge(a, (a + 1) % size): c for a, c in enumerate(colors)}, len(set(colors)))
+        cycles = verify._AcceptedCycles(coloring)
+        cycles._record(tuple(range(size)))
+        _, _, reach = cycles._by_vertex[0][-1]
+        assert reach == [rainbow_stretch(colors, i) for i in range(size)]
+        assert (reach == [size] * size) == distinct
 
     @given(two_connected_graphs(max_n=8), st.data())
     @settings(max_examples=60, deadline=None)
@@ -838,11 +875,11 @@ class TestCheckedCycles:
         its arcs are rainbow.  (0, 1) records the ring 0 4 1 3 2 5; an arc of
         ``at`` runs past its rainbow stretch by one edge up to ``extra``: one
         edge for (0, 5), the true first failure, and up to six edges for
-        (0, 4) before it.  The masks refuse the arcs before they are handed
+        (0, 4) before it.  The reach refuses the arcs before they are handed
         out, so that pair is searched and the report is the one of a record
-        whose zeroed masks refuse every proposal."""
+        whose zeroed reach refuses every proposal."""
         g, coloring, _ = hand_cycle()
-        zeroed = faulty_record("x", lambda x: [0] * len(x))
+        zeroed = faulty_record("reach", lambda reach: [0] * len(reach))
         with monkeypatch.context() as m:
             m.setattr(verify._AcceptedCycles, "_record", zeroed)
             searched = spy_on(m, "enumerate_rainbow_paths")
@@ -864,13 +901,9 @@ class TestCheckedCycles:
         assert ring == (0, 4, 1, 3, 2, 5)
         colors = [coloring.assignment[edge(a, b)] for a, b in zip(ring, ring[1:] + ring[:1])]
 
-        def stretch(i):
-            run = colors[i:] + colors[:i]
-            return next((k for k in range(1, 6) if run[k] in run[:k]), 6)
-
         i, j = ring.index(at[0]), ring.index(at[1])
         d = (j - i) % 6
-        assert 0 < max(d - stretch(i), 6 - d - stretch(j)) <= extra
+        assert 0 < max(d - rainbow_stretch(colors, i), 6 - d - rainbow_stretch(colors, j)) <= extra
 
     @pytest.mark.parametrize(
         "part, fault",
@@ -879,12 +912,14 @@ class TestCheckedCycles:
             ("pos", lambda pos: {y: (i + 1) % len(pos) for y, i in pos.items()}),
             # The check reduces each position to the ring.
             ("pos", lap_back),
+            # Every position one lap on, past the ring's end.
+            ("pos", lambda pos: {y: i + len(pos) for y, i in pos.items()}),
             # The ring's first two vertices swapped: one end of a pair is wrong.
             ("pos", lambda pos: {y: {0: 1, 1: 0}.get(i, i) for y, i in pos.items()}),
-            # Masks that under-report: no arc passes, so every pair is searched.
-            ("x", lambda x: [0] * len(x)),
+            # A reach that under-reports: no arc passes, so every pair is searched.
+            ("reach", lambda reach: [0] * len(reach)),
         ],
-        ids=["pos-on", "pos-lap-back", "pos-swapped", "x-zero"],
+        ids=["pos-on", "pos-lap-back", "pos-lap-on", "pos-swapped", "reach-zero"],
     )
     @pytest.mark.parametrize(
         "make", [lambda: hand_cycle()[:2], lambda: built(wheel_graph(12))], ids=["hand", "w12"]
